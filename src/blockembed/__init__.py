@@ -23,7 +23,6 @@ from .blocks import (
     DimensionMismatch,
     NonpositiveK,
     NormSpec,
-    PairingSpec,
     axpy,
     block_distance,
     outer_norm,

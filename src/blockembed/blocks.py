@@ -27,7 +27,6 @@ __all__ = [
     "NormSpec",
     "BlockVector",
     "BlockIsoModel",
-    "PairingSpec",
     "pair_index",
     "unpair_index",
     "inner_norm",
@@ -40,6 +39,9 @@ __all__ = [
 ]
 
 _THETA_TAG = 101  # stream tag separating theta draws from other consumers
+# Elements of one carrier-by-carrier difference chunk: 512 KB of float64,
+# small enough to stay in cache between the subtraction and the reduction.
+_CHUNK_ELEMS = 1 << 16
 
 
 class NonpositiveK(ValueError):
@@ -75,27 +77,6 @@ def unpair_index(j: int) -> tuple[int, int]:
     z = w - km1
     n = z // 2 if z % 2 == 0 else -(z + 1) // 2
     return n, km1 + 1
-
-
-@dataclass(frozen=True)
-class PairingSpec:
-    """Marker for the (shell, level) -> block id bijection in force.
-
-    Exactly one convention exists, fixed forever so block layouts stay
-    reproducible across versions; ``index``/``unindex`` expose it.
-    """
-
-    convention: str = "zigzag-cantor"
-
-    def __post_init__(self):
-        if self.convention != "zigzag-cantor":
-            raise ValueError(f"unknown pairing convention {self.convention!r}")
-
-    def index(self, n: int, k: int) -> int:
-        return pair_index(n, k)
-
-    def unindex(self, j: int) -> tuple[int, int]:
-        return unpair_index(j)
 
 
 @dataclass(frozen=True)
@@ -257,46 +238,78 @@ def block_distance(u: BlockVector, v: BlockVector, spec: NormSpec) -> float:
     return _aggregate(norms, spec.outer_p)
 
 
+def _norms(diff: np.ndarray, p: float) -> np.ndarray:
+    """Inner l_p norms of non-negative coordinate rows along the last axis.
+
+    ``diff`` is scratch: the l_2 and general l_p cases overwrite it.
+    """
+    if math.isinf(p):
+        return diff.max(axis=-1)
+    if p == 1:
+        return diff.sum(axis=-1)
+    if p == 2:
+        return np.sqrt(np.multiply(diff, diff, out=diff).sum(axis=-1))
+    return np.power(diff, p, out=diff).sum(axis=-1) ** (1.0 / p)
+
+
 def pairwise_distance_matrix(images: Sequence[BlockVector], spec: NormSpec) -> np.ndarray:
     """All pairwise image distances, vectorized block by block.
 
     Equivalent to calling :func:`block_distance` on every pair; used on the
     hot verification paths.  The diagonal is exactly zero and the matrix is
     exactly symmetric.
+
+    Each block j only touches the c_j points that carry it, gathered once
+    as a c_j x dim array.  A pair with one carrier is charged that
+    carrier's block norm and a pair with none is charged nothing, so only
+    carrier-by-carrier differences are formed, ``_CHUNK_ELEMS`` elements
+    (or one carrier row, if larger) at a time.  Memory stays at
+    O(n^2 + chunk) instead of the O(n^2 * dim) of a difference over all
+    points.  Blocks are folded into the outer rule in ascending id order
+    with the same per-block formula for every entry, so each distance is
+    bit-identical to that of a dense difference over all n points.
     """
     n = len(images)
     dims: dict[int, int] = {}
-    for v in images:
+    carriers: dict[int, list[int]] = {}
+    coords: dict[int, list[np.ndarray]] = {}
+    for i, v in enumerate(images):
         for j, x in v.blocks.items():
             d = dims.setdefault(j, len(x))
             if d != len(x):
                 raise DimensionMismatch(j, d, len(x))
+            carriers.setdefault(j, []).append(i)
+            coords.setdefault(j, []).append(x)
 
+    sup = math.isinf(spec.outer_p)
     out = np.zeros((n, n))
-    acc = None if math.isinf(spec.outer_p) else np.zeros((n, n))
     for j in sorted(dims):
-        x = np.zeros((n, dims[j]))
-        for i, v in enumerate(images):
-            blk = v.blocks.get(j)
-            if blk is not None:
-                x[i] = blk
-        diff = np.abs(x[:, None, :] - x[None, :, :])
-        if math.isinf(spec.inner_p):
-            dj = diff.max(axis=-1)
-        elif spec.inner_p == 1:
-            dj = diff.sum(axis=-1)
-        elif spec.inner_p == 2:
-            dj = np.sqrt((diff * diff).sum(axis=-1))
-        else:
-            dj = (diff**spec.inner_p).sum(axis=-1) ** (1.0 / spec.inner_p)
-        if acc is None:
-            np.maximum(out, dj, out=out)
+        idx = np.array(carriers[j])
+        x = np.array(coords[j])
+        c = len(idx)
+        # column b of the carriers: N_b against non-carrier rows, the exact
+        # block distance against carrier rows
+        col = np.empty((n, c))
+        col[:] = _norms(np.abs(x), spec.inner_p)
+        step = max(1, _CHUNK_ELEMS // (c * dims[j]))
+        buf = np.empty((min(step, c), c, dims[j]))
+        for lo in range(0, c, step):
+            diff = buf[: min(step, c - lo)]
+            np.subtract(x[lo : lo + step, None, :], x[None, :, :], out=diff)
+            col[idx[lo : lo + step]] = _norms(np.abs(diff, out=diff), spec.inner_p)
+        if sup:
+            np.maximum(out[:, idx], col, out=col)
         elif spec.outer_p == 1:
-            acc += dj
+            col += out[:, idx]
         else:
-            acc += dj**spec.outer_p
-    if acc is not None:
-        out = acc if spec.outer_p == 1 else acc ** (1.0 / spec.outer_p)
+            col **= spec.outer_p
+            col += out[:, idx]
+        out[:, idx] = col
+        # out was symmetric before this block, so the carrier rows are the
+        # transpose of the columns just folded
+        out[idx] = col.T
+    if not sup and spec.outer_p != 1:
+        out **= 1.0 / spec.outer_p
     np.fill_diagonal(out, 0.0)
     return out
 

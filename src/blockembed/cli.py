@@ -224,8 +224,8 @@ def _run_embed_proper(config: RunConfig) -> tuple[dict[str, Any], bool]:
     space = _as_metric(_load(config))
     pspace = PointedSpace(space, _basepoint(config))
     emb = embed_space_proper(pspace, iso=_proper_iso(config), k_slack=config.k_max_slack)
-    report = verify_proper(emb, tolerance=config.tolerance)
     dmat = pairwise_distance_matrix(emb.images, emb.params.norm)
+    report = verify_proper(emb, tolerance=config.tolerance, image_distances=dmat)
     body = {
         "constants": dict(report.constants),
         "checks": report.summary(),
@@ -237,8 +237,8 @@ def _run_embed_proper(config: RunConfig) -> tuple[dict[str, Any], bool]:
 def _run_embed_lp(config: RunConfig) -> tuple[dict[str, Any], bool]:
     cloud = _require_cloud(_load(config), config.mode)
     emb = embed_set_lp(cloud, _lp_params(config))
-    report = verify_lp(emb, tolerance=config.tolerance)
     dmat = pairwise_distance_matrix(emb.images, emb.norm_spec)
+    report = verify_lp(emb, tolerance=config.tolerance, image_distances=dmat)
     body = {
         "constants": dict(report.constants),
         "normalization": {
@@ -254,10 +254,10 @@ def _run_embed_lp(config: RunConfig) -> tuple[dict[str, Any], bool]:
 def _run_coarse(config: RunConfig) -> tuple[dict[str, Any], bool]:
     cloud = _require_cloud(_load(config), config.mode)
     emb = coarse_embed(cloud, config.epsilon, _lp_params(config))
-    report = verify_coarse(emb, tolerance=config.tolerance)
+    dmat = pairwise_distance_matrix(emb.images, emb.norm_spec)
+    report = verify_coarse(emb, tolerance=config.tolerance, image_distances=dmat)
     deviation = max_rounding_deviation(cloud, emb.beta)
     rounding_ok = deviation <= config.epsilon + 1e-12
-    dmat = pairwise_distance_matrix(emb.images, emb.norm_spec)
     body = {
         "constants": dict(report.constants),
         "net_size": len(emb.members),

@@ -55,6 +55,15 @@ def _parse_exponent(value: Any) -> float:
     return p
 
 
+def _parse_basepoint(value: Any) -> int:
+    """A point index: an integer, or a float with no fractional part."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"basepoint must be an integer index, got {value!r}")
+    return value
+
+
 def parse_space(path: str | Path, fmt: str = "json") -> FiniteMetricSpace | LpPointSet:
     """Load a distance-matrix space or an l_p point cloud.
 
@@ -81,7 +90,7 @@ def parse_space(path: str | Path, fmt: str = "json") -> FiniteMetricSpace | LpPo
             cloud = LpPointSet(
                 _parse_exponent(payload["p"]),
                 pts,
-                basepoint=int(payload.get("basepoint", 0)),
+                basepoint=_parse_basepoint(payload.get("basepoint", 0)),
             )
             cloud.metric_space  # validate the induced metric eagerly
             return cloud

@@ -304,21 +304,29 @@ def embed_set_lp(s: LpPointSet, params: LpParams | None = None) -> LpEmbedding:
     return LpEmbedding(ns, params, images, translation, scale)
 
 
-def verify_lp(embedding: LpEmbedding, tolerance: float = 1e-9) -> BoundsReport:
+def verify_lp(
+    embedding: LpEmbedding,
+    tolerance: float = 1e-9,
+    *,
+    image_distances: np.ndarray | None = None,
+) -> BoundsReport:
     """Certify d / (20 lambda^2 (1+delta)^2) <= image distance <= 9 d.
 
     Distances are those of the normalized set the embedding was built on.
+    ``image_distances`` is the images' pairwise distance matrix when the
+    caller has already computed it; otherwise it is computed here.
     """
     params = embedding.params
     denom = params.lower_denominator()
-    dmat = pairwise_distance_matrix(embedding.images, embedding.norm_spec)
+    if image_distances is None:
+        image_distances = pairwise_distance_matrix(embedding.images, embedding.norm_spec)
     return verify_bounds(
         embedding.pointset.metric_space,
         None,
         lambda d: d / denom,
         lambda d: 9.0 * d,
         tolerance=tolerance,
-        image_distances=dmat,
+        image_distances=image_distances,
         constants={
             "p": "inf" if math.isinf(embedding.pointset.p) else embedding.pointset.p,
             "lambda_sim": params.lambda_sim,
@@ -387,17 +395,27 @@ def coarse_embed(
     return CoarseEmbedding(s, eps, params, members, beta, images, constants)
 
 
-def verify_coarse(embedding: CoarseEmbedding, tolerance: float = 0.0) -> BoundsReport:
-    """Certify the affine envelope of the rounded embedding, input units."""
+def verify_coarse(
+    embedding: CoarseEmbedding,
+    tolerance: float = 0.0,
+    *,
+    image_distances: np.ndarray | None = None,
+) -> BoundsReport:
+    """Certify the affine envelope of the rounded embedding, input units.
+
+    ``image_distances`` is the images' pairwise distance matrix when the
+    caller has already computed it; otherwise it is computed here.
+    """
     c = embedding.constants
-    dmat = pairwise_distance_matrix(embedding.images, embedding.norm_spec)
+    if image_distances is None:
+        image_distances = pairwise_distance_matrix(embedding.images, embedding.norm_spec)
     return verify_bounds(
         embedding.pointset.metric_space,
         None,
         lambda d: d / c.c_d - c.c_a,
         lambda d: c.c_d * d + c.c_a,
         tolerance=tolerance,
-        image_distances=dmat,
+        image_distances=image_distances,
         constants={
             "p": "inf" if math.isinf(embedding.pointset.p) else embedding.pointset.p,
             "c_d": c.c_d,

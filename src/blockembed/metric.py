@@ -239,17 +239,20 @@ def validate_metric(
 ) -> FiniteMetricSpace:
     """Validate a square matrix as a finite metric and wrap it.
 
-    Checks, in order: finite entries, non-negativity, symmetry, zero
-    diagonal, no zero distance between distinct points, and the triangle
-    inequality.  The triangle check allows absolute slack ``tol``; the
-    default (``None``) scales it to 1e-12 times the largest entry, which
-    absorbs the rounding noise of distances evaluated in floating point
-    (exactly tight triangles are common in l_1 and l_inf point sets) while
-    still catching any genuine violation.  Pass ``tol=0.0`` for an exact
+    Checks, in order: numeric entries, finite entries, non-negativity,
+    symmetry, zero diagonal, no zero distance between distinct points, and
+    the triangle inequality.  The triangle check allows absolute slack
+    ``tol``; the default (``None``) scales it to 1e-12 times the largest
+    entry, which absorbs the rounding noise of distances evaluated in
+    floating point (exactly tight triangles are common in l_1 and l_inf
+    point sets) while still catching any genuine violation.  Pass ``tol=0.0`` for an exact
     check.  The first offending entry in lexicographic index order is
     reported; the matrix is never repaired.
     """
-    a = np.array(matrix, dtype=float)
+    try:
+        a = np.array(matrix, dtype=float)
+    except (TypeError, ValueError) as err:
+        raise MetricError(f"matrix entries must be numbers: {err}") from err
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise MetricError("matrix must be square")
     n = a.shape[0]

@@ -25,7 +25,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .blocks import BlockIsoModel, BlockVector, NormSpec, PairingSpec
+from .blocks import BlockIsoModel, BlockVector, NormSpec, pair_index
 from .metric import BoundsReport, Net, PointedSpace, greedy_maximal_net, verify_bounds
 from . import blocks as _blocks
 
@@ -125,7 +125,6 @@ class ProperParams:
     n_max: int
     k_max: Mapping[int, int]
     iso: BlockIsoModel
-    pairing: PairingSpec
     norm: NormSpec
     k_slack: int
     c_trunc: float
@@ -201,7 +200,6 @@ def make_proper_params(
         n_max=n_max,
         k_max=k_max,
         iso=iso if iso is not None else BlockIsoModel.exact(),
-        pairing=PairingSpec(),
         norm=NormSpec.sup_sum(),
         k_slack=k_slack,
         c_trunc=c_trunc,
@@ -274,7 +272,7 @@ def embed_point_proper(
                 f"point {t} needs shell {tier} outside [{params.n_min}, {params.n_max}]"
             )
         for k in range(1, params.k_max[tier] + 1):
-            j = params.pairing.index(tier, k)
+            j = pair_index(tier, k)
             coords = frechet_coords(t, hierarchy.net(tier, k), pspace)
             out[j] = blend * tier_weight(tier, k) * params.iso.factor(j) * coords
     return BlockVector(out)
@@ -295,23 +293,31 @@ def embed_space_proper(
     return ProperEmbedding(pspace, params, hierarchy, images)
 
 
-def verify_proper(embedding: ProperEmbedding, tolerance: float = 1e-9) -> BoundsReport:
+def verify_proper(
+    embedding: ProperEmbedding,
+    tolerance: float = 1e-9,
+    *,
+    image_distances: np.ndarray | None = None,
+) -> BoundsReport:
     """Certify separation_envelope(d) <= image distance <= 9 * C_trunc * d.
 
     The upper envelope uses the truncated weight total of the map actually
     built, which is at most the full series total, so the check is at least
     as strict as the nominal 9 * WEIGHT_SERIES_SUM * d envelope.
+    ``image_distances`` is the images' pairwise distance matrix when the
+    caller has already computed it; otherwise it is computed here.
     """
     params = embedding.params
     upper_factor = 9.0 * params.c_trunc
-    dmat = _blocks.pairwise_distance_matrix(embedding.images, params.norm)
+    if image_distances is None:
+        image_distances = _blocks.pairwise_distance_matrix(embedding.images, params.norm)
     return verify_bounds(
         embedding.pspace.space,
         None,
         separation_envelope,
         lambda d: upper_factor * d,
         tolerance=tolerance,
-        image_distances=dmat,
+        image_distances=image_distances,
         constants={
             "weight_series_sum": WEIGHT_SERIES_SUM,
             "c_trunc": params.c_trunc,

@@ -2,12 +2,19 @@
 
 Everything here is deliberately written with plain Python loops over lists
 and ``math`` calls, so it shares no code path with the production
-implementations it checks.
+implementations it checks.  The one exception is
+:func:`dense_pair_distances`, the dense numpy kernel the library used
+before its carrier-restricted one; it is kept as the bit-identity reference
+for that kernel.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
+
+from blockembed.blocks import DimensionMismatch
 
 
 def brute_inner(values, p):
@@ -58,6 +65,49 @@ def brute_pair_distances(images, inner_p, outer_p):
         for j in range(i + 1, n):
             d = brute_block_distance(images[i], images[j], inner_p, outer_p)
             out[i][j] = out[j][i] = d
+    return out
+
+
+def dense_pair_distances(images, spec):
+    """Pairwise image distances from an n x n x dim difference per block.
+
+    Every block is expanded over all n points (zero rows for non-carriers),
+    and blocks are folded into the outer rule in ascending id order.
+    """
+    n = len(images)
+    dims: dict[int, int] = {}
+    for v in images:
+        for j, x in v.blocks.items():
+            d = dims.setdefault(j, len(x))
+            if d != len(x):
+                raise DimensionMismatch(j, d, len(x))
+
+    out = np.zeros((n, n))
+    acc = None if math.isinf(spec.outer_p) else np.zeros((n, n))
+    for j in sorted(dims):
+        x = np.zeros((n, dims[j]))
+        for i, v in enumerate(images):
+            blk = v.blocks.get(j)
+            if blk is not None:
+                x[i] = blk
+        diff = np.abs(x[:, None, :] - x[None, :, :])
+        if math.isinf(spec.inner_p):
+            dj = diff.max(axis=-1)
+        elif spec.inner_p == 1:
+            dj = diff.sum(axis=-1)
+        elif spec.inner_p == 2:
+            dj = np.sqrt((diff * diff).sum(axis=-1))
+        else:
+            dj = (diff**spec.inner_p).sum(axis=-1) ** (1.0 / spec.inner_p)
+        if acc is None:
+            np.maximum(out, dj, out=out)
+        elif spec.outer_p == 1:
+            acc += dj
+        else:
+            acc += dj**spec.outer_p
+    if acc is not None:
+        out = acc if spec.outer_p == 1 else acc ** (1.0 / spec.outer_p)
+    np.fill_diagonal(out, 0.0)
     return out
 
 

@@ -1,16 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blockembed import blocks
 from blockembed.blocks import (
     BlockIsoModel,
     BlockVector,
     DimensionMismatch,
     NonpositiveK,
     NormSpec,
-    PairingSpec,
     axpy,
     block_distance,
     outer_norm,
@@ -48,12 +49,9 @@ class TestPairing:
                 seen[j] = (n, k)
                 assert unpair_index(j) == (n, k)
 
-    def test_pairing_spec_delegates(self):
-        spec = PairingSpec()
-        assert spec.index(-1, 2) == 4
-        assert spec.unindex(4) == (-1, 2)
-        with pytest.raises(ValueError):
-            PairingSpec("rowmajor")
+    def test_unpair_index_inverts_pair_index(self):
+        assert pair_index(-1, 2) == 4
+        assert unpair_index(4) == (-1, 2)
 
 
 class TestBlockVector:
@@ -142,6 +140,37 @@ def _vectors(draw, dims):
         )
         coords[j] = values
     return BlockVector(coords)
+
+
+@st.composite
+def image_lists(draw):
+    """Zero to seven images, each carrying a random subset of up to five blocks."""
+    dims = draw(st.dictionaries(st.integers(0, 40), st.integers(1, 6), max_size=5))
+    images = []
+    for _ in range(draw(st.integers(0, 7))):
+        carried = draw(st.lists(st.booleans(), min_size=len(dims), max_size=len(dims)))
+        images.append(_vectors(draw, {j: dims[j] for j, c in zip(dims, carried) if c}))
+    return images
+
+
+# Every exponent pair the kernel treats differently: sup, l_1, l_2, a general
+# l_p, and mixed inner/outer exponents.
+KERNEL_SPECS = (
+    NormSpec.sup_sum(),
+    NormSpec.lp_sum(1.0),
+    NormSpec.lp_sum(2.0),
+    NormSpec.lp_sum(3.0),
+    NormSpec(2.0, math.inf),
+    NormSpec(math.inf, 2.0),
+)
+
+
+def _ragged_images(rng, n, n_blocks=6):
+    images = []
+    for _ in range(n):
+        ids = rng.choice(n_blocks, size=rng.integers(0, n_blocks + 1), replace=False)
+        images.append(BlockVector({int(j): rng.uniform(-4, 4, size=1 + int(j) % 4) for j in ids}))
+    return images
 
 
 @st.composite
@@ -243,6 +272,46 @@ class TestDistances:
         imgs = [BlockVector({0: [1.0]}), BlockVector({0: [1.0, 2.0]})]
         with pytest.raises(DimensionMismatch):
             pairwise_distance_matrix(imgs, NormSpec.sup_sum())
+
+    @given(image_lists(), st.sampled_from(KERNEL_SPECS))
+    @settings(max_examples=200, deadline=None)
+    def test_pairwise_matrix_bit_identical_to_dense_kernel(self, images, spec):
+        mat = pairwise_distance_matrix(images, spec)
+        assert np.array_equal(mat, oracles.dense_pair_distances(images, spec))
+
+    @pytest.mark.parametrize("spec", KERNEL_SPECS)
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_pairwise_matrix_tiny_inputs(self, n, spec):
+        for images in (_ragged_images(np.random.default_rng(n), n), [BlockVector.empty()] * n):
+            mat = pairwise_distance_matrix(images, spec)
+            assert mat.shape == (n, n)
+            assert np.array_equal(mat, oracles.dense_pair_distances(images, spec))
+
+    @pytest.mark.parametrize("chunk", [1, 7, 50])
+    def test_pairwise_matrix_bit_identical_across_chunk_sizes(self, chunk, monkeypatch):
+        images = _ragged_images(np.random.default_rng(chunk), 40)
+        images[5] = BlockVector.empty()
+        monkeypatch.setattr(blocks, "_CHUNK_ELEMS", chunk)
+        for spec in KERNEL_SPECS:
+            mat = pairwise_distance_matrix(images, spec)
+            assert np.array_equal(mat, oracles.dense_pair_distances(images, spec))
+
+    @pytest.mark.parametrize("spec", [NormSpec.sup_sum(), NormSpec.lp_sum(2.0)])
+    def test_pairwise_matrix_memory_does_not_scale_with_block_dim(self, spec):
+        # 10 of 300 points carry a 64-dim block; a difference over all
+        # points for that block alone would take 300 * 300 * 64 * 8 = 46 MB
+        rng = np.random.default_rng(4)
+        images = [
+            BlockVector({0: rng.uniform(-1, 1, 64)} if i < 10 else {1: rng.uniform(-1, 1, 1)})
+            for i in range(300)
+        ]
+        tracemalloc.start()
+        try:
+            pairwise_distance_matrix(images, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
 
 
 class TestBlockIsoModel:

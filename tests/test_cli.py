@@ -1,8 +1,10 @@
 import json
 import math
+import sys
 
 import pytest
 
+from blockembed import blocks
 from blockembed.cli import main
 from blockembed.io import ParseError, UnknownFormat, atomic_write_text, dumps_report, parse_space
 from blockembed.lp_coarse import LpPointSet
@@ -70,6 +72,18 @@ class TestParseSpace:
         path.write_text('{"rows": []}')
         with pytest.raises(ParseError):
             parse_space(path, "json")
+
+    @pytest.mark.parametrize("basepoint", ["1.7", "true", "false", '"1"'])
+    def test_non_integer_basepoint_rejected(self, tmp_path, basepoint):
+        path = tmp_path / "c.json"
+        path.write_text('{"p":2,"points":[[0,0],[3,4],[6,8]],"basepoint":%s}' % basepoint)
+        with pytest.raises(ParseError, match="basepoint"):
+            parse_space(path, "json")
+
+    def test_integral_float_basepoint_accepted(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text('{"p":2,"points":[[0,0],[3,4],[6,8]],"basepoint":2.0}')
+        assert parse_space(path, "json").basepoint == 2
 
 
 class TestReportSerialization:
@@ -159,6 +173,44 @@ class TestCliModes:
         payload = json.loads(report.read_text())
         assert payload["pass"] is False
         assert payload["error_type"] == "TriangleViolation"
+
+    def test_validate_non_numeric_matrix_reports_invalid(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"dist":[[0,"a"],["a",0]]}')
+        report = tmp_path / "rep.json"
+        assert run_cli("validate", "--input", bad, "--out", report) == 1
+        payload = json.loads(report.read_text())
+        assert payload["valid"] is False
+        assert payload["error_type"] == "MetricError"
+
+    def test_fractional_basepoint_exits_two(self, tmp_path, capsys):
+        fixture = tmp_path / "c.json"
+        fixture.write_text('{"p":2,"points":[[0,0],[3,4],[6,8]],"basepoint":1.7}')
+        assert run_cli("embed-lp", "--input", fixture) == 2
+        assert "basepoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "mode, kind",
+        [("embed-proper", "path"), ("embed-lp", "random-lp-cloud"), ("coarse", "random-lp-cloud")],
+    )
+    def test_pairwise_kernel_runs_once_per_certificate(self, tmp_path, monkeypatch, mode, kind):
+        fixture = tmp_path / "f.json"
+        assert run_cli("gen", "--kind", kind, "--n", 12, "--seed", 3, "--out", fixture) == 0
+        original = blocks.pairwise_distance_matrix
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(mode)
+            return original(*args, **kwargs)
+
+        # every blockembed module that holds the kernel under any name
+        for name, module in list(sys.modules.items()):
+            if name == "blockembed" or name.startswith("blockembed."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+        assert run_cli(mode, "--input", fixture, "--out", tmp_path / "rep.json") == 0
+        assert calls == [mode]
 
     def test_validate_success(self, tmp_path):
         good = tmp_path / "good.json"
