@@ -25,6 +25,7 @@ from .blocks import (
     NormSpec,
     axpy,
     block_distance,
+    inner_norm,
     outer_norm,
     pair_index,
     pairwise_distance_matrix,
@@ -68,7 +69,6 @@ from .lp_coarse import (
     embed_point_lp,
     embed_set_lp,
     grid_net,
-    lp_norm,
     max_rounding_deviation,
     net_round,
     normalize_pointed,

@@ -16,7 +16,8 @@ independent of evaluation order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -35,6 +36,7 @@ __all__ = [
     "axpy",
     "scale_block",
     "block_distance",
+    "lp_distance_matrix",
     "pairwise_distance_matrix",
 ]
 
@@ -252,6 +254,24 @@ def _norms(diff: np.ndarray, p: float) -> np.ndarray:
     return np.power(diff, p, out=diff).sum(axis=-1) ** (1.0 / p)
 
 
+def lp_distance_matrix(points: np.ndarray, p: float) -> np.ndarray:
+    """Pairwise l_p distances of the rows of an (m, dim) array, p in [1, inf].
+
+    Differences are formed ``_CHUNK_ELEMS`` elements (or one row, if
+    larger) at a time, so temporaries stay at O(m^2 + chunk).
+    """
+    x = np.asarray(points, dtype=float)
+    m, dim = x.shape
+    out = np.empty((m, m))
+    step = max(1, _CHUNK_ELEMS // max(1, m * dim))
+    buf = np.empty((min(step, m), m, dim))
+    for lo in range(0, m, step):
+        diff = buf[: min(step, m - lo)]
+        np.subtract(x[lo : lo + step, None, :], x[None, :, :], out=diff)
+        out[lo : lo + step] = _norms(np.abs(diff, out=diff), p)
+    return out
+
+
 def pairwise_distance_matrix(images: Sequence[BlockVector], spec: NormSpec) -> np.ndarray:
     """All pairwise image distances, vectorized block by block.
 
@@ -262,11 +282,9 @@ def pairwise_distance_matrix(images: Sequence[BlockVector], spec: NormSpec) -> n
     Each block j only touches the c_j points that carry it, gathered once
     as a c_j x dim array.  A pair with one carrier is charged that
     carrier's block norm and a pair with none is charged nothing, so only
-    carrier-by-carrier differences are formed, ``_CHUNK_ELEMS`` elements
-    (or one carrier row, if larger) at a time.  Memory stays at
-    O(n^2 + chunk) instead of the O(n^2 * dim) of a difference over all
-    points.  Blocks are folded into the outer rule in ascending id order
-    with the same per-block formula for every entry, so each distance is
+    carrier-by-carrier distances are formed (:func:`lp_distance_matrix`).
+    Blocks are folded into the outer rule in ascending id order with the
+    same per-block formula for every entry, so each distance is
     bit-identical to that of a dense difference over all n points.
     """
     n = len(images)
@@ -286,17 +304,11 @@ def pairwise_distance_matrix(images: Sequence[BlockVector], spec: NormSpec) -> n
     for j in sorted(dims):
         idx = np.array(carriers[j])
         x = np.array(coords[j])
-        c = len(idx)
         # column b of the carriers: N_b against non-carrier rows, the exact
         # block distance against carrier rows
-        col = np.empty((n, c))
+        col = np.empty((n, len(idx)))
         col[:] = _norms(np.abs(x), spec.inner_p)
-        step = max(1, _CHUNK_ELEMS // (c * dims[j]))
-        buf = np.empty((min(step, c), c, dims[j]))
-        for lo in range(0, c, step):
-            diff = buf[: min(step, c - lo)]
-            np.subtract(x[lo : lo + step, None, :], x[None, :, :], out=diff)
-            col[idx[lo : lo + step]] = _norms(np.abs(diff, out=diff), spec.inner_p)
+        col[idx] = lp_distance_matrix(x, spec.inner_p)
         if sup:
             np.maximum(out[:, idx], col, out=col)
         elif spec.outer_p == 1:
@@ -314,7 +326,13 @@ def pairwise_distance_matrix(images: Sequence[BlockVector], spec: NormSpec) -> n
     return out
 
 
-@dataclass
+@lru_cache(maxsize=4096)
+def _seeded_theta(seed: int, lo: float, hi: float, j: int) -> float:
+    rng = np.random.default_rng([seed, _THETA_TAG, j])
+    return float(rng.uniform(lo, hi))
+
+
+@dataclass(frozen=True)
 class BlockIsoModel:
     """Per-block scale factors theta_j modeling block isomorphism slack.
 
@@ -328,7 +346,6 @@ class BlockIsoModel:
     theta_lo: float = 1.0
     theta_hi: float = 1.0
     seed: int = 0
-    _cache: dict[int, float] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in ("exact", "fixed-factor", "seeded-random"):
@@ -351,9 +368,4 @@ class BlockIsoModel:
             return 1.0
         if self.mode == "fixed-factor":
             return self.theta_lo
-        th = self._cache.get(j)
-        if th is None:
-            rng = np.random.default_rng([self.seed, _THETA_TAG, int(j)])
-            th = float(rng.uniform(self.theta_lo, self.theta_hi))
-            self._cache[j] = th
-        return th
+        return _seeded_theta(self.seed, self.theta_lo, self.theta_hi, int(j))

@@ -40,6 +40,7 @@ from .lp_coarse import (
     coarse_embed,
     embed_set_lp,
     max_rounding_deviation,
+    net_round,
     verify_coarse,
     verify_lp,
 )
@@ -47,7 +48,7 @@ from .metric import (
     FiniteMetricSpace,
     MetricError,
     PointedSpace,
-    greedy_maximal_net,
+    TooFewPoints,
     min_positive_distance,
     moduli_profile,
 )
@@ -105,6 +106,14 @@ def _load(config: RunConfig) -> FiniteMetricSpace | LpPointSet:
     return space
 
 
+def _load_embeddable(config: RunConfig) -> FiniteMetricSpace | LpPointSet:
+    """Load the input of an embedding mode, which needs at least two points."""
+    space = _load(config)
+    if space.n_points < 2:
+        raise TooFewPoints(f"{config.mode} needs at least two points")
+    return space
+
+
 def _basepoint(config: RunConfig) -> int:
     return config.basepoint if config.basepoint is not None else 0
 
@@ -150,7 +159,7 @@ def _moduli_body(
     inner_p: float,
 ) -> dict[str, Any]:
     thresholds = _thresholds(space, config.moduli_points)
-    profile = moduli_profile(space, None, thresholds, image_distances=dmat)
+    profile = moduli_profile(space, thresholds, image_distances=dmat)
     body: dict[str, Any] = {
         "thresholds": list(profile.thresholds),
         "compression": list(profile.compression),
@@ -160,26 +169,6 @@ def _moduli_body(
         body["outer_norm_override"] = config.outer_norm
         body["inner_p"] = inner_p
     return body
-
-
-def _metric_net_round(
-    space: FiniteMetricSpace, basepoint: int, eps: float
-) -> tuple[tuple[int, ...], tuple[int, ...], float]:
-    """Greedy eps/2-net of a whole metric space plus rounding map and deviation."""
-    radius = float(space.dist[basepoint].max())
-    net = greedy_maximal_net(space, (basepoint, max(radius, 0.0)), eps / 2.0, basepoint)
-    d = space.dist
-    beta = []
-    for i in range(space.n_points):
-        for m in net.members:
-            if d[i, m] < eps / 2.0:
-                beta.append(m)
-                break
-        else:  # pragma: no cover - maximality guarantees a member
-            raise AssertionError("net is not maximal")
-    b = np.asarray(beta, dtype=int)
-    deviation = float(np.abs(d[np.ix_(b, b)] - d).max())
-    return net.members, tuple(beta), deviation
 
 
 def _run_validate(config: RunConfig) -> tuple[dict[str, Any], bool]:
@@ -207,7 +196,8 @@ def _run_validate(config: RunConfig) -> tuple[dict[str, Any], bool]:
 
 def _run_net(config: RunConfig) -> tuple[dict[str, Any], bool]:
     space = _as_metric(_load(config))
-    members, beta, deviation = _metric_net_round(space, _basepoint(config), config.epsilon)
+    members, beta = net_round(space, config.epsilon, _basepoint(config))
+    deviation = max_rounding_deviation(space, beta)
     ok = deviation <= config.epsilon + 1e-12
     body = {
         "epsilon": config.epsilon,
@@ -221,7 +211,7 @@ def _run_net(config: RunConfig) -> tuple[dict[str, Any], bool]:
 
 
 def _run_embed_proper(config: RunConfig) -> tuple[dict[str, Any], bool]:
-    space = _as_metric(_load(config))
+    space = _as_metric(_load_embeddable(config))
     pspace = PointedSpace(space, _basepoint(config))
     emb = embed_space_proper(pspace, iso=_proper_iso(config), k_slack=config.k_max_slack)
     dmat = pairwise_distance_matrix(emb.images, emb.params.norm)
@@ -235,7 +225,7 @@ def _run_embed_proper(config: RunConfig) -> tuple[dict[str, Any], bool]:
 
 
 def _run_embed_lp(config: RunConfig) -> tuple[dict[str, Any], bool]:
-    cloud = _require_cloud(_load(config), config.mode)
+    cloud = _require_cloud(_load_embeddable(config), config.mode)
     emb = embed_set_lp(cloud, _lp_params(config))
     dmat = pairwise_distance_matrix(emb.images, emb.norm_spec)
     report = verify_lp(emb, tolerance=config.tolerance, image_distances=dmat)
@@ -252,7 +242,7 @@ def _run_embed_lp(config: RunConfig) -> tuple[dict[str, Any], bool]:
 
 
 def _run_coarse(config: RunConfig) -> tuple[dict[str, Any], bool]:
-    cloud = _require_cloud(_load(config), config.mode)
+    cloud = _require_cloud(_load_embeddable(config), config.mode)
     emb = coarse_embed(cloud, config.epsilon, _lp_params(config))
     dmat = pairwise_distance_matrix(emb.images, emb.norm_spec)
     report = verify_coarse(emb, tolerance=config.tolerance, image_distances=dmat)
@@ -273,7 +263,7 @@ def _run_coarse(config: RunConfig) -> tuple[dict[str, Any], bool]:
 
 
 def _run_moduli(config: RunConfig) -> tuple[dict[str, Any], bool]:
-    space = _load(config)
+    space = _load_embeddable(config)
     if isinstance(space, LpPointSet):
         emb = embed_set_lp(space, _lp_params(config))
         domain = emb.pointset.metric_space

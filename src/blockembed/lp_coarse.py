@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Any, Mapping
 
 import numpy as np
@@ -32,10 +32,12 @@ from .blocks import (
     BlockIsoModel,
     BlockVector,
     NormSpec,
+    inner_norm,
+    lp_distance_matrix,
     pairwise_distance_matrix,
     scale_block,
 )
-from .metric import BoundsReport, FiniteMetricSpace, verify_bounds
+from .metric import BoundsReport, FiniteMetricSpace, greedy_maximal_net, verify_bounds
 from .proper import annulus_index
 
 __all__ = [
@@ -47,7 +49,6 @@ __all__ = [
     "CoarseConstants",
     "LpEmbedding",
     "CoarseEmbedding",
-    "lp_norm",
     "normalize_pointed",
     "embed_point_lp",
     "embed_set_lp",
@@ -74,20 +75,6 @@ class SizeCapExceeded(ValueError):
 
 class DomainMismatch(ValueError):
     pass
-
-
-def lp_norm(x: Any, p: float) -> float:
-    """l_p norm of a coordinate vector, p in [1, inf]."""
-    x = np.asarray(x, dtype=float)
-    if x.size == 0:
-        return 0.0
-    if math.isinf(p):
-        return float(np.abs(x).max())
-    if p == 1:
-        return float(np.abs(x).sum())
-    if p == 2:
-        return float(np.linalg.norm(x))
-    return float((np.abs(x) ** p).sum() ** (1.0 / p))
 
 
 @dataclass
@@ -122,17 +109,7 @@ class LpPointSet:
 
     @cached_property
     def distance_matrix(self) -> np.ndarray:
-        diff = np.abs(self.points[:, None, :] - self.points[None, :, :])
-        if math.isinf(self.p):
-            d = diff.max(axis=-1)
-        elif self.p == 1:
-            d = diff.sum(axis=-1)
-        elif self.p == 2:
-            d = np.sqrt((diff * diff).sum(axis=-1))
-        else:
-            d = (diff**self.p).sum(axis=-1) ** (1.0 / self.p)
-        np.fill_diagonal(d, 0.0)
-        return d
+        return lp_distance_matrix(self.points, self.p)
 
     @cached_property
     def metric_space(self) -> FiniteMetricSpace:
@@ -155,7 +132,7 @@ def normalize_pointed(s: LpPointSet) -> tuple[LpPointSet, np.ndarray, float]:
     """
     origin = s.points[s.basepoint].copy()
     pts = s.points - origin
-    norms = np.array([lp_norm(row, s.p) for row in pts])
+    norms = np.array([inner_norm(row, s.p) for row in pts])
     positive = norms[norms > 0]
     scale = 1.0
     if positive.size and positive.min() < 1.0:
@@ -163,7 +140,7 @@ def normalize_pointed(s: LpPointSet) -> tuple[LpPointSet, np.ndarray, float]:
         bump = 1.0 + 2.0**-48
         for _ in range(64):
             scaled = pts * scale
-            mins = [lp_norm(row, s.p) for i, row in enumerate(scaled) if norms[i] > 0]
+            mins = [inner_norm(row, s.p) for i, row in enumerate(scaled) if norms[i] > 0]
             if min(mins) >= 1.0:
                 break
             scale *= bump
@@ -174,7 +151,18 @@ def normalize_pointed(s: LpPointSet) -> tuple[LpPointSet, np.ndarray, float]:
     return out, origin, scale
 
 
-@dataclass
+@lru_cache(maxsize=256)
+def _diag_map(seed: int, lambda_sim: float, dim: int) -> np.ndarray:
+    if lambda_sim == 1.0:
+        diag = np.ones(dim)
+    else:
+        rng = np.random.default_rng([seed, _DIAG_TAG])
+        diag = rng.uniform(1.0 / lambda_sim, 1.0, size=dim)
+    diag.setflags(write=False)
+    return diag
+
+
+@dataclass(frozen=True)
 class LpParams:
     """Slack model for the Lipschitz construction.
 
@@ -189,7 +177,6 @@ class LpParams:
     seed: int = 0
     theta_mode: str = "seeded-random"
     iso: BlockIsoModel | None = None
-    _diag: dict[int, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.delta < 0:
@@ -198,27 +185,17 @@ class LpParams:
             raise ValueError("lambda_sim must be >= 1")
         if self.iso is None:
             if self.theta_mode == "exact":
-                self.iso = BlockIsoModel.exact()
+                iso = BlockIsoModel.exact()
             else:
-                self.iso = BlockIsoModel(
-                    self.theta_mode, 1.0 / (1.0 + self.delta), 1.0, self.seed
-                )
+                iso = BlockIsoModel(self.theta_mode, 1.0 / (1.0 + self.delta), 1.0, self.seed)
+            object.__setattr__(self, "iso", iso)
 
     def lower_denominator(self) -> float:
         return 20.0 * self.lambda_sim**2 * (1.0 + self.delta) ** 2
 
     def diag_map(self, dim: int) -> np.ndarray:
-        """The fixed diagonal of the simulated lambda-distorted coordinates."""
-        cached = self._diag.get(dim)
-        if cached is None:
-            if self.lambda_sim == 1.0:
-                cached = np.ones(dim)
-            else:
-                rng = np.random.default_rng([self.seed, _DIAG_TAG])
-                cached = rng.uniform(1.0 / self.lambda_sim, 1.0, size=dim)
-            cached.setflags(write=False)
-            self._diag[dim] = cached
-        return cached
+        """The fixed diagonal of the simulated lambda-distorted coordinates (read-only)."""
+        return _diag_map(self.seed, self.lambda_sim, dim)
 
 
 @dataclass(frozen=True)
@@ -281,7 +258,7 @@ def embed_point_lp(
     overrides the shell assignment for checking exactly that.
     """
     t = np.asarray(t, dtype=float)
-    r = lp_norm(t, p)
+    r = inner_norm(t, p)
     if r == 0:
         return BlockVector.empty()
     if r < 1:
@@ -322,7 +299,6 @@ def verify_lp(
         image_distances = pairwise_distance_matrix(embedding.images, embedding.norm_spec)
     return verify_bounds(
         embedding.pointset.metric_space,
-        None,
         lambda d: d / denom,
         lambda d: 9.0 * d,
         tolerance=tolerance,
@@ -339,34 +315,28 @@ def verify_lp(
     )
 
 
-def net_round(s: LpPointSet, eps: float) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def net_round(
+    s: LpPointSet | FiniteMetricSpace, eps: float, basepoint: int | None = None
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Greedy eps/2-net of the whole set plus the rounding map beta.
 
-    The net is seeded at the basepoint and scanned in index order;
-    beta(t) is the first net member strictly within eps/2 of t, so net
-    members are fixed and |d(beta a, beta b) - d(a, b)| < eps for every
-    pair.  Returns (member indices in admission order, beta as an index per
-    point).
+    The net is seeded at ``basepoint`` (by default the cloud's basepoint,
+    or point 0 of a metric space) and scanned in index order; beta(t) is
+    the first net member strictly within eps/2 of t, so net members are
+    fixed and |d(beta a, beta b) - d(a, b)| < eps for every pair.  Returns
+    (member indices in admission order, beta as an index per point).
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    d = s.distance_matrix
+    space = s.metric_space if isinstance(s, LpPointSet) else s
+    if basepoint is None:
+        basepoint = s.basepoint if isinstance(s, LpPointSet) else 0
     r = eps / 2.0
-    members = [s.basepoint]
-    for i in range(s.n_points):
-        if i == s.basepoint:
-            continue
-        if np.all(d[i, members] >= r):
-            members.append(i)
-    beta = []
-    for i in range(s.n_points):
-        for m in members:
-            if d[i, m] < r:
-                beta.append(m)
-                break
-        else:  # pragma: no cover - maximality guarantees a member
-            raise AssertionError("net is not maximal")
-    return tuple(members), tuple(beta)
+    net = greedy_maximal_net(space, (basepoint, math.inf), r, basepoint)
+    members = np.array(net.members)
+    # maximality puts a member strictly within r of every point
+    beta = members[np.argmax(space.dist[:, members] < r, axis=1)]
+    return net.members, tuple(beta.tolist())
 
 
 def coarse_embed(
@@ -411,7 +381,6 @@ def verify_coarse(
         image_distances = pairwise_distance_matrix(embedding.images, embedding.norm_spec)
     return verify_bounds(
         embedding.pointset.metric_space,
-        None,
         lambda d: d / c.c_d - c.c_a,
         lambda d: c.c_d * d + c.c_a,
         tolerance=tolerance,
@@ -428,11 +397,11 @@ def verify_coarse(
     )
 
 
-def max_rounding_deviation(s: LpPointSet, beta: tuple[int, ...]) -> float:
+def max_rounding_deviation(s: LpPointSet | FiniteMetricSpace, beta: tuple[int, ...]) -> float:
     """max over pairs of | d(beta a, beta b) - d(a, b) |."""
-    d = s.distance_matrix
+    d = s.distance_matrix if isinstance(s, LpPointSet) else s.dist
     b = np.asarray(beta, dtype=int)
-    return float(np.abs(d[np.ix_(b, b)] - d).max()) if s.n_points else 0.0
+    return float(np.abs(d[np.ix_(b, b)] - d).max()) if len(d) else 0.0
 
 
 def grid_net(n_dim: int, k: int, size_cap: int = 200_000) -> np.ndarray:

@@ -286,8 +286,10 @@ def validate_metric(
         raise ZeroOffDiagonal(i, j)
 
     # First violating triple (i, j, k), meaning d(i,j) > d(i,k) + d(k,j).
+    # a is exactly symmetric here, so a[j, k] stands for d(k,j): reading a
+    # row-wise instead of a.T keeps memory access contiguous.
     for i in range(n):
-        excess = a[i][:, None] - a[i][None, :] - a.T
+        excess = a[i][:, None] - a[i][None, :] - a
         excess[i, :] = -np.inf
         excess[:, i] = -np.inf
         np.fill_diagonal(excess, -np.inf)
@@ -314,14 +316,14 @@ def greedy_maximal_net(
 ) -> Net:
     """Greedy maximal ``net_radius``-net of a closed ball, seed forced first.
 
-    Scan order is the input index order.  A candidate is admitted iff its
-    distance to every member admitted so far is >= ``net_radius`` (a tie at
-    exactly the radius is admitted).  The result is then automatically
-    maximal: every ball point sits strictly within ``net_radius`` of a
-    member.
+    Scan order is the seed, then the input index order.  A point is
+    admitted iff no member so far lies strictly within ``net_radius`` of it
+    (a tie at exactly the radius is admitted), tracked as a covered mask in
+    which points outside the ball start covered.  The result is maximal:
+    every ball point sits strictly within ``net_radius`` of a member.
     """
     center, ball_radius = ball
-    if net_radius <= 0:
+    if not net_radius > 0:
         raise MetricError("net radius must be positive")
     d = space.dist
     if not 0 <= seed < space.n_points or not 0 <= center < space.n_points:
@@ -329,12 +331,12 @@ def greedy_maximal_net(
     if d[seed, center] > ball_radius:
         raise SeedOutsideBall(seed, center, ball_radius)
 
-    members = [seed]
-    for i in range(space.n_points):
-        if i == seed or d[i, center] > ball_radius:
-            continue
-        if np.all(d[i, members] >= net_radius):
+    covered = d[center] > ball_radius
+    members = []
+    for i in (seed, *range(space.n_points)):
+        if not covered[i]:
             members.append(i)
+            covered |= d[i] < net_radius
     return Net(tuple(members), float(net_radius), center, float(ball_radius))
 
 
@@ -346,40 +348,18 @@ def min_positive_distance(space: FiniteMetricSpace) -> float:
     return float(off.min())
 
 
-def _image_distance_matrix(
-    n: int,
-    images: Sequence[Any] | None,
-    image_dist: Callable[[Any, Any], float] | None,
-    image_distances: np.ndarray | None,
-) -> np.ndarray:
-    if image_distances is not None:
-        m = np.asarray(image_distances, dtype=float)
-        if m.shape != (n, n):
-            raise LengthMismatch("image distance matrix has wrong shape")
-        return m
-    if images is None:
-        raise LengthMismatch("either images or image_distances is required")
-    if len(images) != n:
-        raise LengthMismatch(f"{len(images)} images for {n} points")
-    f = image_dist if image_dist is not None else _euclidean
-    m = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            m[i, j] = m[j, i] = f(images[i], images[j])
+def _check_shape(n: int, image_distances: np.ndarray) -> np.ndarray:
+    m = np.asarray(image_distances, dtype=float)
+    if m.shape != (n, n):
+        raise LengthMismatch("image distance matrix has wrong shape")
     return m
-
-
-def _euclidean(u: Any, v: Any) -> float:
-    return float(np.linalg.norm(np.asarray(u, dtype=float) - np.asarray(v, dtype=float)))
 
 
 def moduli_profile(
     domain: FiniteMetricSpace,
-    images: Sequence[Any] | None,
     thresholds: Sequence[float],
     *,
-    image_dist: Callable[[Any, Any], float] | None = None,
-    image_distances: np.ndarray | None = None,
+    image_distances: np.ndarray,
 ) -> ModuliProfile:
     """Sample the compression and expansion moduli on a threshold grid.
 
@@ -393,7 +373,7 @@ def moduli_profile(
         raise MetricError("thresholds must be non-negative")
     ts.sort()
     n = domain.n_points
-    m = _image_distance_matrix(n, images, image_dist, image_distances)
+    m = _check_shape(n, image_distances)
 
     iu = np.triu_indices(n, k=1)
     dd = domain.dist[iu]
@@ -408,19 +388,13 @@ def moduli_profile(
     return ModuliProfile(tuple(ts), tuple(compression), tuple(expansion))
 
 
-def distortion(
-    domain: FiniteMetricSpace,
-    images: Sequence[Any] | None,
-    *,
-    image_dist: Callable[[Any, Any], float] | None = None,
-    image_distances: np.ndarray | None = None,
-) -> float:
+def distortion(domain: FiniteMetricSpace, *, image_distances: np.ndarray) -> float:
     """Product of the two Lipschitz constants of the map and its inverse.
 
     Scale-invariant; ``math.inf`` when two distinct points share an image.
     """
     n = domain.n_points
-    m = _image_distance_matrix(n, images, image_dist, image_distances)
+    m = _check_shape(n, image_distances)
     iu = np.triu_indices(n, k=1)
     dd = domain.dist[iu]
     ii = m[iu]
@@ -433,13 +407,11 @@ def distortion(
 
 def verify_bounds(
     domain: FiniteMetricSpace,
-    images: Sequence[Any] | None,
     lower_envelope: Callable[[float], float],
     upper_envelope: Callable[[float], float],
     *,
+    image_distances: np.ndarray,
     tolerance: float = 1e-9,
-    image_dist: Callable[[Any, Any], float] | None = None,
-    image_distances: np.ndarray | None = None,
     constants: Mapping[str, Any] | None = None,
 ) -> BoundsReport:
     """Check lower(d) - tol <= image distance <= upper(d) + tol on all pairs.
@@ -449,7 +421,7 @@ def verify_bounds(
     order; worst slacks are the minima over all pairs.
     """
     n = domain.n_points
-    m = _image_distance_matrix(n, images, image_dist, image_distances)
+    m = _check_shape(n, image_distances)
 
     records = []
     worst_lo = math.inf

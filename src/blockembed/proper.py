@@ -26,7 +26,14 @@ from typing import Mapping
 import numpy as np
 
 from .blocks import BlockIsoModel, BlockVector, NormSpec, pair_index
-from .metric import BoundsReport, Net, PointedSpace, greedy_maximal_net, verify_bounds
+from .metric import (
+    BoundsReport,
+    Net,
+    PointedSpace,
+    TooFewPoints,
+    greedy_maximal_net,
+    verify_bounds,
+)
 from . import blocks as _blocks
 
 __all__ = [
@@ -172,7 +179,7 @@ def make_proper_params(
     """
     space = pspace.space
     if space.n_points < 2:
-        raise ValueError("need at least two points to embed")
+        raise TooFewPoints("need at least two points to embed")
     norms = pspace.norms()
     positive = norms[norms > 0]
     n_min = annulus_index(float(positive.min()))[0]
@@ -313,7 +320,6 @@ def verify_proper(
         image_distances = _blocks.pairwise_distance_matrix(embedding.images, params.norm)
     return verify_bounds(
         embedding.pspace.space,
-        None,
         separation_envelope,
         lambda d: upper_factor * d,
         tolerance=tolerance,

@@ -2,10 +2,10 @@
 
 Everything here is deliberately written with plain Python loops over lists
 and ``math`` calls, so it shares no code path with the production
-implementations it checks.  The one exception is
-:func:`dense_pair_distances`, the dense numpy kernel the library used
-before its carrier-restricted one; it is kept as the bit-identity reference
-for that kernel.
+implementations it checks.  The exceptions are
+:func:`dense_pair_distances` and :func:`dense_lp_distances`, the dense numpy
+kernels the library used before its row-chunked one; they are kept as the
+bit-identity references for that kernel.
 """
 
 from __future__ import annotations
@@ -142,6 +142,64 @@ def brute_net_check(matrix, members, center, ball_radius, radius, seed):
         if not any(matrix[i][m] < radius for m in members):
             maximal = False
     return seeded, separated, maximal
+
+
+def brute_greedy_net(matrix, center, ball_radius, radius, seed):
+    """(members, beta) of the greedy net by its definition.
+
+    Members are the seed, then every ball point in index order at distance
+    >= radius from each member admitted before it.  beta[i] is the first
+    member, in admission order, strictly within radius of point i (None
+    when there is none, which only happens outside the ball).
+    """
+    n = len(matrix)
+    members = [seed]
+    for i in range(n):
+        if i == seed or matrix[i][center] > ball_radius:
+            continue
+        if all(matrix[i][m] >= radius for m in members):
+            members.append(i)
+    beta = []
+    for i in range(n):
+        hit = None
+        for m in members:
+            if matrix[i][m] < radius:
+                hit = m
+                break
+        beta.append(hit)
+    return members, beta
+
+
+def shortest_path_metric(weights):
+    """Shortest-path metric of the complete graph with edge (i, j) weighing
+    weights[min(i, j)][max(i, j)], by Floyd-Warshall over nested lists."""
+    n = len(weights)
+    d = [[0 if i == j else weights[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if d[i][k] + d[k][j] < d[i][j]:
+                    d[i][j] = d[i][k] + d[k][j]
+    return d
+
+
+def dense_lp_distances(points, p):
+    """Pairwise l_p distances from one n x n x dim difference array.
+
+    The formula ``LpPointSet.distance_matrix`` used before it moved onto the
+    row-chunked kernel; kept as the bit-identity reference for that kernel.
+    """
+    diff = np.abs(points[:, None, :] - points[None, :, :])
+    if math.isinf(p):
+        d = diff.max(axis=-1)
+    elif p == 1:
+        d = diff.sum(axis=-1)
+    elif p == 2:
+        d = np.sqrt((diff * diff).sum(axis=-1))
+    else:
+        d = (diff**p).sum(axis=-1) ** (1.0 / p)
+    np.fill_diagonal(d, 0.0)
+    return d
 
 
 def brute_moduli(dmat, imat, thresholds):

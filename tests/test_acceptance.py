@@ -237,14 +237,14 @@ def test_criterion_4_oracle_equivalence():
         assert np.allclose(dmat, np.array(brute), atol=1e-12, rtol=1e-12)
 
         thresholds = [float(t) for t in np.geomspace(0.25, 2 * space.diameter(), 8)]
-        prof = moduli_profile(space, None, thresholds, image_distances=dmat)
+        prof = moduli_profile(space, thresholds, image_distances=dmat)
         comp, expa = oracles.brute_moduli(matrix, brute, thresholds)
         for a, b in zip(prof.compression, comp):
             assert a == b or abs(a - b) < 1e-12
         for a, b in zip(prof.expansion, expa):
             assert abs(a - b) < 1e-12
 
-        dist = distortion(space, None, image_distances=dmat)
+        dist = distortion(space, image_distances=dmat)
         assert dist == pytest.approx(oracles.brute_distortion(matrix, brute), rel=1e-12)
 
         rep = verify_proper(emb, tolerance=TOL)

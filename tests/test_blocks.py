@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -14,6 +15,7 @@ from blockembed.blocks import (
     NormSpec,
     axpy,
     block_distance,
+    lp_distance_matrix,
     outer_norm,
     pair_index,
     pairwise_distance_matrix,
@@ -313,6 +315,28 @@ class TestDistances:
             tracemalloc.stop()
         assert peak < 8_000_000
 
+    @given(
+        st.integers(0, 12),
+        st.integers(1, 12),
+        st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_lp_distance_matrix_bit_identical_to_dense_difference(self, m, dim, p, seed):
+        x = np.random.default_rng(seed).uniform(-5, 5, size=(m, dim))
+        assert np.array_equal(lp_distance_matrix(x, p), oracles.dense_lp_distances(x, p))
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+    @pytest.mark.parametrize("dim", [1, 3, 9, 140])
+    def test_lp_distance_matrix_bit_identical_across_chunk_sizes(self, chunk, dim, monkeypatch):
+        x = np.random.default_rng(dim).uniform(-5, 5, size=(30, dim))
+        monkeypatch.setattr(blocks, "_CHUNK_ELEMS", chunk)
+        for p in (1.0, 2.0, 3.0, math.inf):
+            mat = lp_distance_matrix(x, p)
+            assert np.array_equal(mat, oracles.dense_lp_distances(x, p))
+            assert np.array_equal(mat, mat.T)
+            assert np.all(np.diagonal(mat) == 0.0)
+
 
 class TestBlockIsoModel:
     def test_exact_mode(self):
@@ -339,6 +363,22 @@ class TestBlockIsoModel:
         a = BlockIsoModel.seeded(0.5, 1.0, 1)
         b = BlockIsoModel.seeded(0.5, 1.0, 2)
         assert [a.factor(j) for j in range(8)] != [b.factor(j) for j in range(8)]
+
+    @pytest.mark.parametrize("order", ["forward", "backward", "shuffled"])
+    def test_frozen_and_factor_is_a_fresh_keyed_draw(self, order):
+        seed, lo, hi = 11, 0.3, 0.9
+        iso = BlockIsoModel.seeded(lo, hi, seed)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            iso.seed = 12
+        ids = list(range(40))
+        if order == "backward":
+            ids.reverse()
+        elif order == "shuffled":
+            ids = [int(j) for j in np.random.default_rng(5).permutation(ids)]
+        for j in ids + ids:
+            draw = float(np.random.default_rng([seed, 101, j]).uniform(lo, hi))
+            assert iso.factor(j) == draw
+        assert set(vars(iso)) == {"mode", "theta_lo", "theta_hi", "seed"}
 
     def test_invalid_interval(self):
         with pytest.raises(ValueError):

@@ -5,10 +5,10 @@ import sys
 import pytest
 
 from blockembed import blocks
-from blockembed.cli import main
+from blockembed.cli import RunConfig, main, run_report
 from blockembed.io import ParseError, UnknownFormat, atomic_write_text, dumps_report, parse_space
 from blockembed.lp_coarse import LpPointSet
-from blockembed.metric import FiniteMetricSpace, TriangleViolation
+from blockembed.metric import FiniteMetricSpace, TooFewPoints, TriangleViolation
 
 
 class TestParseSpace:
@@ -113,6 +113,9 @@ def run_cli(*args):
     return main([str(a) for a in args])
 
 
+ONE_POINT = {"cloud": '{"p":2,"points":[[1.5,2.0]]}', "matrix": '{"dist":[[0]]}'}
+
+
 class TestCliModes:
     def test_gen_and_embed_proper_path(self, tmp_path, capsys):
         fixture = tmp_path / "p4.json"
@@ -211,6 +214,30 @@ class TestCliModes:
                         monkeypatch.setattr(module, attr, counting)
         assert run_cli(mode, "--input", fixture, "--out", tmp_path / "rep.json") == 0
         assert calls == [mode]
+
+    @pytest.mark.parametrize("kind", ["cloud", "matrix"])
+    @pytest.mark.parametrize("mode", ["embed-proper", "embed-lp", "coarse", "moduli"])
+    def test_one_point_input_exits_two_in_embedding_modes(self, tmp_path, capsys, mode, kind):
+        fixture = tmp_path / "one.json"
+        fixture.write_text(ONE_POINT[kind])
+        with pytest.raises(TooFewPoints):
+            run_report(RunConfig(mode=mode, input=str(fixture)))
+        assert run_cli(mode, "--input", fixture) == 2
+        assert "at least two points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["cloud", "matrix"])
+    @pytest.mark.parametrize("mode", ["validate", "net"])
+    def test_one_point_input_accepted_by_validate_and_net(self, tmp_path, mode, kind):
+        fixture = tmp_path / "one.json"
+        fixture.write_text(ONE_POINT[kind])
+        assert run_cli(mode, "--input", fixture) == 0
+
+    def test_coarse_passes_when_the_net_has_one_member(self, tmp_path):
+        fixture = tmp_path / "c.json"
+        fixture.write_text('{"p":2,"points":[[0,0],[2,1],[5,3]]}')
+        report = tmp_path / "rep.json"
+        assert run_cli("coarse", "--input", fixture, "--epsilon", 1000, "--out", report) == 0
+        assert json.loads(report.read_text())["net_size"] == 1
 
     def test_validate_success(self, tmp_path):
         good = tmp_path / "good.json"

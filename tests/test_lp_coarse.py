@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blockembed.blocks import BlockVector, NormSpec, block_distance, outer_norm
+from blockembed.blocks import BlockVector, NormSpec, block_distance, inner_norm, outer_norm
 from blockembed.lp_coarse import (
     CoarseConstants,
     DomainMismatch,
@@ -17,7 +18,6 @@ from blockembed.lp_coarse import (
     embed_point_lp,
     embed_set_lp,
     grid_net,
-    lp_norm,
     max_rounding_deviation,
     net_round,
     normalize_pointed,
@@ -57,9 +57,23 @@ class TestNormalize:
         for trial in range(10):
             pts = rng.uniform(-0.2, 0.2, size=(12, 3))
             ns, _, _ = normalize_pointed(LpPointSet(p, pts, basepoint=trial % 12))
-            norms = [lp_norm(row, p) for row in ns.points]
+            norms = [inner_norm(row, p) for row in ns.points]
             positive = [v for v in norms if v > 0]
             assert min(positive) >= 1.0
+
+
+class TestLpParams:
+    def test_frozen_and_diagonal_is_a_fresh_keyed_draw(self):
+        params = LpParams(lambda_sim=2.0, seed=6)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            params.seed = 7
+        for dim in (5, 3, 5):
+            diag = params.diag_map(dim)
+            assert not diag.flags.writeable
+            draw = np.random.default_rng([6, 211]).uniform(0.5, 1.0, size=dim)
+            assert np.array_equal(diag, draw)
+        assert np.array_equal(LpParams(seed=6).diag_map(4), np.ones(4))
+        assert set(vars(params)) == {"delta", "lambda_sim", "seed", "theta_mode", "iso"}
 
 
 class TestEmbedPoint:
@@ -101,7 +115,7 @@ class TestEmbedPoint:
         rng = np.random.default_rng(2)
         for _ in range(20):
             t = rng.uniform(-4, 4, size=5)
-            r = lp_norm(t, 2.0)
+            r = inner_norm(t, 2.0)
             if r < 1:
                 continue
             n, lam = annulus_index(r)

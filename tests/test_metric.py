@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from blockembed.blocks import lp_distance_matrix
+from blockembed.lp_coarse import LpPointSet, net_round
 from blockembed.metric import (
     AsymmetricMatrix,
     LengthMismatch,
@@ -22,6 +25,19 @@ from blockembed.metric import (
 )
 
 import oracles
+
+
+def euclid(images):
+    """Euclidean distance matrix of a list of coordinate vectors."""
+    return lp_distance_matrix(np.array(images, dtype=float), 2.0)
+
+
+@st.composite
+def integer_metrics(draw):
+    """Integer shortest-path metrics on 1..9 points, so ties at a radius are common."""
+    n = draw(st.integers(1, 9))
+    weights = draw(st.lists(st.integers(1, 4), min_size=n * n, max_size=n * n))
+    return oracles.shortest_path_metric([weights[i * n : (i + 1) * n] for i in range(n)])
 
 
 def line_space(coords):
@@ -162,31 +178,76 @@ class TestMinPositiveDistance:
             min_positive_distance(validate_metric([[0.0]]))
 
 
+class TestGreedyOracle:
+    """The covered-mask scan against the plain greedy loop of the oracle."""
+
+    @given(integer_metrics(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_greedy_net_any_center_and_seed(self, matrix, data):
+        n = len(matrix)
+        center = data.draw(st.integers(0, n - 1))
+        ball_radius = data.draw(st.integers(0, 12))
+        inside = [i for i in range(n) if matrix[i][center] <= ball_radius]
+        seed = data.draw(st.sampled_from(inside))
+        radius = data.draw(st.integers(1, 6))
+        net = greedy_maximal_net(
+            validate_metric(matrix), (center, float(ball_radius)), float(radius), seed
+        )
+        members, _ = oracles.brute_greedy_net(matrix, center, ball_radius, radius, seed)
+        assert list(net.members) == members
+
+    @given(integer_metrics(), st.integers(1, 6), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_net_round_on_matrix(self, matrix, radius, data):
+        basepoint = data.draw(st.integers(0, len(matrix) - 1))
+        members, beta = net_round(validate_metric(matrix), 2.0 * radius, basepoint)
+        expected = oracles.brute_greedy_net(matrix, basepoint, math.inf, radius, basepoint)
+        assert (list(members), list(beta)) == expected
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=10, unique=True
+        ),
+        st.sampled_from([1.0, math.inf]),
+        st.integers(1, 5),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_net_round_on_cloud(self, points, p, radius, data):
+        # integer coordinates keep l_1 and l_inf distances exact integers
+        basepoint = data.draw(st.integers(0, len(points) - 1))
+        cloud = LpPointSet(p, np.array(points, dtype=float), basepoint)
+        members, beta = net_round(cloud, 2.0 * radius)
+        matrix = [[oracles.brute_lp_dist(a, b, p) for b in points] for a in points]
+        expected = oracles.brute_greedy_net(matrix, basepoint, math.inf, radius, basepoint)
+        assert (list(members), list(beta)) == expected
+
+
 class TestModuli:
     def test_identity_on_three_points(self):
         # pairs of {0,1,3}: distances 1, 2, 3; non-strict thresholds
         space = line_space([0, 1, 3])
         images = [np.array([c]) for c in (0.0, 1.0, 3.0)]
-        prof = moduli_profile(space, images, [0.0, 2.0, 3.0])
+        prof = moduli_profile(space, [0.0, 2.0, 3.0], image_distances=euclid(images))
         assert prof.compression == (1.0, 2.0, 3.0)
         assert prof.expansion == (0.0, 2.0, 3.0)
 
     def test_omega_zero_at_zero(self):
         space = line_space([0, 1, 3])
         images = [np.array([c]) for c in (5.0, 1.0, 2.0)]
-        prof = moduli_profile(space, images, [0.0])
+        prof = moduli_profile(space, [0.0], image_distances=euclid(images))
         assert prof.expansion == (0.0,)
 
     def test_rho_at_max_distance(self):
         space = line_space([0, 1, 3])
         images = [np.array([c]) for c in (0.0, 1.0, 3.0)]
-        prof = moduli_profile(space, images, [3.0])
+        prof = moduli_profile(space, [3.0], image_distances=euclid(images))
         assert prof.compression == (3.0,)
 
     def test_unbounded_marker_above_diameter(self):
         space = line_space([0, 1, 3])
         images = [np.array([c]) for c in (0.0, 1.0, 3.0)]
-        prof = moduli_profile(space, images, [4.0])
+        prof = moduli_profile(space, [4.0], image_distances=euclid(images))
         assert prof.compression == (math.inf,)
         assert prof.expansion == (3.0,)
 
@@ -194,7 +255,7 @@ class TestModuli:
         space = line_space([0, 1, 3, 7])
         rng = np.random.default_rng(11)
         images = [rng.uniform(-1, 1, size=3) for _ in range(4)]
-        prof = moduli_profile(space, images, [5.0, 0.5, 2.0, 9.0])
+        prof = moduli_profile(space, [5.0, 0.5, 2.0, 9.0], image_distances=euclid(images))
         assert prof.thresholds == (0.5, 2.0, 5.0, 9.0)
         finite = [c for c in prof.compression if not math.isinf(c)]
         assert all(a <= b for a, b in zip(finite, finite[1:]))
@@ -203,12 +264,12 @@ class TestModuli:
     def test_negative_threshold_rejected(self):
         space = line_space([0, 1])
         with pytest.raises(MetricError):
-            moduli_profile(space, [np.zeros(1), np.ones(1)], [-1.0])
+            moduli_profile(space, [-1.0], image_distances=euclid([np.zeros(1), np.ones(1)]))
 
     def test_length_mismatch(self):
         space = line_space([0, 1, 3])
         with pytest.raises(LengthMismatch):
-            moduli_profile(space, [np.zeros(1)], [1.0])
+            moduli_profile(space, [1.0], image_distances=euclid([np.zeros(1)]))
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(23)
@@ -218,7 +279,7 @@ class TestModuli:
         space = validate_metric(d)
         images = [rng.uniform(-2, 2, size=4) for _ in range(16)]
         ts = [0.0, 0.5, 1.0, 2.0, 4.0, 10.0]
-        prof = moduli_profile(space, images, ts)
+        prof = moduli_profile(space, ts, image_distances=euclid(images))
         imat = [
             [oracles.brute_lp_dist(images[i], images[j], 2.0) for j in range(16)]
             for i in range(16)
@@ -234,22 +295,22 @@ class TestDistortion:
     def test_identity(self):
         space = line_space([0, 1, 3])
         images = [np.array([c]) for c in (0.0, 1.0, 3.0)]
-        assert distortion(space, images) == 1.0
+        assert distortion(space, image_distances=euclid(images)) == 1.0
 
     def test_scaling_invariance(self):
         space = line_space([0, 1, 3])
         images = [np.array([2 * c]) for c in (0.0, 1.0, 3.0)]
-        assert distortion(space, images) == 1.0
+        assert distortion(space, image_distances=euclid(images)) == 1.0
 
     def test_stretch_by_two(self):
         space = line_space([0, 1, 2])
         images = [np.array([c]) for c in (0.0, 1.0, 3.0)]
-        assert distortion(space, images) == 2.0
+        assert distortion(space, image_distances=euclid(images)) == 2.0
 
     def test_collapsed_pair_is_infinite(self):
         space = line_space([0, 1, 3])
         images = [np.array([0.0]), np.array([0.0]), np.array([1.0])]
-        assert distortion(space, images) == math.inf
+        assert distortion(space, image_distances=euclid(images)) == math.inf
 
 
 class TestVerifyBounds:
@@ -260,9 +321,9 @@ class TestVerifyBounds:
         images = [np.array([0.0]), np.array([4.0])]
         rep = verify_bounds(
             space,
-            images,
             separation_envelope,
             lambda d: 9 * WEIGHT_SERIES_SUM * d,
+            image_distances=euclid(images),
         )
         assert rep.passed
         (rec,) = rep.records
@@ -273,7 +334,7 @@ class TestVerifyBounds:
     def test_zero_map_fails_every_pair(self):
         space = line_space([0, 1, 3])
         images = [np.zeros(2)] * 3
-        rep = verify_bounds(space, images, lambda d: 0.1 * d, lambda d: d)
+        rep = verify_bounds(space, lambda d: 0.1 * d, lambda d: d, image_distances=euclid(images))
         assert not rep.passed
         assert rep.n_failed == rep.n_pairs == 3
         assert rep.empirical_distortion == math.inf
@@ -281,7 +342,7 @@ class TestVerifyBounds:
     def test_identity_zero_upper_slack(self):
         space = line_space([0, 1, 3])
         images = [np.array([c]) for c in (0.0, 1.0, 3.0)]
-        rep = verify_bounds(space, images, lambda d: 0.0, lambda d: d)
+        rep = verify_bounds(space, lambda d: 0.0, lambda d: d, image_distances=euclid(images))
         assert rep.passed
         assert rep.worst_upper_slack == 0.0
         assert rep.empirical_distortion == 1.0
@@ -289,7 +350,7 @@ class TestVerifyBounds:
     def test_lexicographic_record_order(self):
         space = line_space([0, 1, 3, 7])
         images = [np.array([c]) for c in (0.0, 1.0, 3.0, 7.0)]
-        rep = verify_bounds(space, images, lambda d: 0.0, lambda d: 2 * d)
+        rep = verify_bounds(space, lambda d: 0.0, lambda d: 2 * d, image_distances=euclid(images))
         assert [(r.i, r.j) for r in rep.records] == [
             (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
         ]
@@ -298,11 +359,11 @@ class TestVerifyBounds:
         space = validate_metric([[0, 1], [1, 0]])
         images = [np.array([0.0]), np.array([1.0])]
         tight = verify_bounds(
-            space, images, lambda d: d + 5e-10, lambda d: d, tolerance=1e-9
+            space, lambda d: d + 5e-10, lambda d: d, image_distances=euclid(images), tolerance=1e-9
         )
         assert tight.passed
         strict = verify_bounds(
-            space, images, lambda d: d + 5e-10, lambda d: d, tolerance=0.0
+            space, lambda d: d + 5e-10, lambda d: d, image_distances=euclid(images), tolerance=0.0
         )
         assert not strict.passed
 
@@ -315,7 +376,7 @@ class TestVerifyBounds:
         images = [rng.uniform(-1, 1, size=3) for _ in range(12)]
         lower = lambda t: 0.05 * t
         upper = lambda t: 5.0 * t
-        rep = verify_bounds(space, images, lower, upper)
+        rep = verify_bounds(space, lower, upper, image_distances=euclid(images))
         imat = [
             [oracles.brute_lp_dist(images[i], images[j], 2.0) for j in range(12)]
             for i in range(12)
