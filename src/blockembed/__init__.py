@@ -22,9 +22,7 @@ from .blocks import (
     BlockVector,
     DimensionMismatch,
     NonpositiveK,
-    NormSpec,
     axpy,
-    block_distance,
     inner_norm,
     outer_norm,
     pair_index,
@@ -78,6 +76,7 @@ from .lp_coarse import (
     verify_lp,
 )
 from .proper import (
+    CODOMAIN_P,
     WEIGHT_SERIES_SUM,
     AnnulusOutOfRange,
     NegativeRadius,

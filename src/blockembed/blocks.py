@@ -1,11 +1,12 @@
 """Sparse block vectors and the block-sum sequence space they live in.
 
 The embedding codomain is modeled concretely: a direct sum of
-finite-dimensional blocks, each carrying an inner l_p norm, aggregated by
-an outer rule that is either a supremum (the c0-style model) or an l_p sum.
-Coordinate projections onto a single block then have norm one, strictly
-inside the hypotheses the distance envelopes were derived under, so every
-certified bound must hold a fortiori.
+finite-dimensional blocks with one exponent p in [1, inf] inside and
+outside the blocks, either a sup-sum of sup-normed blocks (the c0-style
+model) or an l_p sum of l_p blocks.  The norm of a block vector is then the
+flat l_p norm of its concatenated coordinates.  Coordinate projections onto
+a single block have norm one, strictly inside the hypotheses the distance
+envelopes were derived under, so every certified bound must hold a fortiori.
 
 Block isomorphism slack is modeled by per-block scale factors theta_j in a
 configurable interval of (0, 1]; the seeded mode derives theta_j from a
@@ -18,14 +19,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 __all__ = [
     "NonpositiveK",
     "DimensionMismatch",
-    "NormSpec",
     "BlockVector",
     "BlockIsoModel",
     "pair_index",
@@ -35,7 +35,6 @@ __all__ = [
     "project_block",
     "axpy",
     "scale_block",
-    "block_distance",
     "lp_distance_matrix",
     "pairwise_distance_matrix",
 ]
@@ -79,31 +78,6 @@ def unpair_index(j: int) -> tuple[int, int]:
     z = w - km1
     n = z // 2 if z % 2 == 0 else -(z + 1) // 2
     return n, km1 + 1
-
-
-@dataclass(frozen=True)
-class NormSpec:
-    """Outer aggregation exponent and inner per-block exponent, both in [1, inf].
-
-    ``outer_p = inf`` is the sup-sum rule; any other value is an l_p sum of
-    the per-block inner norms.
-    """
-
-    outer_p: float = math.inf
-    inner_p: float = math.inf
-
-    def __post_init__(self):
-        for p in (self.outer_p, self.inner_p):
-            if not (p >= 1):
-                raise ValueError(f"norm exponent must lie in [1, inf], got {p}")
-
-    @classmethod
-    def sup_sum(cls) -> "NormSpec":
-        return cls(math.inf, math.inf)
-
-    @classmethod
-    def lp_sum(cls, p: float) -> "NormSpec":
-        return cls(float(p), float(p))
 
 
 class BlockVector:
@@ -164,8 +138,15 @@ class BlockVector:
         return f"BlockVector({{{inner}}})"
 
 
+def _binary_exponent(x: np.ndarray) -> int:
+    """e with max |x| < 2^e, or 0 for an empty or all-zero x."""
+    return math.frexp(float(np.abs(x).max(initial=0.0)))[1]
+
+
 def inner_norm(x: np.ndarray, p: float) -> float:
     """l_p norm of a plain vector, p in [1, inf]."""
+    if not p >= 1:
+        raise ValueError(f"norm exponent must lie in [1, inf], got {p}")
     x = np.asarray(x, dtype=float)
     if x.size == 0:
         return 0.0
@@ -173,25 +154,16 @@ def inner_norm(x: np.ndarray, p: float) -> float:
         return float(np.abs(x).max())
     if p == 1:
         return float(np.abs(x).sum())
-    if p == 2:
-        return float(np.linalg.norm(x))
+    if p == 2:  # scaled by an exact power of two, as in lp_distance_matrix
+        e = _binary_exponent(x)
+        return math.ldexp(float(np.linalg.norm(np.ldexp(x, -e))), e)
     return float((np.abs(x) ** p).sum() ** (1.0 / p))
 
 
-def _aggregate(norms: Iterable[float], p: float) -> float:
-    vals = list(norms)
-    if not vals:
-        return 0.0
-    if math.isinf(p):
-        return max(vals)
-    if p == 1:
-        return float(sum(vals))
-    return float(sum(v**p for v in vals) ** (1.0 / p))
-
-
-def outer_norm(v: BlockVector, spec: NormSpec) -> float:
-    """Norm of a block vector: per-block inner norms fed to the outer rule."""
-    return _aggregate((inner_norm(x, spec.inner_p) for x in v.blocks.values()), spec.outer_p)
+def outer_norm(v: BlockVector, p: float) -> float:
+    """Norm of a block vector: the l_p norm of its concatenated coordinates."""
+    coords = list(v.blocks.values())
+    return inner_norm(np.concatenate(coords), p) if coords else 0.0
 
 
 def project_block(v: BlockVector, j: int) -> BlockVector:
@@ -222,24 +194,6 @@ def scale_block(a: float, v: BlockVector) -> BlockVector:
     return axpy(a, v, 0.0, BlockVector.empty())
 
 
-def block_distance(u: BlockVector, v: BlockVector, spec: NormSpec) -> float:
-    """Norm of u - v without materializing the difference vector."""
-    norms = []
-    # ascending ids fix the summation order, keeping results bit-stable
-    for j in sorted(u.blocks.keys() | v.blocks.keys()):
-        x = u.blocks.get(j)
-        y = v.blocks.get(j)
-        if x is None:
-            norms.append(inner_norm(y, spec.inner_p))
-        elif y is None:
-            norms.append(inner_norm(x, spec.inner_p))
-        else:
-            if len(x) != len(y):
-                raise DimensionMismatch(j, len(x), len(y))
-            norms.append(inner_norm(x - y, spec.inner_p))
-    return _aggregate(norms, spec.outer_p)
-
-
 def _norms(diff: np.ndarray, p: float) -> np.ndarray:
     """Inner l_p norms of non-negative coordinate rows along the last axis.
 
@@ -258,10 +212,16 @@ def lp_distance_matrix(points: np.ndarray, p: float) -> np.ndarray:
     """Pairwise l_p distances of the rows of an (m, dim) array, p in [1, inf].
 
     Differences are formed ``_CHUNK_ELEMS`` elements (or one row, if
-    larger) at a time, so temporaries stay at O(m^2 + chunk).
+    larger) at a time, so temporaries stay at O(m^2 + chunk).  For p = 2
+    the points are divided by an exact power of two first and the result
+    multiplied back, so distances near the ends of the float range neither
+    underflow to zero nor overflow.
     """
     x = np.asarray(points, dtype=float)
     m, dim = x.shape
+    e = _binary_exponent(x) if p == 2 else 0
+    if e:
+        x = np.ldexp(x, -e)
     out = np.empty((m, m))
     step = max(1, _CHUNK_ELEMS // max(1, m * dim))
     buf = np.empty((min(step, m), m, dim))
@@ -269,21 +229,21 @@ def lp_distance_matrix(points: np.ndarray, p: float) -> np.ndarray:
         diff = buf[: min(step, m - lo)]
         np.subtract(x[lo : lo + step, None, :], x[None, :, :], out=diff)
         out[lo : lo + step] = _norms(np.abs(diff, out=diff), p)
-    return out
+    return np.ldexp(out, e, out=out) if e else out
 
 
-def pairwise_distance_matrix(images: Sequence[BlockVector], spec: NormSpec) -> np.ndarray:
-    """All pairwise image distances, vectorized block by block.
+def pairwise_distance_matrix(images: Sequence[BlockVector], p: float) -> np.ndarray:
+    """All pairwise image distances in the block sum with exponent p.
 
-    Equivalent to calling :func:`block_distance` on every pair; used on the
-    hot verification paths.  The diagonal is exactly zero and the matrix is
-    exactly symmetric.
+    Equivalent to ``outer_norm(axpy(1, u, -1, v), p)`` on every pair; used
+    on the hot verification paths.  The diagonal is exactly zero and the
+    matrix is exactly symmetric.
 
     Each block j only touches the c_j points that carry it, gathered once
     as a c_j x dim array.  A pair with one carrier is charged that
     carrier's block norm and a pair with none is charged nothing, so only
     carrier-by-carrier distances are formed (:func:`lp_distance_matrix`).
-    Blocks are folded into the outer rule in ascending id order with the
+    Block norms are folded into the l_p sum in ascending id order with the
     same per-block formula for every entry, so each distance is
     bit-identical to that of a dense difference over all n points.
     """
@@ -299,7 +259,7 @@ def pairwise_distance_matrix(images: Sequence[BlockVector], spec: NormSpec) -> n
             carriers.setdefault(j, []).append(i)
             coords.setdefault(j, []).append(x)
 
-    sup = math.isinf(spec.outer_p)
+    sup = math.isinf(p)
     out = np.zeros((n, n))
     for j in sorted(dims):
         idx = np.array(carriers[j])
@@ -307,21 +267,21 @@ def pairwise_distance_matrix(images: Sequence[BlockVector], spec: NormSpec) -> n
         # column b of the carriers: N_b against non-carrier rows, the exact
         # block distance against carrier rows
         col = np.empty((n, len(idx)))
-        col[:] = _norms(np.abs(x), spec.inner_p)
-        col[idx] = lp_distance_matrix(x, spec.inner_p)
+        col[:] = _norms(np.abs(x), p)
+        col[idx] = lp_distance_matrix(x, p)
         if sup:
             np.maximum(out[:, idx], col, out=col)
-        elif spec.outer_p == 1:
+        elif p == 1:
             col += out[:, idx]
         else:
-            col **= spec.outer_p
+            col **= p
             col += out[:, idx]
         out[:, idx] = col
         # out was symmetric before this block, so the carrier rows are the
         # transpose of the columns just folded
         out[idx] = col.T
-    if not sup and spec.outer_p != 1:
-        out **= 1.0 / spec.outer_p
+    if not sup and p != 1:
+        out **= 1.0 / p
     np.fill_diagonal(out, 0.0)
     return out
 

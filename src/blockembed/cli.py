@@ -17,7 +17,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .blocks import BlockIsoModel, NormSpec, pairwise_distance_matrix
+from .blocks import BlockIsoModel, pairwise_distance_matrix
 from .fixtures import (
     grid_net_cloud,
     path_metric,
@@ -52,7 +52,7 @@ from .metric import (
     min_positive_distance,
     moduli_profile,
 )
-from .proper import embed_space_proper, verify_proper
+from .proper import CODOMAIN_P, embed_space_proper, verify_proper
 
 __all__ = ["RunConfig", "run_report", "main"]
 
@@ -78,7 +78,6 @@ class RunConfig:
     k_max_slack: int = 4
     tolerance: float = 1e-9
     moduli_points: int = 32
-    outer_norm: float | None = None
     size_cap: int = 200_000
     out: str | None = None
     kind: str | None = None
@@ -114,12 +113,14 @@ def _load_embeddable(config: RunConfig) -> FiniteMetricSpace | LpPointSet:
     return space
 
 
-def _basepoint(config: RunConfig) -> int:
-    return config.basepoint if config.basepoint is not None else 0
-
-
-def _as_metric(space: FiniteMetricSpace | LpPointSet) -> FiniteMetricSpace:
-    return space.metric_space if isinstance(space, LpPointSet) else space
+def _pointed(
+    space: FiniteMetricSpace | LpPointSet, config: RunConfig
+) -> tuple[FiniteMetricSpace, int]:
+    """The input's metric and basepoint: a cloud's own (``_load`` has
+    applied --basepoint to it), else --basepoint or 0."""
+    if isinstance(space, LpPointSet):
+        return space.metric_space, space.basepoint
+    return space, config.basepoint if config.basepoint is not None else 0
 
 
 def _require_cloud(space: Any, mode: str) -> LpPointSet:
@@ -152,29 +153,19 @@ def _thresholds(space: FiniteMetricSpace, count: int) -> list[float]:
     return [float(t) for t in np.geomspace(lo, hi, count)]
 
 
-def _moduli_body(
-    space: FiniteMetricSpace,
-    dmat: np.ndarray,
-    config: RunConfig,
-    inner_p: float,
-) -> dict[str, Any]:
-    thresholds = _thresholds(space, config.moduli_points)
+def _moduli_body(space: FiniteMetricSpace, dmat: np.ndarray, count: int) -> dict[str, Any]:
+    thresholds = _thresholds(space, count)
     profile = moduli_profile(space, thresholds, image_distances=dmat)
-    body: dict[str, Any] = {
+    return {
         "thresholds": list(profile.thresholds),
         "compression": list(profile.compression),
         "expansion": list(profile.expansion),
     }
-    if config.outer_norm is not None:
-        body["outer_norm_override"] = config.outer_norm
-        body["inner_p"] = inner_p
-    return body
 
 
 def _run_validate(config: RunConfig) -> tuple[dict[str, Any], bool]:
     try:
-        space = _load(config)
-        metric = _as_metric(space)
+        metric = _pointed(_load(config), config)[0]
     except (MetricError, ParseError) as err:
         return (
             {
@@ -195,8 +186,8 @@ def _run_validate(config: RunConfig) -> tuple[dict[str, Any], bool]:
 
 
 def _run_net(config: RunConfig) -> tuple[dict[str, Any], bool]:
-    space = _as_metric(_load(config))
-    members, beta = net_round(space, config.epsilon, _basepoint(config))
+    space, basepoint = _pointed(_load(config), config)
+    members, beta = net_round(space, config.epsilon, basepoint)
     deviation = max_rounding_deviation(space, beta)
     ok = deviation <= config.epsilon + 1e-12
     body = {
@@ -211,15 +202,15 @@ def _run_net(config: RunConfig) -> tuple[dict[str, Any], bool]:
 
 
 def _run_embed_proper(config: RunConfig) -> tuple[dict[str, Any], bool]:
-    space = _as_metric(_load_embeddable(config))
-    pspace = PointedSpace(space, _basepoint(config))
+    space, basepoint = _pointed(_load_embeddable(config), config)
+    pspace = PointedSpace(space, basepoint)
     emb = embed_space_proper(pspace, iso=_proper_iso(config), k_slack=config.k_max_slack)
-    dmat = pairwise_distance_matrix(emb.images, emb.params.norm)
+    dmat = pairwise_distance_matrix(emb.images, CODOMAIN_P)
     report = verify_proper(emb, tolerance=config.tolerance, image_distances=dmat)
     body = {
         "constants": dict(report.constants),
         "checks": report.summary(),
-        "moduli": _moduli_body(space, dmat, config, emb.params.norm.inner_p),
+        "moduli": _moduli_body(space, dmat, config.moduli_points),
     }
     return body, report.passed
 
@@ -227,7 +218,7 @@ def _run_embed_proper(config: RunConfig) -> tuple[dict[str, Any], bool]:
 def _run_embed_lp(config: RunConfig) -> tuple[dict[str, Any], bool]:
     cloud = _require_cloud(_load_embeddable(config), config.mode)
     emb = embed_set_lp(cloud, _lp_params(config))
-    dmat = pairwise_distance_matrix(emb.images, emb.norm_spec)
+    dmat = pairwise_distance_matrix(emb.images, emb.pointset.p)
     report = verify_lp(emb, tolerance=config.tolerance, image_distances=dmat)
     body = {
         "constants": dict(report.constants),
@@ -236,7 +227,7 @@ def _run_embed_lp(config: RunConfig) -> tuple[dict[str, Any], bool]:
             "scale": emb.scale,
         },
         "checks": report.summary(),
-        "moduli": _moduli_body(emb.pointset.metric_space, dmat, config, emb.pointset.p),
+        "moduli": _moduli_body(emb.pointset.metric_space, dmat, config.moduli_points),
     }
     return body, report.passed
 
@@ -244,7 +235,7 @@ def _run_embed_lp(config: RunConfig) -> tuple[dict[str, Any], bool]:
 def _run_coarse(config: RunConfig) -> tuple[dict[str, Any], bool]:
     cloud = _require_cloud(_load_embeddable(config), config.mode)
     emb = coarse_embed(cloud, config.epsilon, _lp_params(config))
-    dmat = pairwise_distance_matrix(emb.images, emb.norm_spec)
+    dmat = pairwise_distance_matrix(emb.images, cloud.p)
     report = verify_coarse(emb, tolerance=config.tolerance, image_distances=dmat)
     deviation = max_rounding_deviation(cloud, emb.beta)
     rounding_ok = deviation <= config.epsilon + 1e-12
@@ -257,7 +248,7 @@ def _run_coarse(config: RunConfig) -> tuple[dict[str, Any], bool]:
             "pass": rounding_ok,
         },
         "checks": report.summary(),
-        "moduli": _moduli_body(cloud.metric_space, dmat, config, cloud.p),
+        "moduli": _moduli_body(cloud.metric_space, dmat, config.moduli_points),
     }
     return body, report.passed and rounding_ok
 
@@ -267,24 +258,22 @@ def _run_moduli(config: RunConfig) -> tuple[dict[str, Any], bool]:
     if isinstance(space, LpPointSet):
         emb = embed_set_lp(space, _lp_params(config))
         domain = emb.pointset.metric_space
-        spec = emb.norm_spec
+        p = space.p
         images = emb.images
         map_kind = "lipschitz-lp"
     else:
-        pspace = PointedSpace(space, _basepoint(config))
+        pspace = PointedSpace(*_pointed(space, config))
         prop = embed_space_proper(
             pspace, iso=_proper_iso(config), k_slack=config.k_max_slack
         )
         domain = space
-        spec = prop.params.norm
+        p = CODOMAIN_P
         images = prop.images
         map_kind = "proper"
-    if config.outer_norm is not None:
-        spec = NormSpec(config.outer_norm, spec.inner_p)
-    dmat = pairwise_distance_matrix(images, spec)
+    dmat = pairwise_distance_matrix(images, p)
     body = {
         "map": map_kind,
-        "moduli": _moduli_body(domain, dmat, config, spec.inner_p),
+        "moduli": _moduli_body(domain, dmat, config.moduli_points),
     }
     profile = body["moduli"]
     finite = [c for c in profile["compression"] if not math.isinf(c)]
@@ -384,13 +373,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--k-max-slack", type=int, default=4, dest="k_max_slack")
     common.add_argument("--tolerance", type=float, default=1e-9)
     common.add_argument("--moduli-points", type=int, default=32, dest="moduli_points")
-    common.add_argument(
-        "--outer-norm",
-        type=_exponent,
-        default=None,
-        dest="outer_norm",
-        help="override the outer exponent when sampling moduli (exploration only)",
-    )
     common.add_argument("--size-cap", type=int, default=200_000, dest="size_cap")
     common.add_argument("--out", help="report destination (stdout when omitted)")
 

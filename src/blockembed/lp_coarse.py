@@ -31,7 +31,6 @@ import numpy as np
 from .blocks import (
     BlockIsoModel,
     BlockVector,
-    NormSpec,
     inner_norm,
     lp_distance_matrix,
     pairwise_distance_matrix,
@@ -176,19 +175,20 @@ class LpParams:
     lambda_sim: float = 1.0
     seed: int = 0
     theta_mode: str = "seeded-random"
-    iso: BlockIsoModel | None = None
 
     def __post_init__(self):
-        if self.delta < 0:
+        if not self.delta >= 0:
             raise ValueError("delta must be non-negative")
-        if self.lambda_sim < 1:
+        if not self.lambda_sim >= 1:
             raise ValueError("lambda_sim must be >= 1")
-        if self.iso is None:
-            if self.theta_mode == "exact":
-                iso = BlockIsoModel.exact()
-            else:
-                iso = BlockIsoModel(self.theta_mode, 1.0 / (1.0 + self.delta), 1.0, self.seed)
-            object.__setattr__(self, "iso", iso)
+        self.iso  # built here, so an unknown theta_mode or a negative seed fails now
+
+    @cached_property
+    def iso(self) -> BlockIsoModel:
+        """The theta_n model: exact, or drawn from [1/(1+delta), 1] keyed by seed."""
+        if self.theta_mode == "exact":
+            return BlockIsoModel.exact()
+        return BlockIsoModel(self.theta_mode, 1.0 / (1.0 + self.delta), 1.0, self.seed)
 
     def lower_denominator(self) -> float:
         return 20.0 * self.lambda_sim**2 * (1.0 + self.delta) ** 2
@@ -221,10 +221,6 @@ class LpEmbedding:
     translation: np.ndarray
     scale: float
 
-    @property
-    def norm_spec(self) -> NormSpec:
-        return NormSpec.lp_sum(self.pointset.p)
-
 
 @dataclass(frozen=True)
 class CoarseEmbedding:
@@ -237,10 +233,6 @@ class CoarseEmbedding:
     beta: tuple[int, ...]
     images: tuple[BlockVector, ...]
     constants: CoarseConstants
-
-    @property
-    def norm_spec(self) -> NormSpec:
-        return NormSpec.lp_sum(self.pointset.p)
 
 
 def embed_point_lp(
@@ -296,7 +288,7 @@ def verify_lp(
     params = embedding.params
     denom = params.lower_denominator()
     if image_distances is None:
-        image_distances = pairwise_distance_matrix(embedding.images, embedding.norm_spec)
+        image_distances = pairwise_distance_matrix(embedding.images, embedding.pointset.p)
     return verify_bounds(
         embedding.pointset.metric_space,
         lambda d: d / denom,
@@ -378,7 +370,7 @@ def verify_coarse(
     """
     c = embedding.constants
     if image_distances is None:
-        image_distances = pairwise_distance_matrix(embedding.images, embedding.norm_spec)
+        image_distances = pairwise_distance_matrix(embedding.images, embedding.pointset.p)
     return verify_bounds(
         embedding.pointset.metric_space,
         lambda d: d / c.c_d - c.c_a,

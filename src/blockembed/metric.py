@@ -416,10 +416,13 @@ def verify_bounds(
 ) -> BoundsReport:
     """Check lower(d) - tol <= image distance <= upper(d) + tol on all pairs.
 
-    The tolerance is an absolute two-sided slack.  Failures are report
-    content, never exceptions.  Records are emitted in lexicographic pair
-    order; worst slacks are the minima over all pairs.
+    The tolerance is an absolute two-sided slack; a NaN tolerance raises
+    ``ValueError``.  Failures are report content, never exceptions.
+    Records are emitted in lexicographic pair order; worst slacks are the
+    minima over all pairs.
     """
+    if math.isnan(tolerance):
+        raise ValueError("tolerance must not be NaN")
     n = domain.n_points
     m = _check_shape(n, image_distances)
 

@@ -25,7 +25,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .blocks import BlockIsoModel, BlockVector, NormSpec, pair_index
+from .blocks import BlockIsoModel, BlockVector, pair_index
 from .metric import (
     BoundsReport,
     Net,
@@ -42,6 +42,7 @@ __all__ = [
     "AnnulusOutOfRange",
     "NonpositiveArgument",
     "WEIGHT_SERIES_SUM",
+    "CODOMAIN_P",
     "ProperParams",
     "NetHierarchy",
     "ProperEmbedding",
@@ -76,6 +77,9 @@ class NonpositiveArgument(ValueError):
 
 #: Total of the tier weight series sum_{m in Z} 1/(m^2 + 1) = pi * coth(pi).
 WEIGHT_SERIES_SUM = math.pi / math.tanh(math.pi)
+
+#: Exponent of the codomain: a sup-sum of sup-normed blocks.
+CODOMAIN_P = math.inf
 
 
 def annulus_index(r: float) -> tuple[int, float] | None:
@@ -119,7 +123,7 @@ def tier_weight(n: int, k: int) -> float:
 
 @dataclass(frozen=True)
 class ProperParams:
-    """Construction constants: shell range, level caps, slack model, norms.
+    """Construction constants: shell range, level caps, slack model.
 
     ``k_max[n]`` caps the net levels of shell n at
     max(1, ceil(n + 3 - log2(dmin(B_n)))) + k_slack, which covers every
@@ -132,7 +136,6 @@ class ProperParams:
     n_max: int
     k_max: Mapping[int, int]
     iso: BlockIsoModel
-    norm: NormSpec
     k_slack: int
     c_trunc: float
 
@@ -207,7 +210,6 @@ def make_proper_params(
         n_max=n_max,
         k_max=k_max,
         iso=iso if iso is not None else BlockIsoModel.exact(),
-        norm=NormSpec.sup_sum(),
         k_slack=k_slack,
         c_trunc=c_trunc,
     )
@@ -317,7 +319,7 @@ def verify_proper(
     params = embedding.params
     upper_factor = 9.0 * params.c_trunc
     if image_distances is None:
-        image_distances = _blocks.pairwise_distance_matrix(embedding.images, params.norm)
+        image_distances = _blocks.pairwise_distance_matrix(embedding.images, CODOMAIN_P)
     return verify_bounds(
         embedding.pspace.space,
         separation_envelope,

@@ -68,7 +68,7 @@ def brute_pair_distances(images, inner_p, outer_p):
     return out
 
 
-def dense_pair_distances(images, spec):
+def dense_pair_distances(images, inner_p, outer_p):
     """Pairwise image distances from an n x n x dim difference per block.
 
     Every block is expanded over all n points (zero rows for non-carriers),
@@ -83,7 +83,7 @@ def dense_pair_distances(images, spec):
                 raise DimensionMismatch(j, d, len(x))
 
     out = np.zeros((n, n))
-    acc = None if math.isinf(spec.outer_p) else np.zeros((n, n))
+    acc = None if math.isinf(outer_p) else np.zeros((n, n))
     for j in sorted(dims):
         x = np.zeros((n, dims[j]))
         for i, v in enumerate(images):
@@ -91,22 +91,22 @@ def dense_pair_distances(images, spec):
             if blk is not None:
                 x[i] = blk
         diff = np.abs(x[:, None, :] - x[None, :, :])
-        if math.isinf(spec.inner_p):
+        if math.isinf(inner_p):
             dj = diff.max(axis=-1)
-        elif spec.inner_p == 1:
+        elif inner_p == 1:
             dj = diff.sum(axis=-1)
-        elif spec.inner_p == 2:
+        elif inner_p == 2:
             dj = np.sqrt((diff * diff).sum(axis=-1))
         else:
-            dj = (diff**spec.inner_p).sum(axis=-1) ** (1.0 / spec.inner_p)
+            dj = (diff**inner_p).sum(axis=-1) ** (1.0 / inner_p)
         if acc is None:
             np.maximum(out, dj, out=out)
-        elif spec.outer_p == 1:
+        elif outer_p == 1:
             acc += dj
         else:
-            acc += dj**spec.outer_p
+            acc += dj**outer_p
     if acc is not None:
-        out = acc if spec.outer_p == 1 else acc ** (1.0 / spec.outer_p)
+        out = acc if outer_p == 1 else acc ** (1.0 / outer_p)
     np.fill_diagonal(out, 0.0)
     return out
 

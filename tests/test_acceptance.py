@@ -52,6 +52,7 @@ from blockembed.metric import (
     validate_metric,
 )
 from blockembed.proper import (
+    CODOMAIN_P,
     WEIGHT_SERIES_SUM,
     annulus_index,
     embed_point_proper,
@@ -230,10 +231,8 @@ def test_criterion_4_oracle_equivalence():
         # proper embedding distances, moduli, distortion, report extremes
         pspace = PointedSpace(space, 0)
         emb = embed_space_proper(pspace)
-        dmat = pairwise_distance_matrix(emb.images, emb.params.norm)
-        brute = oracles.brute_pair_distances(
-            emb.images, emb.params.norm.inner_p, emb.params.norm.outer_p
-        )
+        dmat = pairwise_distance_matrix(emb.images, CODOMAIN_P)
+        brute = oracles.brute_pair_distances(emb.images, CODOMAIN_P, CODOMAIN_P)
         assert np.allclose(dmat, np.array(brute), atol=1e-12, rtol=1e-12)
 
         thresholds = [float(t) for t in np.geomspace(0.25, 2 * space.diameter(), 8)]

@@ -12,9 +12,7 @@ from blockembed.blocks import (
     BlockVector,
     DimensionMismatch,
     NonpositiveK,
-    NormSpec,
     axpy,
-    block_distance,
     lp_distance_matrix,
     outer_norm,
     pair_index,
@@ -84,18 +82,18 @@ class TestBlockVector:
 
 class TestOuterNorm:
     def test_sup_inner_inf(self):
-        assert outer_norm(BlockVector({0: [3.0, -4.0]}), NormSpec.sup_sum()) == 4.0
+        assert outer_norm(BlockVector({0: [3.0, -4.0]}), math.inf) == 4.0
 
     def test_l2_sum(self):
         v = BlockVector({0: [3.0, 0.0], 1: [0.0, 4.0]})
-        assert outer_norm(v, NormSpec.lp_sum(2.0)) == 5.0
+        assert outer_norm(v, 2.0) == 5.0
 
     def test_empty_is_zero(self):
-        assert outer_norm(BlockVector.empty(), NormSpec.sup_sum()) == 0.0
+        assert outer_norm(BlockVector.empty(), math.inf) == 0.0
 
     def test_invalid_exponent(self):
         with pytest.raises(ValueError):
-            NormSpec(0.5, 2.0)
+            outer_norm(BlockVector({0: [3.0, -4.0]}), 0.5)
 
 
 class TestProject:
@@ -155,16 +153,10 @@ def image_lists(draw):
     return images
 
 
-# Every exponent pair the kernel treats differently: sup, l_1, l_2, a general
-# l_p, and mixed inner/outer exponents.
-KERNEL_SPECS = (
-    NormSpec.sup_sum(),
-    NormSpec.lp_sum(1.0),
-    NormSpec.lp_sum(2.0),
-    NormSpec.lp_sum(3.0),
-    NormSpec(2.0, math.inf),
-    NormSpec(math.inf, 2.0),
-)
+# Every exponent the kernel treats differently: sup, l_1, l_2 and a general
+# l_p, with stable test ids spec0..spec3 in that order.
+KERNEL_P = (math.inf, 1.0, 2.0, 3.0)
+KERNEL_IDS = [f"spec{i}" for i in range(len(KERNEL_P))]
 
 
 def _ragged_images(rng, n, n_blocks=6):
@@ -183,76 +175,67 @@ def vector_pairs(draw):
     return _vectors(draw, dims), _vectors(draw, dims)
 
 
-@st.composite
-def specs(draw):
-    choices = [1.0, 1.5, 2.0, 3.0, math.inf]
-    return NormSpec(draw(st.sampled_from(choices)), draw(st.sampled_from(choices)))
-
-
-@st.composite
-def clean_specs(draw):
-    # exponents whose float powers commute exactly with dyadic scaling
-    choices = [1.0, 2.0, math.inf]
-    return NormSpec(draw(st.sampled_from(choices)), draw(st.sampled_from(choices)))
+exponents = st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf])
+# exponents whose float powers commute exactly with dyadic scaling
+clean_exponents = st.sampled_from([1.0, 2.0, math.inf])
 
 
 class TestNormAxioms:
-    @given(vector_pairs(), clean_specs(), st.integers(-6, 6))
+    @given(vector_pairs(), clean_exponents, st.integers(-6, 6))
     @settings(max_examples=80, deadline=None)
-    def test_homogeneity_exact_for_dyadic_scalars(self, pair, spec, exponent):
+    def test_homogeneity_exact_for_dyadic_scalars(self, pair, p, exponent):
         v, _ = pair
         a = 2.0**exponent
-        assert outer_norm(scale_block(a, v), spec) == a * outer_norm(v, spec)
+        assert outer_norm(scale_block(a, v), p) == a * outer_norm(v, p)
 
-    @given(vector_pairs(), specs(), st.floats(-5, 5, allow_nan=False))
+    @given(vector_pairs(), exponents, st.floats(-5, 5, allow_nan=False))
     @settings(max_examples=80, deadline=None)
-    def test_homogeneity_general(self, pair, spec, a):
+    def test_homogeneity_general(self, pair, p, a):
         v, _ = pair
-        lhs = outer_norm(scale_block(a, v), spec)
-        rhs = abs(a) * outer_norm(v, spec)
+        lhs = outer_norm(scale_block(a, v), p)
+        rhs = abs(a) * outer_norm(v, p)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, rhs)
 
-    @given(vector_pairs(), specs())
+    @given(vector_pairs(), exponents)
     @settings(max_examples=80, deadline=None)
-    def test_triangle_inequality(self, pair, spec):
+    def test_triangle_inequality(self, pair, p):
         v, w = pair
-        lhs = outer_norm(axpy(1.0, v, 1.0, w), spec)
-        rhs = outer_norm(v, spec) + outer_norm(w, spec)
+        lhs = outer_norm(axpy(1.0, v, 1.0, w), p)
+        rhs = outer_norm(v, p) + outer_norm(w, p)
         assert lhs <= rhs + 1e-12 * max(1.0, rhs)
 
-    @given(vector_pairs(), specs())
+    @given(vector_pairs(), exponents)
     @settings(max_examples=60, deadline=None)
-    def test_removing_a_block_never_increases_norm(self, pair, spec):
+    def test_removing_a_block_never_increases_norm(self, pair, p):
         v, _ = pair
-        full = outer_norm(v, spec)
+        full = outer_norm(v, p)
         for j in v.block_ids:
             rest = BlockVector({i: v.get(i) for i in v.block_ids if i != j})
-            assert outer_norm(rest, spec) <= full + 1e-12 * max(1.0, full)
+            assert outer_norm(rest, p) <= full + 1e-12 * max(1.0, full)
 
     @given(vector_pairs())
     @settings(max_examples=60, deadline=None)
     def test_sup_sum_is_max_over_projections(self, pair):
         v, _ = pair
-        spec = NormSpec.sup_sum()
-        parts = [outer_norm(project_block(v, j), spec) for j in v.block_ids]
-        assert outer_norm(v, spec) == (max(parts) if parts else 0.0)
+        parts = [outer_norm(project_block(v, j), math.inf) for j in v.block_ids]
+        assert outer_norm(v, math.inf) == (max(parts) if parts else 0.0)
 
     @given(vector_pairs(), st.sampled_from([1.0, 2.0, 3.0]))
     @settings(max_examples=60, deadline=None)
     def test_lp_sum_power_identity(self, pair, p):
         v, _ = pair
-        spec = NormSpec.lp_sum(p)
-        total = sum(outer_norm(project_block(v, j), spec) ** p for j in v.block_ids)
-        assert outer_norm(v, spec) ** p == pytest.approx(total, rel=1e-12, abs=1e-12)
+        total = sum(outer_norm(project_block(v, j), p) ** p for j in v.block_ids)
+        assert outer_norm(v, p) ** p == pytest.approx(total, rel=1e-12, abs=1e-12)
 
 
 class TestDistances:
-    @given(vector_pairs(), specs())
+    @given(vector_pairs(), exponents)
     @settings(max_examples=80, deadline=None)
-    def test_block_distance_matches_axpy_norm(self, pair, spec):
+    def test_block_distance_matches_axpy_norm(self, pair, p):
+        # the kernel's distance of two block vectors is the norm of their difference
         v, w = pair
-        direct = block_distance(v, w, spec)
-        via_diff = outer_norm(axpy(1.0, v, -1.0, w), spec)
+        direct = pairwise_distance_matrix([v, w], p)[0, 1]
+        via_diff = outer_norm(axpy(1.0, v, -1.0, w), p)
         assert direct == pytest.approx(via_diff, rel=1e-12, abs=1e-12)
 
     def test_pairwise_matrix_matches_brute_force(self):
@@ -263,9 +246,9 @@ class TestDistances:
             for j in rng.choice(8, size=rng.integers(0, 5), replace=False):
                 blocks[int(j)] = rng.uniform(-4, 4, size=3 + int(j) % 3)
             images.append(BlockVector(blocks))
-        for spec in (NormSpec.sup_sum(), NormSpec.lp_sum(1.0), NormSpec.lp_sum(2.0)):
-            mat = pairwise_distance_matrix(images, spec)
-            brute = oracles.brute_pair_distances(images, spec.inner_p, spec.outer_p)
+        for p in (math.inf, 1.0, 2.0):
+            mat = pairwise_distance_matrix(images, p)
+            brute = oracles.brute_pair_distances(images, p, p)
             assert np.allclose(mat, np.array(brute), atol=1e-12, rtol=1e-12)
             assert np.array_equal(mat, mat.T)
             assert np.all(np.diagonal(mat) == 0.0)
@@ -273,33 +256,33 @@ class TestDistances:
     def test_pairwise_matrix_dimension_mismatch(self):
         imgs = [BlockVector({0: [1.0]}), BlockVector({0: [1.0, 2.0]})]
         with pytest.raises(DimensionMismatch):
-            pairwise_distance_matrix(imgs, NormSpec.sup_sum())
+            pairwise_distance_matrix(imgs, math.inf)
 
-    @given(image_lists(), st.sampled_from(KERNEL_SPECS))
+    @given(image_lists(), st.sampled_from(KERNEL_P + (1.5,)))
     @settings(max_examples=200, deadline=None)
-    def test_pairwise_matrix_bit_identical_to_dense_kernel(self, images, spec):
-        mat = pairwise_distance_matrix(images, spec)
-        assert np.array_equal(mat, oracles.dense_pair_distances(images, spec))
+    def test_pairwise_matrix_bit_identical_to_dense_kernel(self, images, p):
+        mat = pairwise_distance_matrix(images, p)
+        assert np.array_equal(mat, oracles.dense_pair_distances(images, p, p))
 
-    @pytest.mark.parametrize("spec", KERNEL_SPECS)
+    @pytest.mark.parametrize("p", KERNEL_P, ids=KERNEL_IDS)
     @pytest.mark.parametrize("n", [0, 1, 2])
-    def test_pairwise_matrix_tiny_inputs(self, n, spec):
+    def test_pairwise_matrix_tiny_inputs(self, n, p):
         for images in (_ragged_images(np.random.default_rng(n), n), [BlockVector.empty()] * n):
-            mat = pairwise_distance_matrix(images, spec)
+            mat = pairwise_distance_matrix(images, p)
             assert mat.shape == (n, n)
-            assert np.array_equal(mat, oracles.dense_pair_distances(images, spec))
+            assert np.array_equal(mat, oracles.dense_pair_distances(images, p, p))
 
     @pytest.mark.parametrize("chunk", [1, 7, 50])
     def test_pairwise_matrix_bit_identical_across_chunk_sizes(self, chunk, monkeypatch):
         images = _ragged_images(np.random.default_rng(chunk), 40)
         images[5] = BlockVector.empty()
         monkeypatch.setattr(blocks, "_CHUNK_ELEMS", chunk)
-        for spec in KERNEL_SPECS:
-            mat = pairwise_distance_matrix(images, spec)
-            assert np.array_equal(mat, oracles.dense_pair_distances(images, spec))
+        for p in KERNEL_P:
+            mat = pairwise_distance_matrix(images, p)
+            assert np.array_equal(mat, oracles.dense_pair_distances(images, p, p))
 
-    @pytest.mark.parametrize("spec", [NormSpec.sup_sum(), NormSpec.lp_sum(2.0)])
-    def test_pairwise_matrix_memory_does_not_scale_with_block_dim(self, spec):
+    @pytest.mark.parametrize("p", [math.inf, 2.0], ids=["spec0", "spec1"])  # stable ids
+    def test_pairwise_matrix_memory_does_not_scale_with_block_dim(self, p):
         # 10 of 300 points carry a 64-dim block; a difference over all
         # points for that block alone would take 300 * 300 * 64 * 8 = 46 MB
         rng = np.random.default_rng(4)
@@ -309,7 +292,7 @@ class TestDistances:
         ]
         tracemalloc.start()
         try:
-            pairwise_distance_matrix(images, spec)
+            pairwise_distance_matrix(images, p)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -336,6 +319,14 @@ class TestDistances:
             assert np.array_equal(mat, oracles.dense_lp_distances(x, p))
             assert np.array_equal(mat, mat.T)
             assert np.all(np.diagonal(mat) == 0.0)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_l2_distances_scaled_past_the_range_of_their_squares(self, scale):
+        x = np.array([[0.0, 0.0], [3.0, 4.0], [6.0, 8.0]]) * scale
+        mat = lp_distance_matrix(x, 2.0)
+        expected = np.array([[0, 5, 10], [5, 0, 5], [10, 5, 0]]) * scale
+        assert np.allclose(mat, expected, rtol=1e-15, atol=0.0)
+        assert blocks.inner_norm(x[2], 2.0) == pytest.approx(10 * scale, rel=1e-15)
 
 
 class TestBlockIsoModel:

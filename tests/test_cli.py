@@ -296,14 +296,58 @@ class TestCliModes:
         assert payload["constants"]["p"] == "inf"
         assert payload["pass"] is True
 
-    def test_outer_norm_override_flagged_in_moduli(self, tmp_path):
+    def test_outer_norm_flag_rejected(self, tmp_path, capsys):
+        # each codomain has one exponent, so there is no outer norm to override
         fixture = tmp_path / "p5.json"
         run_cli("gen", "--kind", "path", "--n", 5, "--out", fixture)
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("moduli", "--input", fixture, "--outer-norm", 2)
+        assert exit_info.value.code == 2
+        assert "--outer-norm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["net", "embed-proper"])
+    def test_cloud_basepoint_used_without_the_flag(self, tmp_path, mode):
+        fixture = tmp_path / "c.json"
+        fixture.write_text('{"p":2,"points":[[0,0],[3,4],[1,1],[6,8],[-2,5]],"basepoint":2}')
+        payloads = []
+        for extra in ((), ("--basepoint", 2)):
+            report = tmp_path / "rep.json"
+            assert run_cli(mode, "--input", fixture, *extra, "--out", report) == 0
+            payload = json.loads(report.read_text())
+            del payload["config"]
+            payloads.append(payload)
+        assert payloads[0] == payloads[1]
+        if mode == "net":
+            assert payloads[0]["members"][0] == 2
+
+    @pytest.mark.parametrize(
+        "mode, flag",
+        [
+            ("embed-lp", "--lambda-sim"),
+            ("coarse", "--lambda-sim"),
+            ("embed-lp", "--delta"),
+            ("embed-proper", "--tolerance"),
+        ],
+    )
+    def test_nan_parameter_exits_two(self, tmp_path, capsys, mode, flag):
+        fixture = tmp_path / "c.json"
+        fixture.write_text('{"p":2,"points":[[0,0],[3,4],[6,8]]}')
+        assert run_cli(mode, "--input", fixture, flag, "nan") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("blockembed: error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("exponent", ["-300", "300"])
+    def test_validate_l2_cloud_at_extreme_scale(self, tmp_path, exponent):
+        # the squares of these coordinates under- or overflow a double
+        fixture = tmp_path / "c.json"
+        fixture.write_text('{"p":2,"points":[[0,0],[3e%s,4e%s]]}' % (exponent, exponent))
         report = tmp_path / "rep.json"
-        code = run_cli("moduli", "--input", fixture, "--outer-norm", 2, "--out", report)
-        assert code == 0
+        assert run_cli("validate", "--input", fixture, "--out", report) == 0
         payload = json.loads(report.read_text())
-        assert payload["moduli"]["outer_norm_override"] == 2
+        assert payload["valid"] is True
+        expected = float("5e" + exponent)
+        assert payload["min_positive_distance"] == pytest.approx(expected, rel=1e-15)
 
     def test_theta_random_flag(self, tmp_path):
         fixture = tmp_path / "p6.json"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blockembed.blocks import BlockVector, NormSpec, block_distance, inner_norm, outer_norm
+from blockembed.blocks import BlockIsoModel, BlockVector, axpy, inner_norm, outer_norm
 from blockembed.lp_coarse import (
     CoarseConstants,
     DomainMismatch,
@@ -73,7 +73,11 @@ class TestLpParams:
             draw = np.random.default_rng([6, 211]).uniform(0.5, 1.0, size=dim)
             assert np.array_equal(diag, draw)
         assert np.array_equal(LpParams(seed=6).diag_map(4), np.ones(4))
-        assert set(vars(params)) == {"delta", "lambda_sim", "seed", "theta_mode", "iso"}
+        fields = [f.name for f in dataclasses.fields(params)]
+        assert fields == ["delta", "lambda_sim", "seed", "theta_mode"]
+        assert params.iso == BlockIsoModel("seeded-random", 1.0 / 1.01, 1.0, 6)
+        with pytest.raises(ValueError, match="unknown iso mode"):
+            LpParams(theta_mode="uniform")
 
 
 class TestEmbedPoint:
@@ -86,7 +90,7 @@ class TestEmbedPoint:
         img = embed_point_lp(np.array([4.0]), params, 2.0)
         assert img.block_ids == (2,)
         assert list(img.get(2)) == [4.0]
-        assert block_distance(img, BlockVector.empty(), NormSpec.lp_sum(2.0)) == 4.0
+        assert outer_norm(img, 2.0) == 4.0
 
     def test_split_shells_l1(self):
         params = LpParams(delta=0.0, lambda_sim=1.0)
@@ -94,7 +98,7 @@ class TestEmbedPoint:
         assert img.block_ids == (2, 3)
         assert list(img.get(2)) == [3.0]
         assert list(img.get(3)) == [3.0]
-        assert outer_norm(img, NormSpec.lp_sum(1.0)) == 6.0
+        assert outer_norm(img, 1.0) == 6.0
 
     def test_norm_below_one_rejected(self):
         with pytest.raises(NormBelowOne):
@@ -341,13 +345,12 @@ class TestRescaledRestriction:
         theta = {tuple(pt): img for pt, img in zip(grid, ce.images)}
         c = ce.constants
         phi = rescaled_restriction(theta, k)
-        spec = NormSpec.lp_sum(math.inf)
         keys = list(phi)
         for a in range(len(keys)):
             for b in range(a + 1, len(keys)):
                 x, y = keys[a], keys[b]
                 d = oracles.brute_lp_dist(x, y, math.inf)
-                v = block_distance(phi[x], phi[y], spec)
+                v = outer_norm(axpy(1.0, phi[x], -1.0, phi[y]), math.inf)
                 assert d / c.c_d - c.c_a / k <= v + 1e-12
                 assert v <= c.c_d * d + c.c_a / k + 1e-12
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from blockembed.blocks import BlockIsoModel, outer_norm, pair_index, project_block, scale_block
 from blockembed.metric import Net, PointedSpace, validate_metric
 from blockembed.proper import (
+    CODOMAIN_P,
     WEIGHT_SERIES_SUM,
     AnnulusOutOfRange,
     NegativeRadius,
@@ -193,13 +194,12 @@ class TestEmbedPoint:
     def test_two_point_block_values(self):
         emb = embed_space_proper(two_point_space())
         image = emb.images[1]
-        spec = emb.params.norm
         expected_sups = {1: 2.0, 2: 4.0, 3: 2.0, 4: 0.8}
         for k, sup in expected_sups.items():
             blk = image.get(pair_index(2, k))
             assert blk is not None
             assert float(np.abs(blk).max()) == pytest.approx(sup, abs=1e-15)
-        assert outer_norm(image, spec) == 4.0
+        assert outer_norm(image, CODOMAIN_P) == 4.0
         assert image.get(pair_index(2, 3)) is not None
         assert list(image.get(pair_index(2, 3))) == [2.0, -2.0]
 
