@@ -43,6 +43,8 @@ _THETA_TAG = 101  # stream tag separating theta draws from other consumers
 # Elements of one carrier-by-carrier difference chunk: 512 KB of float64,
 # small enough to stay in cache between the subtraction and the reduction.
 _CHUNK_ELEMS = 1 << 16
+# An l_2 norm below this may have lost its smallest squares to underflow.
+_L2_REDO_BELOW = 2.0**-480
 
 
 class NonpositiveK(ValueError):
@@ -138,11 +140,6 @@ class BlockVector:
         return f"BlockVector({{{inner}}})"
 
 
-def _binary_exponent(x: np.ndarray) -> int:
-    """e with max |x| < 2^e, or 0 for an empty or all-zero x."""
-    return math.frexp(float(np.abs(x).max(initial=0.0)))[1]
-
-
 def inner_norm(x: np.ndarray, p: float) -> float:
     """l_p norm of a plain vector, p in [1, inf]."""
     if not p >= 1:
@@ -154,8 +151,8 @@ def inner_norm(x: np.ndarray, p: float) -> float:
         return float(np.abs(x).max())
     if p == 1:
         return float(np.abs(x).sum())
-    if p == 2:  # scaled by an exact power of two, as in lp_distance_matrix
-        e = _binary_exponent(x)
+    if p == 2:  # divided by an exact power of two so the squares stay in range
+        e = math.frexp(float(np.abs(x).max()))[1]
         return math.ldexp(float(np.linalg.norm(np.ldexp(x, -e))), e)
     return float((np.abs(x) ** p).sum() ** (1.0 / p))
 
@@ -197,14 +194,26 @@ def scale_block(a: float, v: BlockVector) -> BlockVector:
 def _norms(diff: np.ndarray, p: float) -> np.ndarray:
     """Inner l_p norms of non-negative coordinate rows along the last axis.
 
-    ``diff`` is scratch: the l_2 and general l_p cases overwrite it.
+    ``diff`` is scratch: the general l_p case overwrites it.  For p = 2 a
+    row whose squares may have left the normal range (a norm below
+    ``_L2_REDO_BELOW`` or an infinite one) is redone divided by an exact
+    power of two near its largest entry, its root multiplied back; that is
+    exact, so every row whose squares are normal keeps the same bits.
     """
     if math.isinf(p):
         return diff.max(axis=-1)
     if p == 1:
         return diff.sum(axis=-1)
     if p == 2:
-        return np.sqrt(np.multiply(diff, diff, out=diff).sum(axis=-1))
+        with np.errstate(over="ignore"):  # an overflowed row is redone below
+            out = np.sqrt(np.square(diff).sum(axis=-1))
+        redo = ~(out >= _L2_REDO_BELOW) | np.isinf(out)
+        if redo.any():
+            rows = diff[redo]
+            e = np.frexp(rows.max(axis=-1))[1]
+            rows = np.ldexp(rows, -e[:, None])
+            out[redo] = np.ldexp(np.sqrt(np.square(rows).sum(axis=-1)), e)
+        return out
     return np.power(diff, p, out=diff).sum(axis=-1) ** (1.0 / p)
 
 
@@ -212,16 +221,10 @@ def lp_distance_matrix(points: np.ndarray, p: float) -> np.ndarray:
     """Pairwise l_p distances of the rows of an (m, dim) array, p in [1, inf].
 
     Differences are formed ``_CHUNK_ELEMS`` elements (or one row, if
-    larger) at a time, so temporaries stay at O(m^2 + chunk).  For p = 2
-    the points are divided by an exact power of two first and the result
-    multiplied back, so distances near the ends of the float range neither
-    underflow to zero nor overflow.
+    larger) at a time, so temporaries stay at O(m^2 + chunk).
     """
     x = np.asarray(points, dtype=float)
     m, dim = x.shape
-    e = _binary_exponent(x) if p == 2 else 0
-    if e:
-        x = np.ldexp(x, -e)
     out = np.empty((m, m))
     step = max(1, _CHUNK_ELEMS // max(1, m * dim))
     buf = np.empty((min(step, m), m, dim))
@@ -229,7 +232,7 @@ def lp_distance_matrix(points: np.ndarray, p: float) -> np.ndarray:
         diff = buf[: min(step, m - lo)]
         np.subtract(x[lo : lo + step, None, :], x[None, :, :], out=diff)
         out[lo : lo + step] = _norms(np.abs(diff, out=diff), p)
-    return np.ldexp(out, e, out=out) if e else out
+    return out
 
 
 def pairwise_distance_matrix(images: Sequence[BlockVector], p: float) -> np.ndarray:
@@ -274,7 +277,8 @@ def pairwise_distance_matrix(images: Sequence[BlockVector], p: float) -> np.ndar
         elif p == 1:
             col += out[:, idx]
         else:
-            col **= p
+            with np.errstate(over="ignore"):  # an overflow stays inf; metric checks reject it
+                col **= p
             col += out[:, idx]
         out[:, idx] = col
         # out was symmetric before this block, so the carrier rows are the

@@ -288,24 +288,18 @@ def _run_gen(config: RunConfig) -> tuple[dict[str, Any], bool]:
     if not config.out:
         raise UsageError("gen requires --out")
     kind = config.kind
+    if kind in ("random-graph-metric", "random-lp-cloud", "path", "star") and not config.n:
+        raise UsageError(f"{kind} requires --n")
     if kind == "random-graph-metric":
-        if not config.n:
-            raise UsageError("random-graph-metric requires --n")
         space: Any = random_graph_metric(config.n, config.edge_prob, config.seed)
     elif kind == "random-lp-cloud":
-        if not config.n:
-            raise UsageError("random-lp-cloud requires --n")
         p = config.p if config.p is not None else 2.0
         space = random_lp_cloud(config.n, config.dim, p, config.seed, config.box)
     elif kind == "grid-net":
         space = grid_net_cloud(config.dim, config.k, size_cap=config.size_cap)
     elif kind == "path":
-        if not config.n:
-            raise UsageError("path requires --n")
         space = path_metric(config.n)
     elif kind == "star":
-        if not config.n:
-            raise UsageError("star requires --n")
         space = star_metric(config.n)
     else:
         raise UsageError(f"unknown fixture kind {kind!r}")

@@ -181,9 +181,9 @@ class LpParams:
             raise ValueError("delta must be non-negative")
         if not self.lambda_sim >= 1:
             raise ValueError("lambda_sim must be >= 1")
-        self.iso  # built here, so an unknown theta_mode or a negative seed fails now
+        _ = self.iso  # an unknown theta_mode or a negative seed fails here, not on first use
 
-    @cached_property
+    @property
     def iso(self) -> BlockIsoModel:
         """The theta_n model: exact, or drawn from [1/(1+delta), 1] keyed by seed."""
         if self.theta_mode == "exact":

@@ -352,6 +352,8 @@ def _check_shape(n: int, image_distances: np.ndarray) -> np.ndarray:
     m = np.asarray(image_distances, dtype=float)
     if m.shape != (n, n):
         raise LengthMismatch("image distance matrix has wrong shape")
+    if not np.isfinite(m).all():
+        raise ValueError("image distances must be finite")
     return m
 
 

@@ -328,6 +328,18 @@ class TestDistances:
         assert np.allclose(mat, expected, rtol=1e-15, atol=0.0)
         assert blocks.inner_norm(x[2], 2.0) == pytest.approx(10 * scale, rel=1e-15)
 
+    def test_l2_distances_exact_across_a_wide_dynamic_range(self):
+        # one cloud holding both a 1e-100 and a 1e100 distance: scaling the
+        # whole cloud by its largest coordinate would flush (1e-100)^2 to zero
+        x = np.array([[0.0, 0.0], [1e-100, 0.0], [1e100, 0.0]])
+        mat = lp_distance_matrix(x, 2.0)
+        assert mat[0, 1] == mat[1, 0] == 1e-100
+        assert np.array_equal(mat, oracles.dense_lp_distances(x, 2.0))
+        images = [BlockVector({0: row}) for row in x]
+        assert np.array_equal(
+            pairwise_distance_matrix(images, 2.0), oracles.dense_pair_distances(images, 2.0, 2.0)
+        )
+
 
 class TestBlockIsoModel:
     def test_exact_mode(self):

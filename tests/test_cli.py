@@ -257,6 +257,11 @@ class TestCliModes:
     def test_gen_requires_out(self, capsys):
         assert run_cli("gen", "--kind", "path", "--n", 4) == 2
 
+    @pytest.mark.parametrize("kind", ["random-graph-metric", "random-lp-cloud", "path", "star"])
+    def test_gen_requires_n(self, tmp_path, capsys, kind):
+        assert run_cli("gen", "--kind", kind, "--out", tmp_path / "f.json") == 2
+        assert capsys.readouterr().err == f"blockembed: error: {kind} requires --n\n"
+
     def test_gen_grid_fixture(self, tmp_path):
         fixture = tmp_path / "g.json"
         assert run_cli("gen", "--kind", "grid-net", "--dim", 1, "--k", 2, "--out", fixture) == 0
@@ -348,6 +353,16 @@ class TestCliModes:
         assert payload["valid"] is True
         expected = float("5e" + exponent)
         assert payload["min_positive_distance"] == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize("mode", ["embed-lp", "coarse"])
+    def test_overflowing_image_distances_exit_two(self, tmp_path, capsys, mode):
+        # the cloud validates, but the l_2 fold of its image distances overflows
+        fixture = tmp_path / "c.json"
+        fixture.write_text('{"p":2,"points":[[0,0],[3e300,4e300],[6e300,1e300]]}')
+        assert run_cli(mode, "--input", fixture) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("blockembed: error:")
+        assert "Traceback" not in err
 
     def test_theta_random_flag(self, tmp_path):
         fixture = tmp_path / "p6.json"

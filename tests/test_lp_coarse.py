@@ -76,6 +76,7 @@ class TestLpParams:
         fields = [f.name for f in dataclasses.fields(params)]
         assert fields == ["delta", "lambda_sim", "seed", "theta_mode"]
         assert params.iso == BlockIsoModel("seeded-random", 1.0 / 1.01, 1.0, 6)
+        assert "iso" not in vars(params)  # derived on use, never cached on the instance
         with pytest.raises(ValueError, match="unknown iso mode"):
             LpParams(theta_mode="uniform")
 
