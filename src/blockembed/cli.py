@@ -99,9 +99,10 @@ def _load(config: RunConfig) -> FiniteMetricSpace | LpPointSet:
     if isinstance(space, LpPointSet):
         if config.p is not None and config.p != space.p:
             space = LpPointSet(config.p, space.points, space.basepoint)
-            space.metric_space  # re-validate under the overridden exponent
+        metric = space.metric_space  # the one validation, after the exponent override
         if config.basepoint is not None and config.basepoint != space.basepoint:
             space = LpPointSet(space.p, space.points, config.basepoint)
+            space.metric_space = metric  # the basepoint leaves the metric unchanged
     return space
 
 

@@ -70,7 +70,8 @@ def parse_space(path: str | Path, fmt: str = "json") -> FiniteMetricSpace | LpPo
     JSON matrices look like {"points": [labels], "dist": [[...]]}; clouds
     like {"p": 2, "points": [[...]], "basepoint": 0}.  CSV holds a plain
     distance matrix.  Matrix inputs are validated; cloud inputs carry their
-    exponent and induce the l_p metric (validated lazily).
+    exponent and induce the l_p metric, which is validated lazily, on the
+    first read of ``LpPointSet.metric_space``.
     """
     path = Path(path)
     if fmt == "json":
@@ -87,13 +88,11 @@ def parse_space(path: str | Path, fmt: str = "json") -> FiniteMetricSpace | LpPo
             pts = np.asarray(payload["points"], dtype=float)
             if pts.ndim != 2:
                 raise ParseError("cloud points must be a list of coordinate lists")
-            cloud = LpPointSet(
+            return LpPointSet(
                 _parse_exponent(payload["p"]),
                 pts,
                 basepoint=_parse_basepoint(payload.get("basepoint", 0)),
             )
-            cloud.metric_space  # validate the induced metric eagerly
-            return cloud
         raise ParseError('JSON space needs either a "dist" matrix or "p" + "points"')
     if fmt == "csv":
         rows = []

@@ -14,7 +14,7 @@ bit-stable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -193,31 +193,48 @@ class PairRecord:
     passed: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundsReport:
     """Outcome of an envelope check over all distinct pairs.
 
     Slack is signed margin: ``image_distance - lower`` on the lower side and
     ``upper - image_distance`` on the upper side.  The worst slacks are the
-    minima over all recorded pairs; a negative worst slack beyond the
-    tolerance means the check failed.
+    minima over all pairs; a negative worst slack beyond the tolerance means
+    the check failed.
+
+    The report keeps the domain's distance matrix, the image distance matrix
+    and both envelopes by reference, and ``records`` builds the per-pair
+    records from them on demand, anew on each access.  They agree with the
+    counts only while the matrices are unchanged and the envelopes are pure.
     """
 
-    records: tuple[PairRecord, ...]
     worst_lower_slack: float
     worst_upper_slack: float
     empirical_distortion: float
     tolerance: float
     constants: Mapping[str, Any]
     passed: bool
+    n_pairs: int
+    n_failed: int
+    dist: np.ndarray = field(repr=False)
+    image_distances: np.ndarray = field(repr=False)
+    lower_envelope: Callable[[float], float] = field(repr=False)
+    upper_envelope: Callable[[float], float] = field(repr=False)
 
     @property
-    def n_pairs(self) -> int:
-        return len(self.records)
-
-    @property
-    def n_failed(self) -> int:
-        return sum(1 for r in self.records if not r.passed)
+    def records(self) -> tuple[PairRecord, ...]:
+        """One record per distinct pair, in lexicographic pair order."""
+        n = self.dist.shape[0]
+        records = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                d = float(self.dist[i, j])
+                v = float(self.image_distances[i, j])
+                lo = float(self.lower_envelope(d))
+                hi = float(self.upper_envelope(d))
+                ok = v - lo >= -self.tolerance and hi - v >= -self.tolerance
+                records.append(PairRecord(i, j, d, v, lo, hi, ok))
+        return tuple(records)
 
     def summary(self) -> dict[str, Any]:
         return {
@@ -242,12 +259,21 @@ def validate_metric(
     Checks, in order: numeric entries, finite entries, non-negativity,
     symmetry, zero diagonal, no zero distance between distinct points, and
     the triangle inequality.  The triangle check allows absolute slack
-    ``tol``; the default (``None``) scales it to 1e-12 times the largest
-    entry, which absorbs the rounding noise of distances evaluated in
-    floating point (exactly tight triangles are common in l_1 and l_inf
-    point sets) while still catching any genuine violation.  Pass ``tol=0.0`` for an exact
-    check.  The first offending entry in lexicographic index order is
-    reported; the matrix is never repaired.
+    ``tol``; the default (``None``) is 1e-12 times the largest entry, which
+    absorbs the rounding noise of distances evaluated in floating point
+    (exactly tight triangles are common in l_1 and l_inf point sets) while
+    still catching any genuine violation at every scale.  Pass ``tol=0.0``
+    for an exact check.  The first offending entry in lexicographic index
+    order is reported; the matrix is never repaired.
+
+    The triangle check runs in two stages.  A min-plus filter takes, for
+    each pair i < j, the smallest ``d(i,k) + d(j,k)`` over the other points
+    k and flags the pair when ``d(i,j)`` exceeds it by more than ``tol``
+    less a margin of 16 * 2^-53 times the largest entry.  The margin covers
+    the rounding difference between the filter and the exact scan, so the
+    filter flags every pair the scan would reject.  Only when a pair is
+    flagged does the exact per-triple scan run, from the flagged row on; it
+    decides the outcome and names the first violating triple.
     """
     try:
         a = np.array(matrix, dtype=float)
@@ -258,8 +284,9 @@ def validate_metric(
     n = a.shape[0]
     if not np.all(np.isfinite(a)):
         raise MetricError("matrix entries must be finite")
+    scale = float(a.max(initial=0.0))
     if tol is None:
-        tol = 1e-12 * max(1.0, float(a.max(initial=0.0)))
+        tol = 1e-12 * scale
 
     neg = np.argwhere(a < 0)
     if neg.size:
@@ -285,18 +312,36 @@ def validate_metric(
             i, j = j, i
         raise ZeroOffDiagonal(i, j)
 
-    # First violating triple (i, j, k), meaning d(i,j) > d(i,k) + d(k,j).
-    # a is exactly symmetric here, so a[j, k] stands for d(k,j): reading a
-    # row-wise instead of a.T keeps memory access contiguous.
-    for i in range(n):
-        excess = a[i][:, None] - a[i][None, :] - a
-        excess[i, :] = -np.inf
-        excess[:, i] = -np.inf
-        np.fill_diagonal(excess, -np.inf)
-        bad = np.argwhere(excess > tol)
-        if bad.size:
-            j, k = map(int, bad[0])
-            raise TriangleViolation(i, j, k, float(a[i, j]), float(a[i, k] + a[k, j]))
+    # Min-plus filter.  Write u = 2^-53 and M = scale; every entry lies in
+    # [0, M].  The scan computes fl(fl(a_ij - a_ik) - a_jk), the filter
+    # fl(a_ij - fl(a_ik + a_jk)); both equal a_ij - a_ik - a_jk in exact
+    # arithmetic.  Each add or subtract rounds by at most u times its result
+    # (a subnormal result is exact), so the scan is within uM + 2uM of the
+    # exact value and the filter within 2uM + 2uM(1 + u): they differ by
+    # less than 8uM.  The minimum over k is exact and rounding is monotone,
+    # so a row's value fl(a_ij - min_k) is at least the filter's value for
+    # each k.  The scan rejects only when tol < M.  For tol in [-3M, M),
+    # forming the bound tol - 16uM rounds by at most 3uM (the margin itself
+    # by at most uM), so it lies below tol - 12uM, while the filter's value
+    # for a triple the scan rejects exceeds tol - 8uM; for tol < -3M the
+    # bound lies below every filter value, which is at least -2M(1 + u)^2.
+    # Either way a triple the scan rejects flags its pair, for every tol,
+    # 0.0 and negative values included.  The filter is symmetric in i and j, so
+    # rows j > i cover the j < i orderings, and a violating triple
+    # (i', j', k) flags row min(i', j') <= i'.  So no scan violation lies in
+    # a row before the first flagged row i, and the exact scan of rows i..
+    # names the same triple as a full scan; a flag it does not confirm is
+    # a rounding near-miss, and the matrix is accepted.
+    bound = tol - 16 * 2.0**-53 * scale
+    sums = np.empty((n, n))
+    for i in range(n - 1):
+        s = sums[: n - 1 - i]  # s[r, k] = a[i, k] + a[j, k] for j = i + 1 + r
+        np.add(a[i + 1 :], a[i], out=s)
+        s[:, i] = np.inf
+        s.reshape(-1)[i + 1 :: n + 1] = np.inf  # the k = j entries
+        if np.any(a[i, i + 1 :] - s.min(axis=1) > bound):
+            _scan_triangles(a, tol, i)
+            break
 
     if labels is None:
         labels = tuple(f"p{i}" for i in range(n))
@@ -306,6 +351,24 @@ def validate_metric(
         labels = tuple(str(s) for s in labels)
     a.setflags(write=False)
     return FiniteMetricSpace(labels, a)
+
+
+def _scan_triangles(a: np.ndarray, tol: float, start: int) -> None:
+    """Raise on the first violating triple (i, j, k) with i >= start.
+
+    A violation means d(i,j) - d(i,k) - d(k,j) > tol.  a is exactly
+    symmetric here, so a[j, k] stands for d(k,j): reading a row-wise instead
+    of a.T keeps memory access contiguous.
+    """
+    for i in range(start, a.shape[0]):
+        excess = a[i][:, None] - a[i][None, :] - a
+        excess[i, :] = -np.inf
+        excess[:, i] = -np.inf
+        np.fill_diagonal(excess, -np.inf)
+        bad = np.argwhere(excess > tol)
+        if bad.size:
+            j, k = map(int, bad[0])
+            raise TriangleViolation(i, j, k, float(a[i, j]), float(a[i, k] + a[k, j]))
 
 
 def greedy_maximal_net(
@@ -419,47 +482,52 @@ def verify_bounds(
     """Check lower(d) - tol <= image distance <= upper(d) + tol on all pairs.
 
     The tolerance is an absolute two-sided slack; a NaN tolerance raises
-    ``ValueError``.  Failures are report content, never exceptions.
-    Records are emitted in lexicographic pair order; worst slacks are the
-    minima over all pairs.
+    ``ValueError``.  Failures are report content, never exceptions.  The
+    upper triangle is walked row by row: each envelope is called once per
+    pair with the distance as a Python float, and the slacks, pass mask and
+    extrema are taken with numpy.  Worst slacks are the minima over all
+    pairs; the report's ``records`` are built only when read.
     """
     if math.isnan(tolerance):
         raise ValueError("tolerance must not be NaN")
     n = domain.n_points
     m = _check_shape(n, image_distances)
 
-    records = []
-    worst_lo = math.inf
-    worst_hi = math.inf
+    n_failed = 0
+    worst_lo = worst_hi = math.inf
     any_zero = False
-    max_exp = 0.0
-    max_inv = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = float(domain.dist[i, j])
-            v = float(m[i, j])
-            lo = float(lower_envelope(d))
-            hi = float(upper_envelope(d))
-            slack_lo = v - lo
-            slack_hi = hi - v
-            ok = slack_lo >= -tolerance and slack_hi >= -tolerance
-            records.append(PairRecord(i, j, d, v, lo, hi, ok))
-            worst_lo = min(worst_lo, slack_lo)
-            worst_hi = min(worst_hi, slack_hi)
-            if v == 0:
-                any_zero = True
-            else:
-                max_inv = max(max_inv, d / v)
-            max_exp = max(max_exp, v / d)
+    max_exp = max_inv = 0.0
+    for i in range(n - 1):
+        d = domain.dist[i, i + 1 :]
+        v = m[i, i + 1 :]
+        row = d.tolist()
+        lo = np.fromiter(map(lower_envelope, row), float, len(row))
+        hi = np.fromiter(map(upper_envelope, row), float, len(row))
+        slack_lo = v - lo
+        slack_hi = hi - v
+        ok = (slack_lo >= -tolerance) & (slack_hi >= -tolerance)
+        n_failed += len(row) - int(np.count_nonzero(ok))
+        # fmin passes over a NaN slack, as the builtin min of the records does
+        worst_lo = float(np.fmin.reduce(slack_lo, initial=worst_lo))
+        worst_hi = float(np.fmin.reduce(slack_hi, initial=worst_hi))
+        nonzero = v != 0
+        any_zero = any_zero or not nonzero.all()
+        max_exp = float(np.max(v / d, initial=max_exp))
+        max_inv = float(np.max(d[nonzero] / v[nonzero], initial=max_inv))
 
-    emp = math.inf if any_zero else (max_exp * max_inv if records else 1.0)
-    passed = all(r.passed for r in records)
+    n_pairs = n * (n - 1) // 2
+    emp = math.inf if any_zero else (max_exp * max_inv if n_pairs else 1.0)
     return BoundsReport(
-        records=tuple(records),
-        worst_lower_slack=worst_lo if records else 0.0,
-        worst_upper_slack=worst_hi if records else 0.0,
+        worst_lower_slack=worst_lo if n_pairs else 0.0,
+        worst_upper_slack=worst_hi if n_pairs else 0.0,
         empirical_distortion=emp,
         tolerance=float(tolerance),
         constants=dict(constants) if constants else {},
-        passed=passed,
+        passed=n_failed == 0,
+        n_pairs=n_pairs,
+        n_failed=n_failed,
+        dist=domain.dist,
+        image_distances=m,
+        lower_envelope=lower_envelope,
+        upper_envelope=upper_envelope,
     )

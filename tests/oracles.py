@@ -2,10 +2,13 @@
 
 Everything here is deliberately written with plain Python loops over lists
 and ``math`` calls, so it shares no code path with the production
-implementations it checks.  The exceptions are
+implementations it checks.  The exceptions are kept former library code,
+the references for exact-equality checks of its replacements:
 :func:`dense_pair_distances` and :func:`dense_lp_distances`, the dense numpy
-kernels the library used before its row-chunked one; they are kept as the
-bit-identity references for that kernel.
+kernels the library used before its row-chunked one;
+:func:`scan_triangle_violation`, the per-row triangle scan that
+``validate_metric`` used before its min-plus filter; and
+:func:`loop_verify_bounds`, the per-pair loop of ``verify_bounds``.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import math
 import numpy as np
 
 from blockembed.blocks import DimensionMismatch
+from blockembed.metric import PairRecord
 
 
 def brute_inner(values, p):
@@ -124,6 +128,69 @@ def brute_triangle_violation(matrix, tol=0.0):
                 if matrix[i][j] > matrix[i][k] + matrix[k][j] + tol:
                     return (i, j, k)
     return None
+
+
+def scan_triangle_violation(a, tol):
+    """First (i, j, k, d(i,j), d(i,k) + d(k,j)) with d(i,j) - d(i,k) - d(k,j) > tol.
+
+    The former per-row scan of ``validate_metric``, verbatim but for
+    returning the reported values (None when there is no violation) instead
+    of raising.  ``a`` must be an exactly symmetric float array.
+    """
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    for i in range(n):
+        excess = a[i][:, None] - a[i][None, :] - a
+        excess[i, :] = -np.inf
+        excess[:, i] = -np.inf
+        np.fill_diagonal(excess, -np.inf)
+        bad = np.argwhere(excess > tol)
+        if bad.size:
+            j, k = map(int, bad[0])
+            return (i, j, k, float(a[i, j]), float(a[i, k] + a[k, j]))
+    return None
+
+
+def loop_verify_bounds(domain, lower_envelope, upper_envelope, image_distances, tolerance):
+    """(records, summary, passed) of the former per-pair loop of ``verify_bounds``."""
+    n = domain.n_points
+    m = np.asarray(image_distances, dtype=float)
+    records = []
+    worst_lo = math.inf
+    worst_hi = math.inf
+    any_zero = False
+    max_exp = 0.0
+    max_inv = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = float(domain.dist[i, j])
+            v = float(m[i, j])
+            lo = float(lower_envelope(d))
+            hi = float(upper_envelope(d))
+            slack_lo = v - lo
+            slack_hi = hi - v
+            ok = slack_lo >= -tolerance and slack_hi >= -tolerance
+            records.append(PairRecord(i, j, d, v, lo, hi, ok))
+            worst_lo = min(worst_lo, slack_lo)
+            worst_hi = min(worst_hi, slack_hi)
+            if v == 0:
+                any_zero = True
+            else:
+                max_inv = max(max_inv, d / v)
+            max_exp = max(max_exp, v / d)
+
+    emp = math.inf if any_zero else (max_exp * max_inv if records else 1.0)
+    n_failed = sum(1 for r in records if not r.passed)
+    summary = {
+        "pairs_total": len(records),
+        "pairs_passed": len(records) - n_failed,
+        "pairs_failed": n_failed,
+        "worst_lower_slack": worst_lo if records else 0.0,
+        "worst_upper_slack": worst_hi if records else 0.0,
+        "empirical_distortion": emp,
+        "tolerance": float(tolerance),
+    }
+    return records, summary, all(r.passed for r in records)
 
 
 def brute_net_check(matrix, members, center, ball_radius, radius, seed):

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from blockembed import blocks
+from blockembed import blocks, metric
 from blockembed.cli import RunConfig, main, run_report
 from blockembed.io import ParseError, UnknownFormat, atomic_write_text, dumps_report, parse_space
 from blockembed.lp_coarse import LpPointSet
@@ -214,6 +214,64 @@ class TestCliModes:
                         monkeypatch.setattr(module, attr, counting)
         assert run_cli(mode, "--input", fixture, "--out", tmp_path / "rep.json") == 0
         assert calls == [mode]
+
+    @pytest.mark.parametrize(
+        "mode, flags, expected",
+        [
+            ("embed-proper", ("--basepoint", 2), 1),
+            ("embed-proper", ("--p", 1), 1),
+            ("net", ("--p", "inf", "--basepoint", 3), 1),
+            # embed-lp also validates the normalized copy it certifies
+            ("embed-lp", ("--p", 1), 2),
+        ],
+    )
+    def test_cloud_validated_once_after_overrides(
+        self, tmp_path, monkeypatch, mode, flags, expected
+    ):
+        fixture = tmp_path / "c.json"
+        code = run_cli("gen", "--kind", "random-lp-cloud", "--n", 12, "--seed", 3, "--out", fixture)
+        assert code == 0
+        original = metric.validate_metric
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(mode)
+            return original(*args, **kwargs)
+
+        # a cloud reaches it through LpPointSet.metric_space, which looks it up on call
+        monkeypatch.setattr(metric, "validate_metric", counting)
+        assert run_cli(mode, "--input", fixture, *flags, "--out", tmp_path / "rep.json") == 0
+        assert len(calls) == expected
+
+    @pytest.mark.parametrize("flags", [(), ("--p", 1), ("--basepoint", 1)])
+    def test_validate_invalid_cloud_reports_invalid(self, tmp_path, flags):
+        fixture = tmp_path / "dup.json"
+        fixture.write_text('{"p":2,"points":[[0,0],[3,4],[3,4]]}')
+        report = tmp_path / "rep.json"
+        assert run_cli("validate", "--input", fixture, *flags, "--out", report) == 1
+        payload = json.loads(report.read_text())
+        assert payload["valid"] is False
+        assert payload["error_type"] == "ZeroOffDiagonal"
+
+    @pytest.mark.parametrize(
+        "mode, kind",
+        [
+            ("embed-proper", "random-graph-metric"),
+            ("embed-lp", "random-lp-cloud"),
+            ("coarse", "random-lp-cloud"),
+        ],
+    )
+    def test_certificates_build_no_pair_records(self, tmp_path, monkeypatch, mode, kind):
+        fixture = tmp_path / "f.json"
+        assert run_cli("gen", "--kind", kind, "--n", 16, "--seed", 5, "--out", fixture) == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a per-pair record was built")
+
+        monkeypatch.setattr(metric, "PairRecord", refuse)
+        report = tmp_path / "rep.json"
+        assert run_cli(mode, "--input", fixture, "--out", report) == 0
+        assert json.loads(report.read_text())["checks"]["pairs_total"] == 16 * 15 // 2
 
     @pytest.mark.parametrize("kind", ["cloud", "matrix"])
     @pytest.mark.parametrize("mode", ["embed-proper", "embed-lp", "coarse", "moduli"])

@@ -99,6 +99,13 @@ class TestValidate:
         with pytest.raises(TriangleViolation):
             validate_metric(d, tol=0.0)
 
+    def test_default_tolerance_scales_below_one(self):
+        # d(0,2) = 3e-13 > d(0,1) + d(1,2) = 2e-13: a slack of 1e-12 would hide it
+        d = [[0, 1e-13, 3e-13], [1e-13, 0, 1e-13], [3e-13, 1e-13, 0]]
+        with pytest.raises(TriangleViolation) as err:
+            validate_metric(d)
+        assert (err.value.i, err.value.j, err.value.k) == (0, 2, 1)
+
     def test_agrees_with_triple_loop(self):
         rng = np.random.default_rng(7)
         for trial in range(20):
@@ -109,7 +116,7 @@ class TestValidate:
                 i, j = rng.integers(0, 10, size=2)
                 if i != j:
                     d[i, j] = d[j, i] = d[i, j] * 3 + 1  # break the triangle
-            tol = 1e-12 * max(1.0, float(d.max()))
+            tol = 1e-12 * float(d.max())
             expected = oracles.brute_triangle_violation(d.tolist(), tol)
             if expected is None:
                 validate_metric(d)
@@ -117,6 +124,60 @@ class TestValidate:
                 with pytest.raises(TriangleViolation) as err:
                     validate_metric(d)
                 assert (err.value.i, err.value.j, err.value.k) == expected
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """(matrix, tol): a symmetric matrix with a positive off-diagonal at one
+    of several scales, sometimes with one triangle planted within four ulps
+    of the slack, and a tol of None (the default), 0.0 or -1e-3."""
+    n = draw(st.integers(0, 8))
+    scale = draw(st.sampled_from([1e-300, 1e-13, 1.0, 1e300]))
+    # entries in [1, 2] satisfy every triangle; from 0.05 up, many do not
+    low = draw(st.sampled_from([0.05, 1.0]))
+    # full random mantissas, so that sums round and the margin is exercised
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = np.triu(rng.uniform(low, 2.0, size=(n, n)), 1) * scale
+    a = a + a.T
+    tol = draw(st.sampled_from([None, 0.0, -1e-3]))
+    if n >= 3 and draw(st.booleans()):
+        i, j, k = draw(st.permutations(range(n)))[:3]
+        base = a[i, k] + a[k, j]
+        rest = max(float(a.max()), base)
+        target = base + (1e-12 * rest if tol is None else tol)
+        if tol is None:  # the planted entry may set the default slack itself
+            target = base + 1e-12 * max(rest, target)
+        target += draw(st.integers(-4, 4)) * np.spacing(target)
+        if target > 0:
+            a[i, j] = a[j, i] = target
+    return a, tol
+
+
+class TestTriangleFilter:
+    """The min-plus filter in front of the triangle scan against the scan alone."""
+
+    @given(symmetric_matrices())
+    @settings(max_examples=400, deadline=None)
+    def test_same_outcome_as_the_scan(self, case):
+        a, tol = case
+        effective = 1e-12 * float(a.max(initial=0.0)) if tol is None else tol
+        expected = oracles.scan_triangle_violation(a, effective)
+        if expected is None:
+            validate_metric(a, tol=tol)
+            return
+        with pytest.raises(MetricError) as err:
+            validate_metric(a, tol=tol)
+        e = err.value
+        assert type(e) is TriangleViolation
+        assert (e.i, e.j, e.k, e.lhs, e.rhs) == expected
+
+    def test_flag_the_scan_does_not_confirm_is_accepted(self):
+        # an excess of one ulp of 2 (4.4e-16): inside the filter's margin of
+        # tol - 16 ulps of 1, but not beyond tol for the exact scan
+        d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+        d[0, 2] = d[2, 0] = np.nextafter(2.0, 3.0)
+        assert oracles.scan_triangle_violation(d, 5e-16) is None
+        validate_metric(d, tol=5e-16)
 
 
 class TestGreedyNet:
@@ -384,3 +445,72 @@ class TestVerifyBounds:
         lo, hi = oracles.brute_worst_slacks(d.tolist(), imat, lower, upper)
         assert rep.worst_lower_slack == pytest.approx(lo, abs=1e-12)
         assert rep.worst_upper_slack == pytest.approx(hi, abs=1e-12)
+
+
+def _separation_pair():
+    from blockembed.proper import WEIGHT_SERIES_SUM, separation_envelope
+
+    return separation_envelope, lambda d: 9.0 * WEIGHT_SERIES_SUM * d
+
+
+# (lower, upper) envelope pairs: the l_p embedding's linear pair, the coarse
+# embedding's affine pair, the proper embedding's pair, and envelopes that
+# fail pairs (the lower above the upper, NaN for the larger distances)
+ENVELOPES = {
+    "lp-linear": (lambda d: d / 20.402, lambda d: 9.0 * d),
+    "coarse-affine": (lambda d: d / 20.402 - 9.0, lambda d: 20.402 * d + 9.0),
+    "separation": _separation_pair(),
+    "failing": (lambda d: 2.0 * d, lambda d: 0.5 * d),
+    "nan": (lambda d: math.nan if d > 2.0 else 0.0, lambda d: 9.0 * d),
+}
+
+
+class TestVerifyBoundsAgainstLoop:
+    """The row-wise verifier against the former per-pair loop."""
+
+    @pytest.mark.parametrize("envelope", sorted(ENVELOPES))
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 17])
+    @pytest.mark.parametrize("images", ["scaled", "random", "zero", "some-zero"])
+    @pytest.mark.parametrize("tolerance", [1e-9, 0.0])
+    def test_same_report_as_the_loop(self, envelope, n, images, tolerance):
+        rng = np.random.default_rng(n)
+        pts = rng.uniform(0, 6, size=(n, 2))
+        space = validate_metric(lp_distance_matrix(pts, 2.0))
+        if images == "scaled":
+            m = 1.5 * space.dist
+        elif images == "random":
+            m = lp_distance_matrix(rng.uniform(-3, 3, size=(n, 4)), 2.0)
+        elif images == "zero":
+            m = np.zeros((n, n))
+        else:
+            m = lp_distance_matrix(np.round(pts / 3.0), 2.0)  # shared images
+        lower, upper = ENVELOPES[envelope]
+        rep = verify_bounds(space, lower, upper, image_distances=m, tolerance=tolerance)
+        records, summary, passed = oracles.loop_verify_bounds(space, lower, upper, m, tolerance)
+        assert rep.summary() == summary
+        assert rep.passed == passed
+        assert list(rep.records) == records
+
+    def test_nan_tolerance_raises(self):
+        space = line_space([0, 1, 3])
+        with pytest.raises(ValueError):
+            verify_bounds(
+                space, lambda d: 0.0, lambda d: d, image_distances=space.dist, tolerance=math.nan
+            )
+
+    def test_peak_memory_does_not_grow_with_records(self):
+        import tracemalloc
+
+        from blockembed.fixtures import random_lp_cloud
+
+        space = random_lp_cloud(512, 3, 2.0, seed=1).metric_space
+        m = 1.5 * space.dist
+        lower, upper = ENVELOPES["lp-linear"]
+        tracemalloc.start()
+        try:
+            rep = verify_bounds(space, lower, upper, image_distances=m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.n_pairs == 512 * 511 // 2 and rep.passed
+        assert peak < 4 * 2**20
