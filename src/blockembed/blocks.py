@@ -230,7 +230,8 @@ def lp_distance_matrix(points: np.ndarray, p: float) -> np.ndarray:
     buf = np.empty((min(step, m), m, dim))
     for lo in range(0, m, step):
         diff = buf[: min(step, m - lo)]
-        np.subtract(x[lo : lo + step, None, :], x[None, :, :], out=diff)
+        with np.errstate(over="ignore"):  # an overflow stays inf; metric checks reject it
+            np.subtract(x[lo : lo + step, None, :], x[None, :, :], out=diff)
         out[lo : lo + step] = _norms(np.abs(diff, out=diff), p)
     return out
 
@@ -248,7 +249,10 @@ def pairwise_distance_matrix(images: Sequence[BlockVector], p: float) -> np.ndar
     carrier-by-carrier distances are formed (:func:`lp_distance_matrix`).
     Block norms are folded into the l_p sum in ascending id order with the
     same per-block formula for every entry, so each distance is
-    bit-identical to that of a dense difference over all n points.
+    bit-identical to that of a dense difference over all n points.  For
+    finite p > 1, an entry whose p-th powers overflow is computed again from
+    every coordinate divided by an exact power of two, its root multiplied
+    back; entries whose plain fold stays finite keep their bits.
     """
     n = len(images)
     dims: dict[int, int] = {}
@@ -262,31 +266,55 @@ def pairwise_distance_matrix(images: Sequence[BlockVector], p: float) -> np.ndar
             carriers.setdefault(j, []).append(i)
             coords.setdefault(j, []).append(x)
 
+    blocks = [(carriers[j], coords[j]) for j in sorted(dims)]
+    out = _fold(n, blocks, p, 0)
+    if not math.isinf(p) and p != 1:
+        over = np.isinf(out)
+        if over.any():
+            # a block distance is at most 2 * dim * max|x| < 2^shift
+            top = max(float(np.abs(x).max()) for xs in coords.values() for x in xs)
+            shift = math.frexp(top)[1] + max(dims.values()).bit_length() + 1
+            out[over] = _fold(n, blocks, p, shift)[over]
+    np.fill_diagonal(out, 0.0)
+    return out
+
+
+def _fold(
+    n: int, blocks: list[tuple[list[int], list[np.ndarray]]], p: float, shift: int
+) -> np.ndarray:
+    """Fold blocks, given as (carrier indices, carrier coordinates), into
+    the n x n l_p sum of their distances, with every coordinate divided by
+    2^shift and the root multiplied back.  The diagonal is left as it comes.
+    An entry that overflows comes out inf."""
     sup = math.isinf(p)
     out = np.zeros((n, n))
-    for j in sorted(dims):
-        idx = np.array(carriers[j])
-        x = np.array(coords[j])
+    for carriers, coords in blocks:
+        idx = np.array(carriers)
+        x = np.array(coords)
+        if shift:
+            x = np.ldexp(x, -shift)
         # column b of the carriers: N_b against non-carrier rows, the exact
         # block distance against carrier rows
         col = np.empty((n, len(idx)))
-        col[:] = _norms(np.abs(x), p)
-        col[idx] = lp_distance_matrix(x, p)
-        if sup:
-            np.maximum(out[:, idx], col, out=col)
-        elif p == 1:
-            col += out[:, idx]
-        else:
-            with np.errstate(over="ignore"):  # an overflow stays inf; metric checks reject it
+        with np.errstate(over="ignore"):  # an overflowed entry is computed again, scaled
+            col[:] = _norms(np.abs(x), p)
+            col[idx] = lp_distance_matrix(x, p)
+            if sup:
+                np.maximum(out[:, idx], col, out=col)
+            elif p == 1:
+                col += out[:, idx]
+            else:
                 col **= p
-            col += out[:, idx]
+                col += out[:, idx]
         out[:, idx] = col
         # out was symmetric before this block, so the carrier rows are the
         # transpose of the columns just folded
         out[idx] = col.T
     if not sup and p != 1:
         out **= 1.0 / p
-    np.fill_diagonal(out, 0.0)
+        if shift:
+            with np.errstate(over="ignore"):  # a distance past the largest double
+                np.ldexp(out, shift, out=out)
     return out
 
 

@@ -83,8 +83,12 @@ def random_lp_cloud(
 ) -> LpPointSet:
     """Seeded uniform points in [0, box]^dim with a validated l_p metric.
 
-    Float rounding can in principle produce a hairline triangle violation
-    or a duplicate point; such draws are retried with a derived sub-seed.
+    A draw whose metric fails validation is retried with a derived
+    sub-seed.  For p in {1, 2, inf} and dim up to 1024 the triangle
+    inequality is proved rather than scanned (see ``LpPointSet``), so only a
+    duplicate point leads to a retry.  For other p, a larger dim, or l_2
+    distances outside [2^-480, 2^480], the scan still runs, and float
+    rounding can in principle also produce a hairline triangle violation.
     """
     if n < 2 or dim < 1:
         raise ValueError("need at least two points and one dimension")

@@ -29,6 +29,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .blocks import (
+    _L2_REDO_BELOW,
     BlockIsoModel,
     BlockVector,
     inner_norm,
@@ -62,6 +63,9 @@ __all__ = [
 ]
 
 _DIAG_TAG = 211  # stream tag for the diagonal map, disjoint from theta draws
+# Largest dim at which the triangle inequality of an l_1, l_2 or l_inf cloud
+# is proved rather than scanned (see LpPointSet.metric_space).
+_PROVED_DIM_CAP = 1024
 
 
 class NormBelowOne(ValueError):
@@ -81,7 +85,13 @@ class LpPointSet:
     """Finite subset of l_p^dim with a distinguished basepoint.
 
     The induced metric must validate; consumers reach it through
-    :meth:`metric_space`, which caches the (validated) distance matrix.
+    :meth:`metric_space`, which caches the validated distance matrix.  For
+    p in {1, 2, inf} and dim up to 1024 (for p = 2, with every positive
+    distance in [2^-480, 2^480]) the triangle inequality is proved from
+    rounding bounds and only the O(n^2) entry checks run; otherwise the
+    matrix goes through :func:`~blockembed.metric.validate_metric`.  Either
+    way the outcome, the exception and the matrix are those of
+    ``validate_metric``.
     """
 
     p: float
@@ -112,9 +122,43 @@ class LpPointSet:
 
     @cached_property
     def metric_space(self) -> FiniteMetricSpace:
-        from .metric import validate_metric
+        from .metric import _checked_entries, _labelled, validate_metric
 
-        return validate_metric(self.distance_matrix, self.labels)
+        d = self.distance_matrix
+        # The triangle scan of validate_metric cannot fire on an l_1, l_2 or
+        # l_inf cloud of dim <= _PROVED_DIM_CAP.  Write u = 2^-53, a for the
+        # exact distances of the stored points, a^ for the computed ones and
+        # M^ = max a^.  Each a^ is within g*a of a (Higham, Accuracy and
+        # Stability of Numerical Algorithms, ch. 3): g = u for l_inf (one
+        # rounded difference; the max is exact), gamma_dim = dim*u / (1 -
+        # dim*u) for l_1 (per term a difference and at most dim - 1 additions,
+        # in any order), and about (dim/2 + 2)*u for l_2 (gamma_(dim+2) on
+        # the sum of squares, halved by the root, plus the root's rounding).
+        # All three are at most gamma_(dim+2).  Differences and sums that
+        # underflow are exact.  For l_2, positive entries in [2^-480, 2^480]
+        # make every sum of squares at least 2^-960 and keep it finite, so
+        # the squares that underflow lose at most dim * 2^-1075 < 2^-105 of
+        # it (a row blocks._norms redid divided by a power of two obeys the
+        # same bound).  Exact distances satisfy the triangle inequality, so
+        # a computed excess a^_ij - a^_ik - a^_jk is at most g(a_ij + a_ik +
+        # a_jk) <= 3g/(1 - g) * M^, and the scan's two rounded subtractions
+        # add at most 3u * M^.  With dim <= 1024, g < 1027u and the sum is
+        # below 3085u * M^ < 3.5e-13 * M^, under the default slack
+        # 1e-12 * M^ (rounding is monotone, so the rounded slack still
+        # exceeds the float excess).  So validate_metric accepts the matrix
+        # exactly when the O(n^2) entry checks pass.
+        proved = self.dim <= _PROVED_DIM_CAP and (
+            self.p == 1
+            or math.isinf(self.p)
+            or (
+                self.p == 2
+                and d.max(initial=0.0) <= 2.0**480
+                and d.min(initial=np.inf, where=d > 0) >= _L2_REDO_BELOW
+            )
+        )
+        if proved:
+            return _labelled(_checked_entries(d), self.labels)
+        return validate_metric(d, self.labels)
 
     def norms(self) -> np.ndarray:
         """Distances to the basepoint."""

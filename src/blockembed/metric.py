@@ -100,8 +100,9 @@ class LengthMismatch(MetricError):
 class FiniteMetricSpace:
     """Validated finite metric space: labels and a square distance matrix.
 
-    Construct through :func:`validate_metric`; direct construction skips the
-    full triangle check and only asserts the cheap shape invariants.
+    Construct through :func:`validate_metric`, or from an l_p cloud through
+    ``LpPointSet.metric_space``; direct construction skips every metric check
+    and only asserts the cheap shape invariants.
     """
 
     labels: tuple[str, ...]
@@ -233,6 +234,7 @@ class BoundsReport:
                 lo = float(self.lower_envelope(d))
                 hi = float(self.upper_envelope(d))
                 ok = v - lo >= -self.tolerance and hi - v >= -self.tolerance
+                ok = ok and (v != 0 or not lo > 0)
                 records.append(PairRecord(i, j, d, v, lo, hi, ok))
         return tuple(records)
 
@@ -275,42 +277,11 @@ def validate_metric(
     flagged does the exact per-triple scan run, from the flagged row on; it
     decides the outcome and names the first violating triple.
     """
-    try:
-        a = np.array(matrix, dtype=float)
-    except (TypeError, ValueError) as err:
-        raise MetricError(f"matrix entries must be numbers: {err}") from err
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise MetricError("matrix must be square")
+    a = _checked_entries(matrix)
     n = a.shape[0]
-    if not np.all(np.isfinite(a)):
-        raise MetricError("matrix entries must be finite")
     scale = float(a.max(initial=0.0))
     if tol is None:
         tol = 1e-12 * scale
-
-    neg = np.argwhere(a < 0)
-    if neg.size:
-        i, j = map(int, neg[0])
-        raise NegativeEntry(i, j, float(a[i, j]))
-
-    asym = np.argwhere(a != a.T)
-    if asym.size:
-        i, j = map(int, asym[0])
-        if i > j:
-            i, j = j, i
-        raise AsymmetricMatrix(i, j)
-
-    diag = np.flatnonzero(np.diagonal(a) != 0)
-    if diag.size:
-        i = int(diag[0])
-        raise NonzeroDiagonal(i, float(a[i, i]))
-
-    zero = np.argwhere((a == 0) & ~np.eye(n, dtype=bool))
-    if zero.size:
-        i, j = map(int, zero[0])
-        if i > j:
-            i, j = j, i
-        raise ZeroOffDiagonal(i, j)
 
     # Min-plus filter.  Write u = 2^-53 and M = scale; every entry lies in
     # [0, M].  The scan computes fl(fl(a_ij - a_ik) - a_jk), the filter
@@ -343,6 +314,50 @@ def validate_metric(
             _scan_triangles(a, tol, i)
             break
 
+    return _labelled(a, labels)
+
+
+def _checked_entries(matrix: Any) -> np.ndarray:
+    """The matrix as a new float array, after every check of
+    :func:`validate_metric` but the triangle inequality, in its order."""
+    try:
+        a = np.array(matrix, dtype=float)
+    except (TypeError, ValueError) as err:
+        raise MetricError(f"matrix entries must be numbers: {err}") from err
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise MetricError("matrix must be square")
+    if not np.all(np.isfinite(a)):
+        raise MetricError("matrix entries must be finite")
+
+    neg = np.argwhere(a < 0)
+    if neg.size:
+        i, j = map(int, neg[0])
+        raise NegativeEntry(i, j, float(a[i, j]))
+
+    asym = np.argwhere(a != a.T)
+    if asym.size:
+        i, j = map(int, asym[0])
+        if i > j:
+            i, j = j, i
+        raise AsymmetricMatrix(i, j)
+
+    diag = np.flatnonzero(np.diagonal(a) != 0)
+    if diag.size:
+        i = int(diag[0])
+        raise NonzeroDiagonal(i, float(a[i, i]))
+
+    zero = np.argwhere((a == 0) & ~np.eye(a.shape[0], dtype=bool))
+    if zero.size:
+        i, j = map(int, zero[0])
+        if i > j:
+            i, j = j, i
+        raise ZeroOffDiagonal(i, j)
+    return a
+
+
+def _labelled(a: np.ndarray, labels: Sequence[str] | None) -> FiniteMetricSpace:
+    """Wrap a checked matrix, read-only, with labels (p0, p1, ... by default)."""
+    n = a.shape[0]
     if labels is None:
         labels = tuple(f"p{i}" for i in range(n))
     else:
@@ -482,11 +497,14 @@ def verify_bounds(
     """Check lower(d) - tol <= image distance <= upper(d) + tol on all pairs.
 
     The tolerance is an absolute two-sided slack; a NaN tolerance raises
-    ``ValueError``.  Failures are report content, never exceptions.  The
-    upper triangle is walked row by row: each envelope is called once per
-    pair with the distance as a Python float, and the slacks, pass mask and
-    extrema are taken with numpy.  Worst slacks are the minima over all
-    pairs; the report's ``records`` are built only when read.
+    ``ValueError``.  A pair whose image distance is exactly 0 while its lower
+    envelope is positive fails whatever the tolerance: a computed 0 means the
+    two images are identical, so no rounding slack applies.  Failures are
+    report content, never exceptions.  The upper triangle is walked row by
+    row: each envelope is called once per pair with the distance as a Python
+    float, and the slacks, pass mask and extrema are taken with numpy.  Worst
+    slacks are the minima over all pairs; the report's ``records`` are built
+    only when read.
     """
     if math.isnan(tolerance):
         raise ValueError("tolerance must not be NaN")
@@ -506,12 +524,14 @@ def verify_bounds(
         slack_lo = v - lo
         slack_hi = hi - v
         ok = (slack_lo >= -tolerance) & (slack_hi >= -tolerance)
+        nonzero = v != 0
+        if not nonzero.all():  # identical images fail under a positive lower envelope
+            any_zero = True
+            ok &= nonzero | ~(lo > 0)
         n_failed += len(row) - int(np.count_nonzero(ok))
         # fmin passes over a NaN slack, as the builtin min of the records does
         worst_lo = float(np.fmin.reduce(slack_lo, initial=worst_lo))
         worst_hi = float(np.fmin.reduce(slack_hi, initial=worst_hi))
-        nonzero = v != 0
-        any_zero = any_zero or not nonzero.all()
         max_exp = float(np.max(v / d, initial=max_exp))
         max_inv = float(np.max(d[nonzero] / v[nonzero], initial=max_inv))
 

@@ -152,7 +152,8 @@ def scan_triangle_violation(a, tol):
 
 
 def loop_verify_bounds(domain, lower_envelope, upper_envelope, image_distances, tolerance):
-    """(records, summary, passed) of the former per-pair loop of ``verify_bounds``."""
+    """(records, summary, passed) of the former per-pair loop of ``verify_bounds``,
+    with its rule that a zero image distance fails under a positive lower envelope."""
     n = domain.n_points
     m = np.asarray(image_distances, dtype=float)
     records = []
@@ -170,6 +171,8 @@ def loop_verify_bounds(domain, lower_envelope, upper_envelope, image_distances, 
             slack_lo = v - lo
             slack_hi = hi - v
             ok = slack_lo >= -tolerance and slack_hi >= -tolerance
+            if v == 0 and lo > 0:  # identical images of distinct points
+                ok = False
             records.append(PairRecord(i, j, d, v, lo, hi, ok))
             worst_lo = min(worst_lo, slack_lo)
             worst_hi = min(worst_hi, slack_hi)

@@ -340,6 +340,27 @@ class TestDistances:
             pairwise_distance_matrix(images, 2.0), oracles.dense_pair_distances(images, 2.0, 2.0)
         )
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_pairwise_fold_past_the_range_of_its_powers(self, p):
+        images = _ragged_images(np.random.default_rng(int(2 * p)), 12)
+        for i in (2, 5, 7):  # blocks whose p-th powers overflow a double
+            images[i] = BlockVector({j: 1e300 * x for j, x in images[i].blocks.items()})
+        mat = pairwise_distance_matrix(images, p)
+        with np.errstate(over="ignore"):
+            dense = oracles.dense_pair_distances(images, p, p)
+        finite = np.isfinite(dense)
+        assert not finite.all()
+        assert np.array_equal(mat[finite], dense[finite])
+        # divided by 2^1000, the overflowing pairs stay in range for the brute-force loops
+        shrunk = [BlockVector({j: x * 2.0**-1000 for j, x in v.blocks.items()}) for v in images]
+        brute = np.array(oracles.brute_pair_distances(shrunk, p, p)) * 2.0**1000
+        assert np.allclose(mat[~finite], brute[~finite], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_pairwise_distances_past_the_largest_double_are_inf(self, p):
+        images = [BlockVector({0: [-1.7e308, 0.0]}), BlockVector({0: [1.7e308, 0.0]})]
+        assert pairwise_distance_matrix(images, p)[0, 1] == math.inf
+
 
 class TestBlockIsoModel:
     def test_exact_mode(self):

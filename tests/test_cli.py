@@ -2,11 +2,19 @@ import json
 import math
 import sys
 
+import numpy as np
 import pytest
 
 from blockembed import blocks, metric
 from blockembed.cli import RunConfig, main, run_report
-from blockembed.io import ParseError, UnknownFormat, atomic_write_text, dumps_report, parse_space
+from blockembed.io import (
+    ParseError,
+    UnknownFormat,
+    atomic_write_text,
+    dumps_report,
+    parse_space,
+    write_space,
+)
 from blockembed.lp_coarse import LpPointSet
 from blockembed.metric import FiniteMetricSpace, TooFewPoints, TriangleViolation
 
@@ -231,17 +239,54 @@ class TestCliModes:
         fixture = tmp_path / "c.json"
         code = run_cli("gen", "--kind", "random-lp-cloud", "--n", 12, "--seed", 3, "--out", fixture)
         assert code == 0
-        original = metric.validate_metric
+        original = metric._checked_entries
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(mode)
             return original(*args, **kwargs)
 
-        # a cloud reaches it through LpPointSet.metric_space, which looks it up on call
-        monkeypatch.setattr(metric, "validate_metric", counting)
+        # every metric a cloud builds, with its triangles proved or scanned,
+        # runs the entry checks once; LpPointSet.metric_space looks them up on call
+        monkeypatch.setattr(metric, "_checked_entries", counting)
         assert run_cli(mode, "--input", fixture, *flags, "--out", tmp_path / "rep.json") == 0
         assert len(calls) == expected
+
+    @pytest.mark.parametrize("mode", ["embed-lp", "coarse", "moduli"])
+    @pytest.mark.parametrize(
+        "p, dim, scale, scanned",
+        [
+            (1.0, 3, 1.0, False),
+            (2.0, 3, 1.0, False),
+            (math.inf, 3, 1.0, False),
+            (2.0, 1024, 1.0, False),
+            (3.0, 3, 1.0, True),  # no rounding bound for general p
+            (2.0, 1025, 1.0, True),  # above the dim cap
+            (1.0, 1025, 1.0, True),
+            (2.0, 3, 1e300, True),  # l_2 entries above 2^480
+            (2.0, 3, 1e-300, True),  # l_2 entries below 2^-480
+        ],
+    )
+    def test_triangle_scan_runs_only_where_unproved(
+        self, tmp_path, monkeypatch, mode, p, dim, scale, scanned
+    ):
+        rng = np.random.default_rng(dim)
+        fixture = tmp_path / "c.json"
+        write_space(LpPointSet(p, rng.uniform(0.0, 8.0, size=(12, dim)) * scale), fixture)
+        calls = {"validate_metric": 0, "_scan_triangles": 0}
+        for name in calls:
+            original = getattr(metric, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(metric, name, counting)
+        assert run_cli(mode, "--input", fixture, "--out", tmp_path / "rep.json") == 0
+        if scanned:
+            assert calls["validate_metric"] >= 1
+        else:
+            assert calls == {"validate_metric": 0, "_scan_triangles": 0}
 
     @pytest.mark.parametrize("flags", [(), ("--p", 1), ("--basepoint", 1)])
     def test_validate_invalid_cloud_reports_invalid(self, tmp_path, flags):
@@ -413,10 +458,20 @@ class TestCliModes:
         assert payload["min_positive_distance"] == pytest.approx(expected, rel=1e-15)
 
     @pytest.mark.parametrize("mode", ["embed-lp", "coarse"])
-    def test_overflowing_image_distances_exit_two(self, tmp_path, capsys, mode):
-        # the cloud validates, but the l_2 fold of its image distances overflows
+    def test_cloud_with_overflowing_squares_certifies(self, tmp_path, mode):
+        # the squares of the image distances overflow a double; the scaled fold does not
         fixture = tmp_path / "c.json"
         fixture.write_text('{"p":2,"points":[[0,0],[3e300,4e300],[6e300,1e300]]}')
+        report = tmp_path / "rep.json"
+        assert run_cli(mode, "--input", fixture, "--out", report) == 0
+        checks = json.loads(report.read_text())["checks"]
+        assert checks["pairs_passed"] == checks["pairs_total"] == 3
+
+    @pytest.mark.parametrize("mode", ["embed-lp", "coarse"])
+    def test_overflowing_coordinate_differences_exit_two(self, tmp_path, capsys, mode):
+        # 1.7e308 - (-1.7e308) overflows, so the cloud's distances are not finite
+        fixture = tmp_path / "c.json"
+        fixture.write_text('{"p":2,"points":[[-1.7e308,0],[1.7e308,0],[0,1]]}')
         assert run_cli(mode, "--input", fixture) == 2
         err = capsys.readouterr().err
         assert err.startswith("blockembed: error:")

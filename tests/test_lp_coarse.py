@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blockembed.blocks import BlockIsoModel, BlockVector, axpy, inner_norm, outer_norm
+from blockembed import metric
+from blockembed.blocks import (
+    BlockIsoModel,
+    BlockVector,
+    axpy,
+    inner_norm,
+    lp_distance_matrix,
+    outer_norm,
+)
 from blockembed.lp_coarse import (
     CoarseConstants,
     DomainMismatch,
@@ -26,6 +34,7 @@ from blockembed.lp_coarse import (
     verify_coarse,
     verify_lp,
 )
+from blockembed.metric import MetricError, ZeroOffDiagonal, validate_metric
 
 import oracles
 
@@ -60,6 +69,105 @@ class TestNormalize:
             norms = [inner_norm(row, p) for row in ns.points]
             positive = [v for v in norms if v > 0]
             assert min(positive) >= 1.0
+
+
+def metric_outcome(build):
+    """A metric space's labels, matrix and writeable flag, or its error's
+    type, message and fields."""
+    try:
+        space = build()
+    except MetricError as err:
+        return type(err), err.args, vars(err)
+    return space.labels, space.dist.tobytes(), space.dist.flags.writeable
+
+
+def full_check(p, pts, labels=None):
+    return metric_outcome(lambda: validate_metric(lp_distance_matrix(pts, p), labels))
+
+
+def cloud_metric(p, pts, labels=None):
+    return metric_outcome(lambda: LpPointSet(p, pts, labels=labels).metric_space)
+
+
+@st.composite
+def lp_clouds(draw):
+    """(p, points, labels): 1..10 points in dim 1..64 at a scale from 1e-300
+    to 1e300, sometimes with a duplicate point, with every row spread over
+    several decades, or moved far away and translated back by one point."""
+    p = draw(st.sampled_from([1.0, 2.0, math.inf, 3.0]))
+    n = draw(st.integers(1, 10))
+    dim = draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.uniform(-1.0, 1.0, size=(n, dim)) * 10.0 ** draw(st.integers(-300, 300))
+    if draw(st.booleans()):
+        pts *= 10.0 ** rng.integers(-8, 9, size=(n, 1))
+    if n >= 2 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        pts[j] = pts[i]
+    far = draw(st.sampled_from([0.0, 1e8, 1e16])) * float(np.abs(pts).max())
+    if far and math.isfinite(2 * far):  # away from the origin, then back as normalize_pointed does
+        pts = pts + far
+        pts = pts - pts[draw(st.integers(0, n - 1))]
+    labels = draw(st.sampled_from([None, tuple(f"x{i}" for i in range(n))]))
+    return p, pts, labels
+
+
+class TestMetricSpace:
+    """LpPointSet.metric_space, proved or scanned, against validate_metric."""
+
+    @given(lp_clouds())
+    @settings(max_examples=300, deadline=None)
+    def test_same_outcome_as_validate_metric(self, case):
+        p, pts, labels = case
+        # l_3 distances past about 1e102 overflow to inf on both sides
+        with np.errstate(over="ignore"):
+            expected = full_check(p, pts, labels)
+            assert cloud_metric(p, pts, labels) == expected
+        if not isinstance(expected[0], type):
+            assert expected[2] is False
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    @pytest.mark.parametrize("dim", [1, 3, 64])
+    def test_tight_collinear_triangles(self, p, dim):
+        # every triangle of collinear points is tight in every l_p
+        rng = np.random.default_rng(dim)
+        direction = rng.uniform(-1.0, 1.0, size=dim)
+        pts = np.sort(rng.uniform(0.0, 10.0, size=24))[:, None] * direction
+        assert cloud_metric(p, pts) == full_check(p, pts)
+        LpPointSet(p, pts).metric_space  # and both accept
+
+    @pytest.mark.parametrize("p", [1.0, math.inf])
+    def test_tight_axis_aligned_triangles(self, p):
+        # l_1 sums and l_inf maxima on a grid: many triangles exactly tight
+        pts = np.array(list(np.ndindex(4, 4, 3)), dtype=float) * 0.1
+        assert cloud_metric(p, pts) == full_check(p, pts)
+        LpPointSet(p, pts).metric_space  # and both accept
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_translation_that_merges_points(self, p):
+        # 0 - 1e16 and 1 - 1e16 round to the same double
+        cloud = LpPointSet(p, np.array([[0.0], [1.0], [1e16]]), basepoint=2)
+        cloud.metric_space  # distinct before the translation
+        ns, _, _ = normalize_pointed(cloud)
+        expected = full_check(p, ns.points)
+        assert expected[0] is ZeroOffDiagonal and expected[2] == {"i": 0, "j": 1}
+        assert metric_outcome(lambda: ns.metric_space) == expected
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    @pytest.mark.parametrize("dim, scanned", [(1024, False), (1025, True)])
+    def test_dim_cap(self, monkeypatch, p, dim, scanned):
+        calls = []
+        original = metric.validate_metric
+        monkeypatch.setattr(
+            metric, "validate_metric", lambda *a, **k: calls.append(1) or original(*a, **k)
+        )
+        rng = np.random.default_rng(dim)
+        pts = np.sort(rng.uniform(0.0, 10.0, size=8))[:, None] * rng.uniform(-1, 1, size=dim)
+        pts[5] += rng.uniform(-1e-3, 1e-3, size=dim)  # one point off the line
+        expected = full_check(p, pts)
+        calls.clear()
+        assert cloud_metric(p, pts) == expected
+        assert calls == ([1] if scanned else [])
 
 
 class TestLpParams:

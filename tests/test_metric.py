@@ -400,6 +400,27 @@ class TestVerifyBounds:
         assert rep.n_failed == rep.n_pairs == 3
         assert rep.empirical_distortion == math.inf
 
+    def test_zero_map_fails_at_any_scale(self):
+        # at 1e-9 every lower envelope value lies inside the default tolerance,
+        # so only the identical images can fail the map
+        from blockembed.fixtures import random_graph_metric
+        from blockembed.proper import separation_envelope
+
+        space = validate_metric(1e-9 * random_graph_metric(40, None, 7).dist)
+        zero = np.zeros((40, 40))
+        rep = verify_bounds(space, separation_envelope, lambda d: d, image_distances=zero)
+        assert rep.worst_lower_slack > -rep.tolerance
+        assert not rep.passed
+        assert rep.n_failed == rep.n_pairs == 40 * 39 // 2
+        assert not any(r.passed for r in rep.records)
+
+    def test_zero_image_passes_under_a_negative_lower_envelope(self):
+        # coarse pairs rounded onto one net member share an image
+        space = line_space([0, 1, 3])
+        m = np.array([[0.0, 0.0, 3.0], [0.0, 0.0, 3.0], [3.0, 3.0, 0.0]])
+        rep = verify_bounds(space, lambda d: d - 1.5, lambda d: d + 1.5, image_distances=m)
+        assert rep.passed
+
     def test_identity_zero_upper_slack(self):
         space = line_space([0, 1, 3])
         images = [np.array([c]) for c in (0.0, 1.0, 3.0)]
