@@ -43,7 +43,7 @@ _THETA_TAG = 101  # stream tag separating theta draws from other consumers
 # Elements of one carrier-by-carrier difference chunk: 512 KB of float64,
 # small enough to stay in cache between the subtraction and the reduction.
 _CHUNK_ELEMS = 1 << 16
-# An l_2 norm below this may have lost its smallest squares to underflow.
+# An l_p norm below this ** (2 / p) may have lost its smallest powers to underflow.
 _L2_REDO_BELOW = 2.0**-480
 
 
@@ -151,10 +151,14 @@ def inner_norm(x: np.ndarray, p: float) -> float:
         return float(np.abs(x).max())
     if p == 1:
         return float(np.abs(x).sum())
+    e = math.frexp(float(np.abs(x).max()))[1]
     if p == 2:  # divided by an exact power of two so the squares stay in range
-        e = math.frexp(float(np.abs(x).max()))[1]
         return math.ldexp(float(np.linalg.norm(np.ldexp(x, -e))), e)
-    return float((np.abs(x) ** p).sum() ** (1.0 / p))
+    with np.errstate(over="ignore"):  # such a sum is redone below
+        total = float((np.abs(x) ** p).sum())
+    if not _L2_REDO_BELOW**2 <= total < math.inf:  # as in _norms
+        return math.ldexp(float((np.abs(np.ldexp(x, -e)) ** p).sum()) ** (1.0 / p), e)
+    return total ** (1.0 / p)
 
 
 def outer_norm(v: BlockVector, p: float) -> float:
@@ -194,27 +198,27 @@ def scale_block(a: float, v: BlockVector) -> BlockVector:
 def _norms(diff: np.ndarray, p: float) -> np.ndarray:
     """Inner l_p norms of non-negative coordinate rows along the last axis.
 
-    ``diff`` is scratch: the general l_p case overwrites it.  For p = 2 a
-    row whose squares may have left the normal range (a norm below
-    ``_L2_REDO_BELOW`` or an infinite one) is redone divided by an exact
-    power of two near its largest entry, its root multiplied back; that is
-    exact, so every row whose squares are normal keeps the same bits.
+    For finite p > 1 a row whose p-th powers may have left the normal
+    range (a power sum below 2^-960, so a norm below ``_L2_REDO_BELOW`` for
+    p = 2, or an infinite one) is redone divided by an exact power of two
+    near its largest entry, its root multiplied back; every other row keeps
+    the same bits.
     """
     if math.isinf(p):
         return diff.max(axis=-1)
     if p == 1:
         return diff.sum(axis=-1)
-    if p == 2:
-        with np.errstate(over="ignore"):  # an overflowed row is redone below
-            out = np.sqrt(np.square(diff).sum(axis=-1))
-        redo = ~(out >= _L2_REDO_BELOW) | np.isinf(out)
-        if redo.any():
-            rows = diff[redo]
-            e = np.frexp(rows.max(axis=-1))[1]
-            rows = np.ldexp(rows, -e[:, None])
-            out[redo] = np.ldexp(np.sqrt(np.square(rows).sum(axis=-1)), e)
-        return out
-    return np.power(diff, p, out=diff).sum(axis=-1) ** (1.0 / p)
+    powers = np.square if p == 2 else (lambda x: np.power(x, p))
+    root = np.sqrt if p == 2 else (lambda x: x ** (1.0 / p))
+    with np.errstate(over="ignore"):  # an overflowed row is redone below
+        out = root(powers(diff).sum(axis=-1))
+    redo = ~(out >= _L2_REDO_BELOW ** (2.0 / p)) | np.isinf(out)
+    if redo.any():
+        rows = diff[redo]
+        e = np.frexp(rows.max(axis=-1))[1]
+        rows = np.ldexp(rows, -e[:, None])
+        out[redo] = np.ldexp(root(powers(rows).sum(axis=-1)), e)
+    return out
 
 
 def lp_distance_matrix(points: np.ndarray, p: float) -> np.ndarray:

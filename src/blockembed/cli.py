@@ -35,6 +35,7 @@ from .io import (
     write_space,
 )
 from .lp_coarse import (
+    LpEmbedding,
     LpParams,
     LpPointSet,
     coarse_embed,
@@ -52,7 +53,7 @@ from .metric import (
     min_positive_distance,
     moduli_profile,
 )
-from .proper import CODOMAIN_P, embed_space_proper, verify_proper
+from .proper import ProperEmbedding, _image_distances, embed_space_proper, verify_proper
 
 __all__ = ["RunConfig", "run_report", "main"]
 
@@ -202,24 +203,32 @@ def _run_net(config: RunConfig) -> tuple[dict[str, Any], bool]:
     return body, ok
 
 
-def _run_embed_proper(config: RunConfig) -> tuple[dict[str, Any], bool]:
-    space, basepoint = _pointed(_load_embeddable(config), config)
-    pspace = PointedSpace(space, basepoint)
+def _embed_proper(space: Any, config: RunConfig) -> tuple[ProperEmbedding, np.ndarray]:
+    """The proper embedding of an input and its image distance matrix."""
+    pspace = PointedSpace(*_pointed(space, config))
     emb = embed_space_proper(pspace, iso=_proper_iso(config), k_slack=config.k_max_slack)
-    dmat = pairwise_distance_matrix(emb.images, CODOMAIN_P)
+    return emb, _image_distances(emb)
+
+
+def _embed_lp(cloud: LpPointSet, config: RunConfig) -> tuple[LpEmbedding, np.ndarray]:
+    """The l_p embedding of a cloud and its image distance matrix."""
+    emb = embed_set_lp(cloud, _lp_params(config))
+    return emb, pairwise_distance_matrix(emb.images, emb.pointset.p)
+
+
+def _run_embed_proper(config: RunConfig) -> tuple[dict[str, Any], bool]:
+    emb, dmat = _embed_proper(_load_embeddable(config), config)
     report = verify_proper(emb, tolerance=config.tolerance, image_distances=dmat)
     body = {
         "constants": dict(report.constants),
         "checks": report.summary(),
-        "moduli": _moduli_body(space, dmat, config.moduli_points),
+        "moduli": _moduli_body(emb.pspace.space, dmat, config.moduli_points),
     }
     return body, report.passed
 
 
 def _run_embed_lp(config: RunConfig) -> tuple[dict[str, Any], bool]:
-    cloud = _require_cloud(_load_embeddable(config), config.mode)
-    emb = embed_set_lp(cloud, _lp_params(config))
-    dmat = pairwise_distance_matrix(emb.images, emb.pointset.p)
+    emb, dmat = _embed_lp(_require_cloud(_load_embeddable(config), config.mode), config)
     report = verify_lp(emb, tolerance=config.tolerance, image_distances=dmat)
     body = {
         "constants": dict(report.constants),
@@ -257,21 +266,11 @@ def _run_coarse(config: RunConfig) -> tuple[dict[str, Any], bool]:
 def _run_moduli(config: RunConfig) -> tuple[dict[str, Any], bool]:
     space = _load_embeddable(config)
     if isinstance(space, LpPointSet):
-        emb = embed_set_lp(space, _lp_params(config))
-        domain = emb.pointset.metric_space
-        p = space.p
-        images = emb.images
-        map_kind = "lipschitz-lp"
+        lp, dmat = _embed_lp(space, config)
+        domain, map_kind = lp.pointset.metric_space, "lipschitz-lp"
     else:
-        pspace = PointedSpace(*_pointed(space, config))
-        prop = embed_space_proper(
-            pspace, iso=_proper_iso(config), k_slack=config.k_max_slack
-        )
-        domain = space
-        p = CODOMAIN_P
-        images = prop.images
-        map_kind = "proper"
-    dmat = pairwise_distance_matrix(images, p)
+        emb, dmat = _embed_proper(space, config)
+        domain, map_kind = emb.pspace.space, "proper"
     body = {
         "map": map_kind,
         "moduli": _moduli_body(domain, dmat, config.moduli_points),

@@ -14,18 +14,21 @@ The construction layers three ingredients:
 The certified envelopes are ``separation_envelope(d)`` from below and
 ``9 * C_trunc * d`` from above, where C_trunc sums the weight series over
 the shell/level offsets actually used and never exceeds the full series
-total WEIGHT_SERIES_SUM = pi * coth(pi).
+total WEIGHT_SERIES_SUM = pi * coth(pi).  Image distances come from one
+Frechet matrix per (shell, net) group, with a proved rounding screen and an
+exact fallback for the pairs it cannot clear; images are built when read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
 
-from .blocks import BlockIsoModel, BlockVector, pair_index
+from .blocks import _CHUNK_ELEMS, BlockIsoModel, BlockVector, lp_distance_matrix, pair_index
 from .metric import (
     BoundsReport,
     Net,
@@ -34,7 +37,6 @@ from .metric import (
     greedy_maximal_net,
     verify_bounds,
 )
-from . import blocks as _blocks
 
 __all__ = [
     "NegativeRadius",
@@ -161,12 +163,16 @@ class NetHierarchy:
 
 @dataclass(frozen=True)
 class ProperEmbedding:
-    """A built embedding: domain, constants, net hierarchy, and the images."""
+    """A built embedding: domain, constants, net hierarchy; ``images`` is built on first read."""
 
     pspace: PointedSpace
     params: ProperParams
     hierarchy: NetHierarchy
-    images: tuple[BlockVector, ...]
+
+    @cached_property
+    def images(self) -> tuple[BlockVector, ...]:
+        pspace, n = self.pspace, self.pspace.space.n_points
+        return tuple(embed_point_proper(t, pspace, self.params, self.hierarchy) for t in range(n))
 
 
 def make_proper_params(
@@ -251,6 +257,19 @@ def frechet_coords(t: int, net: Net, pspace: PointedSpace) -> np.ndarray:
     return space.dist[t, members] - norms[members]
 
 
+def _tiers(t: int, annulus: tuple[int, float], params: ProperParams):
+    """The shells point t touches under ``annulus``, with non-zero blends."""
+    n, lam = annulus
+    for tier, blend in ((n, lam), (n + 1, 1.0 - lam)):
+        if blend == 0.0:
+            continue
+        if not params.n_min <= tier <= params.n_max:
+            raise AnnulusOutOfRange(
+                f"point {t} needs shell {tier} outside [{params.n_min}, {params.n_max}]"
+            )
+        yield tier, blend
+
+
 def embed_point_proper(
     t: int,
     pspace: PointedSpace,
@@ -271,15 +290,8 @@ def embed_point_proper(
         if r == 0:
             return BlockVector.empty()
         annulus = annulus_index(r)
-    n, lam = annulus
     out: dict[int, np.ndarray] = {}
-    for tier, blend in ((n, lam), (n + 1, 1.0 - lam)):
-        if blend == 0.0:
-            continue
-        if not params.n_min <= tier <= params.n_max:
-            raise AnnulusOutOfRange(
-                f"point {t} needs shell {tier} outside [{params.n_min}, {params.n_max}]"
-            )
+    for tier, blend in _tiers(t, annulus, params):
         for k in range(1, params.k_max[tier] + 1):
             j = pair_index(tier, k)
             coords = frechet_coords(t, hierarchy.net(tier, k), pspace)
@@ -292,14 +304,98 @@ def embed_space_proper(
     iso: BlockIsoModel | None = None,
     k_slack: int = 4,
 ) -> ProperEmbedding:
-    """Build parameters, hierarchy, and all point images in one call."""
+    """Build parameters and hierarchy; the images are built on first read."""
     params = make_proper_params(pspace, iso=iso, k_slack=k_slack)
-    hierarchy = build_hierarchy(pspace, params)
-    images = tuple(
-        embed_point_proper(t, pspace, params, hierarchy)
-        for t in range(pspace.space.n_points)
-    )
-    return ProperEmbedding(pspace, params, hierarchy, images)
+    return ProperEmbedding(pspace, params, build_hierarchy(pspace, params))
+
+
+def _image_distances(embedding: ProperEmbedding) -> np.ndarray:
+    """``pairwise_distance_matrix(embedding.images, CODOMAIN_P)`` bit for
+    bit, from one Frechet matrix F per (shell, net) group and no images.
+
+    Level j of a group gives carrier t the block a_tj * F_t, a_tj = (b_t *
+    w_j) * theta_j as in ``embed_point_proper``.  Against a non-carrier, t
+    gets max_j fl(a_tj * |F_t|_inf), its block norm, as rounding is
+    monotone; carrier pairs get the kernel for the level j* of largest c_j =
+    w_j * theta_j, and each other level where the screen cannot clear it.
+    The sup fold is exact in any order; a zero block counts as absent."""
+    pspace, params, nets = embedding.pspace, embedding.params, embedding.hierarchy
+    dist, norms = pspace.space.dist, pspace.norms()
+    shells: dict[int, list[tuple[int, float]]] = {}
+    for t in np.flatnonzero(norms).tolist():
+        for tier, blend in _tiers(t, annulus_index(float(norms[t])), params):
+            shells.setdefault(tier, []).append((t, blend))
+    out = np.zeros_like(dist)
+    for shell, carried in shells.items():
+        idx, blend = map(np.array, zip(*carried))
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for k in range(1, params.k_max[shell] + 1):
+            groups.setdefault(nets.net(shell, k).members, []).append(k)
+        solo, pair = np.zeros(len(idx)), np.zeros((len(idx), len(idx)))
+        for members, ks in groups.items():
+            f = dist[np.ix_(idx, members)] - norms[list(members)]
+            w = np.array([tier_weight(shell, k) for k in ks])
+            theta = np.array([params.iso.factor(pair_index(shell, k)) for k in ks])
+            a, c = blend[:, None] * w * theta, w * theta
+            norm = np.abs(f).max(axis=1)
+            np.maximum(solo, (a * norm[:, None]).max(axis=1), out=solo)
+            top = int(np.argmax(c))
+            q = lp_distance_matrix(a[:, top, None] * f, math.inf)  # V*, divided by N below
+            np.maximum(pair, q, out=pair)
+            # Screen of level j against j*.  With u = 2^-53 and gamma_k =
+            # k u / (1 - k u) (Higham ch. 3), a_tj = b_t c_j (1 + eta),
+            # |eta| <= gamma_2, and each coordinate fl(a_tj F_ts) is
+            # b_t c_j F_ts (1 + gamma_3-bounded), as long as nothing leaves
+            # the normal range: b, w, theta <= 1 and the guard keeps a_tj
+            # above 2^-1000, a non-zero |a_tj F_ts| above 2^-900 and |F|
+            # below 2^900 (a subnormal difference is exact).  With G_s =
+            # |b_t F_ts - b_u F_us| <= N_s = b_t |F_ts| + b_u |F_us| and one
+            # more rounding for the difference, every computed level value
+            # V_j lies within c_j (G +- gamma_4 N), G = max_s G_s and N =
+            # b_t |F_t| + b_u |F_u|.
+            # From V* = V_j* >= c_j* (G - gamma_4 N), with rho = c_j / c_j*,
+            #     V_j <= rho V* + 2 gamma_4 c_j N,
+            # so V_j <= V* once (1 - rho) V* >= 2 gamma_4 c_j N.  Per level,
+            # s <= 1 - rho, e >= 16u c_j and tau >= max(e / s, 2^-1000) are
+            # rounded outward with nextafter.  Per pair, q = fl(V* / fl(fl(b_t
+            # |F_t|) + fl(b_u |F_u|))) carries three roundings, all normal:
+            # q >= tau gives V* >= N (1 - u)^2 tau / (1 + u) >= 16u (1 - u)^2
+            # / (1 + u) c_j N / (1 - rho) >= 2 gamma_4 c_j N / (1 - rho).
+            # Pairs with q < tau are computed exactly, with lp_distance_matrix's
+            # subtraction; when the guard fails, every level goes through it.
+            small = a.min() * np.abs(f).min(where=f != 0, initial=math.inf)
+            safe = a.min() >= 2.0**-1000 and small >= 2.0**-900 and norm.max() <= 2.0**900
+            if safe:
+                bn = blend * norm
+                np.divide(q, np.add.outer(bn, bn), out=q)
+                up = np.nextafter(c, math.inf)
+                rho = np.nextafter(up / np.nextafter(c[top], 0.0), math.inf)
+                s = np.maximum(np.nextafter(1.0 - rho, -math.inf), 0.0)
+                e = np.nextafter(up * 2.0**-49, math.inf)
+                with np.errstate(divide="ignore"):  # s = 0: tau = inf
+                    tau = np.maximum(np.nextafter(e / s, math.inf), 2.0**-1000)
+            for j in range(len(ks)):
+                if np.array_equal(a[:, j], a[:, top]):  # the same block, j* included
+                    continue
+                if not safe:
+                    np.maximum(pair, lp_distance_matrix(a[:, j, None] * f, math.inf), out=pair)
+                    continue
+                ti, ui = np.nonzero(np.triu(q < tau[j], 1))
+                step = max(1, _CHUNK_ELEMS // len(members))
+                for lo in range(0, len(ti), step):
+                    t, u = ti[lo : lo + step], ui[lo : lo + step]
+                    with np.errstate(over="ignore"):  # an overflow stays inf, as in the kernel
+                        v = np.abs(a[t, j, None] * f[t] - a[u, j, None] * f[u]).max(axis=1)
+                    pair[t, u] = np.maximum(pair[t, u], v)
+                pair[ui, ti] = pair[ti, ui]
+            del f, q  # before the next group's are built
+        # carrier columns: solo against non-carrier rows, pair against carriers
+        col = np.maximum(out[:, idx], solo)
+        col[idx] = np.maximum(out[np.ix_(idx, idx)], pair)
+        out[:, idx] = col
+        out[idx] = col.T
+    np.fill_diagonal(out, 0.0)
+    return out
 
 
 def verify_proper(
@@ -314,12 +410,14 @@ def verify_proper(
     built, which is at most the full series total, so the check is at least
     as strict as the nominal 9 * WEIGHT_SERIES_SUM * d envelope.
     ``image_distances`` is the images' pairwise distance matrix when the
-    caller has already computed it; otherwise it is computed here.
+    caller has already computed it; otherwise it is computed here, bit for
+    bit, from one Frechet matrix per (shell, net) group with a proved
+    screen and an exact fallback, without building the images.
     """
     params = embedding.params
     upper_factor = 9.0 * params.c_trunc
     if image_distances is None:
-        image_distances = _blocks.pairwise_distance_matrix(embedding.images, CODOMAIN_P)
+        image_distances = _image_distances(embedding)
     return verify_bounds(
         embedding.pspace.space,
         separation_envelope,

@@ -328,6 +328,14 @@ class TestDistances:
         assert np.allclose(mat, expected, rtol=1e-15, atol=0.0)
         assert blocks.inner_norm(x[2], 2.0) == pytest.approx(10 * scale, rel=1e-15)
 
+    @pytest.mark.parametrize("p", [1.5, 3.0, 7.0])
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e200, 1e300])
+    def test_lp_distances_scaled_past_the_range_of_their_powers(self, p, scale):
+        x = np.array([[0.0, 0.0], [3.0, 4.0], [6.0, 8.0], [1.0, 0.0]]) * scale
+        expected = np.array([[oracles.brute_lp_dist(u, v, p) for v in x / scale] for u in x / scale])
+        assert np.allclose(lp_distance_matrix(x, p), expected * scale, rtol=1e-13, atol=0.0)
+        assert blocks.inner_norm(x[2], p) == pytest.approx(expected[0, 2] * scale, rel=1e-13)
+
     def test_l2_distances_exact_across_a_wide_dynamic_range(self):
         # one cloud holding both a 1e-100 and a 1e100 distance: scaling the
         # whole cloud by its largest coordinate would flush (1e-100)^2 to zero

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from blockembed import blocks, metric
+from blockembed import blocks, metric, proper
 from blockembed.cli import RunConfig, main, run_report
 from blockembed.io import (
     ParseError,
@@ -16,7 +16,9 @@ from blockembed.io import (
     write_space,
 )
 from blockembed.lp_coarse import LpPointSet
-from blockembed.metric import FiniteMetricSpace, TooFewPoints, TriangleViolation
+from blockembed.metric import FiniteMetricSpace, PointedSpace, TooFewPoints, TriangleViolation
+
+import oracles
 
 
 class TestParseSpace:
@@ -207,7 +209,10 @@ class TestCliModes:
     def test_pairwise_kernel_runs_once_per_certificate(self, tmp_path, monkeypatch, mode, kind):
         fixture = tmp_path / "f.json"
         assert run_cli("gen", "--kind", kind, "--n", 12, "--seed", 3, "--out", fixture) == 0
-        original = blocks.pairwise_distance_matrix
+        # the proper embedding has its own image distance kernel
+        original = (
+            proper._image_distances if mode == "embed-proper" else blocks.pairwise_distance_matrix
+        )
         calls = []
 
         def counting(*args, **kwargs):
@@ -287,6 +292,49 @@ class TestCliModes:
             assert calls["validate_metric"] >= 1
         else:
             assert calls == {"validate_metric": 0, "_scan_triangles": 0}
+
+    @pytest.mark.parametrize(
+        "mode, kind, built",
+        [
+            ("embed-proper", "random-graph-metric", False),
+            ("moduli", "random-graph-metric", False),
+            ("verify_proper", "random-graph-metric", False),
+            ("embed-lp", "random-lp-cloud", True),
+            ("coarse", "random-lp-cloud", True),
+            ("moduli", "random-lp-cloud", True),
+        ],
+    )
+    def test_image_vectors_built_only_off_the_proper_path(
+        self, tmp_path, monkeypatch, mode, kind, built
+    ):
+        fixture = tmp_path / "f.json"
+        assert run_cli("gen", "--kind", kind, "--n", 16, "--seed", 5, "--out", fixture) == 0
+        calls = {"embed_point_proper": 0, "pairwise_distance_matrix": 0}
+        originals = {
+            "embed_point_proper": proper.embed_point_proper,
+            "pairwise_distance_matrix": blocks.pairwise_distance_matrix,
+        }
+        for name, original in originals.items():
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            # every blockembed module that holds the function under any name
+            for modname, module in list(sys.modules.items()):
+                if modname == "blockembed" or modname.startswith("blockembed."):
+                    for attr, value in list(vars(module).items()):
+                        if value is original:
+                            monkeypatch.setattr(module, attr, counting)
+        if mode == "verify_proper":
+            emb = proper.embed_space_proper(PointedSpace(parse_space(fixture, "json"), 0))
+            assert proper.verify_proper(emb).passed
+        else:
+            assert run_cli(mode, "--input", fixture, "--out", tmp_path / "rep.json") == 0
+        if built:
+            assert calls["pairwise_distance_matrix"] == 1
+        else:
+            assert calls == {"embed_point_proper": 0, "pairwise_distance_matrix": 0}
 
     @pytest.mark.parametrize("flags", [(), ("--p", 1), ("--basepoint", 1)])
     def test_validate_invalid_cloud_reports_invalid(self, tmp_path, flags):
@@ -456,6 +504,23 @@ class TestCliModes:
         assert payload["valid"] is True
         expected = float("5e" + exponent)
         assert payload["min_positive_distance"] == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize("scale, shift", [(1e200, -1000), (1e-200, 1000)])
+    def test_validate_l3_cloud_past_the_range_of_its_cubes(self, tmp_path, capsys, scale, shift):
+        # the cubes of these coordinates over- or underflow a double
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]]) * scale
+        fixture = tmp_path / "c.json"
+        write_space(LpPointSet(3.0, pts), fixture)
+        report = tmp_path / "rep.json"
+        assert run_cli("validate", "--input", fixture, "--out", report) == 0
+        assert json.loads(report.read_text())["valid"] is True
+        # the l_p embedding normalizes by the same norms
+        assert run_cli("embed-lp", "--input", fixture, "--out", report) == 0
+        assert "Warning" not in capsys.readouterr().err
+        scaled = np.ldexp(pts, shift)
+        brute = [[oracles.brute_lp_dist(x, y, 3.0) for y in scaled] for x in scaled]
+        dist = LpPointSet(3.0, pts).metric_space.dist
+        np.testing.assert_allclose(dist, np.ldexp(brute, -shift), rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("mode", ["embed-lp", "coarse"])
     def test_cloud_with_overflowing_squares_certifies(self, tmp_path, mode):

@@ -1,10 +1,20 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blockembed.blocks import BlockIsoModel, outer_norm, pair_index, project_block, scale_block
+from blockembed.blocks import (
+    BlockIsoModel,
+    outer_norm,
+    pair_index,
+    pairwise_distance_matrix,
+    project_block,
+    scale_block,
+)
+from blockembed.fixtures import path_metric, random_graph_metric, random_lp_cloud, star_metric
+from blockembed.lp_coarse import LpPointSet
 from blockembed.metric import Net, PointedSpace, validate_metric
 from blockembed.proper import (
     CODOMAIN_P,
@@ -21,6 +31,7 @@ from blockembed.proper import (
     log_growth,
     make_proper_params,
     separation_envelope,
+    _image_distances,
     tier_weight,
     verify_proper,
 )
@@ -333,3 +344,130 @@ class TestVerifyProper:
                         for k in range(1, params.k_max[n] + 1)
                     )
                     assert sup <= params.c_trunc * d[a, b] + 1e-12
+
+
+def eager_distances(emb):
+    """Image distances the long way: every point's block vector, then the kernel."""
+    images = [
+        embed_point_proper(t, emb.pspace, emb.params, emb.hierarchy)
+        for t in range(emb.pspace.space.n_points)
+    ]
+    return pairwise_distance_matrix(images, CODOMAIN_P)
+
+
+@dataclass(frozen=True)
+class TwoLevels(BlockIsoModel):
+    """Factors theta_1, theta_2 on levels 1 and 2 of one shell, times
+    ``scale``; every other block is scaled down far enough not to matter."""
+
+    shell: int = 1
+    thetas: tuple[float, float] = (1.0, 1.0)
+    scale: float = 1.0
+
+    def factor(self, j):
+        for k, theta in enumerate(self.thetas, 1):
+            if j == pair_index(self.shell, k):
+                return theta * self.scale
+        return 2.0**-60 * self.scale
+
+
+SPACES = {
+    "graph": lambda n, seed: random_graph_metric(n, None, seed),
+    "path": lambda n, seed: path_metric(n),
+    "star": lambda n, seed: star_metric(n - 1),
+    "l1": lambda n, seed: random_lp_cloud(n, 1 + seed % 4, 1.0, seed).metric_space,
+    "l2": lambda n, seed: random_lp_cloud(n, 1 + seed % 4, 2.0, seed).metric_space,
+    "linf": lambda n, seed: random_lp_cloud(n, 1 + seed % 4, math.inf, seed).metric_space,
+}
+
+
+class TestImageDistances:
+    """One Frechet matrix per (shell, net) against the per-point images."""
+
+    @given(
+        kind=st.sampled_from(sorted(SPACES)),
+        n=st.integers(2, 40),
+        seed=st.integers(0, 2**16),
+        scale=st.sampled_from([1e-300, 1e-9, 1.0, 1e9, 1e300]),
+        theta=st.sampled_from(["exact", "fixed-factor", "seeded"]),
+        k_slack=st.integers(0, 4),
+        basepoint=st.integers(0, 39),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_the_images(self, kind, n, seed, scale, theta, k_slack, basepoint):
+        space = validate_metric(SPACES[kind](n, seed).dist * scale)
+        iso = {
+            "exact": BlockIsoModel.exact(),
+            "fixed-factor": BlockIsoModel("fixed-factor", 0.5, 1.0, 0),
+            "seeded": BlockIsoModel.seeded(0.5, 1.0, seed),
+        }[theta]
+        pspace = PointedSpace(space, basepoint % space.n_points)
+        emb = embed_space_proper(pspace, iso=iso, k_slack=k_slack)
+        assert np.array_equal(_image_distances(emb), eager_distances(emb))
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-1000])  # 2^-1000: the guard fails
+    @pytest.mark.parametrize(
+        "shell, thetas",
+        [
+            # w * theta: 1/2 and the double just below
+            (1, (0.5, math.nextafter(1.0, 0.0))),
+            # w * theta rounds to the same double, a_tj = (b_t * w) * theta does not
+            (3, (0.9, 2 * (tier_weight(3, 1) * 0.9))),
+            # 2^-44 apart, below the rounding of the cancelling pairs
+            (1, (0.5, 1.0 - 2.0**-44)),
+        ],
+    )
+    def test_levels_a_rounding_apart_fall_back_to_the_exact_kernel(self, shell, thetas, scale):
+        # every point but the basepoint has norm in [2^(shell-1), 2^(shell+1)),
+        # so levels 1 and 2 of the shell share the net {0}, on which point t
+        # has the coordinate |t|.  Half the points pair up with a point of
+        # norm r in [h, 2h), h = 2^(shell-1), whose blend (r - h) / h makes
+        # the blended coordinates of the two cancel up to rounding.
+        rng = np.random.default_rng(3)
+        h = 2.0 ** (shell - 1)
+        outer = rng.uniform(2.0, 3.9, 40) * h
+        blended = outer * (4 * h - outer) / (2 * h)
+        inner = (h + np.sqrt(h * h + 4 * h * blended[:20])) / 2
+        radius = np.concatenate([outer, inner])
+        angle = rng.uniform(0.0, 2 * math.pi, len(radius))
+        pts = np.vstack([[0.0, 0.0], np.c_[radius * np.cos(angle), radius * np.sin(angle)]])
+        pspace = PointedSpace(LpPointSet(2.0, pts).metric_space, 0)
+        emb = embed_space_proper(pspace, TwoLevels(shell=shell, thetas=thetas, scale=scale))
+        assert emb.hierarchy.net(shell, 1).members == emb.hierarchy.net(shell, 2).members == (0,)
+
+        def level(k):
+            blocks = [project_block(v, pair_index(shell, k)) for v in emb.images]
+            return pairwise_distance_matrix(blocks, CODOMAIN_P)
+
+        # the smaller or equal constant still sets some distances, through rounding
+        eager = eager_distances(emb)
+        assert ((level(2) > level(1)) & (eager == level(2))).any()
+        assert np.array_equal(_image_distances(emb), eager)
+
+    def test_equal_weight_levels_under_exact_theta(self):
+        # leaves 40 apart from the center: levels 4 and 6 of shell 5 (n - k =
+        # 1 and -1) both hold every ball point
+        emb = embed_space_proper(PointedSpace(validate_metric(star_metric(9).dist * 40.0), 0))
+        nets = emb.hierarchy
+        assert nets.net(5, 4).members == nets.net(5, 6).members == tuple(range(10))
+        assert tier_weight(5, 4) == tier_weight(5, 6)
+        assert np.array_equal(_image_distances(emb), eager_distances(emb))
+
+    @pytest.mark.parametrize("theta", [BlockIsoModel.exact(), BlockIsoModel.seeded(0.5, 1.0, 8)])
+    def test_equal_norm_points_in_a_one_coordinate_group(self, theta):
+        # all leaves have norm 1: on the net {center} of levels 1 and 2 every
+        # leaf gets the same coordinate, so the dominant level reads 0 on every pair
+        emb = embed_space_proper(PointedSpace(star_metric(12), 0), iso=theta)
+        assert emb.hierarchy.net(0, 1).members == emb.hierarchy.net(0, 2).members == (0,)
+        assert np.array_equal(_image_distances(emb), eager_distances(emb))
+
+    def test_images_are_built_on_first_read(self):
+        pspace = PointedSpace(random_graph_metric(30, None, 4), 2)
+        emb = embed_space_proper(pspace, iso=BlockIsoModel.seeded(0.5, 1.0, 4))
+        assert verify_proper(emb).passed
+        assert "images" not in vars(emb)
+        eager = tuple(
+            embed_point_proper(t, pspace, emb.params, emb.hierarchy) for t in range(30)
+        )
+        assert emb.images == eager
+        assert emb.images is emb.images
