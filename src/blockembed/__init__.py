@@ -41,7 +41,6 @@ from .metric import (
     NegativeEntry,
     Net,
     NonzeroDiagonal,
-    PairRecord,
     PointedSpace,
     SeedOutsideBall,
     TooFewPoints,

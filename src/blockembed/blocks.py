@@ -141,24 +141,11 @@ class BlockVector:
 
 
 def inner_norm(x: np.ndarray, p: float) -> float:
-    """l_p norm of a plain vector, p in [1, inf]."""
+    """l_p norm of a plain vector, p in [1, inf]: :func:`_norms` of one row."""
     if not p >= 1:
         raise ValueError(f"norm exponent must lie in [1, inf], got {p}")
-    x = np.asarray(x, dtype=float)
-    if x.size == 0:
-        return 0.0
-    if math.isinf(p):
-        return float(np.abs(x).max())
-    if p == 1:
-        return float(np.abs(x).sum())
-    e = math.frexp(float(np.abs(x).max()))[1]
-    if p == 2:  # divided by an exact power of two so the squares stay in range
-        return math.ldexp(float(np.linalg.norm(np.ldexp(x, -e))), e)
-    with np.errstate(over="ignore"):  # such a sum is redone below
-        total = float((np.abs(x) ** p).sum())
-    if not _L2_REDO_BELOW**2 <= total < math.inf:  # as in _norms
-        return math.ldexp(float((np.abs(np.ldexp(x, -e)) ** p).sum()) ** (1.0 / p), e)
-    return total ** (1.0 / p)
+    x = np.abs(np.asarray(x, dtype=float)).reshape(1, -1)
+    return float(_norms(x, p)[0]) if x.size else 0.0
 
 
 def outer_norm(v: BlockVector, p: float) -> float:
@@ -332,10 +319,10 @@ def _seeded_theta(seed: int, lo: float, hi: float, j: int) -> float:
 class BlockIsoModel:
     """Per-block scale factors theta_j modeling block isomorphism slack.
 
-    Modes: ``exact`` (theta_j = 1), ``fixed-factor`` (theta_j = theta_lo for
-    every block), ``seeded-random`` (theta_j drawn uniformly from
-    [theta_lo, theta_hi], keyed by (seed, j) so the draw is independent of
-    evaluation order).  The interval must lie inside (0, 1].
+    Modes: ``exact`` (theta_j = 1) and ``seeded-random`` (theta_j drawn
+    uniformly from [theta_lo, theta_hi], keyed by (seed, j) so the draw is
+    independent of evaluation order; ``seeded(lo, lo, s)`` gives theta_j = lo
+    on every block).  The interval must lie inside (0, 1].
     """
 
     mode: str = "exact"
@@ -344,7 +331,7 @@ class BlockIsoModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("exact", "fixed-factor", "seeded-random"):
+        if self.mode not in ("exact", "seeded-random"):
             raise ValueError(f"unknown iso mode {self.mode!r}")
         if not (0.0 < self.theta_lo <= self.theta_hi <= 1.0):
             raise ValueError("theta interval must satisfy 0 < lo <= hi <= 1")
@@ -362,6 +349,4 @@ class BlockIsoModel:
     def factor(self, j: int) -> float:
         if self.mode == "exact":
             return 1.0
-        if self.mode == "fixed-factor":
-            return self.theta_lo
         return _seeded_theta(self.seed, self.theta_lo, self.theta_hi, int(j))

@@ -22,7 +22,7 @@ __all__ = [
 _SIZE_CAP = 4096
 
 
-class DisconnectedGraph(RuntimeError):
+class DisconnectedGraph(ValueError):
     pass
 
 
@@ -57,6 +57,10 @@ def random_graph_metric(
         raise SizeCapExceeded(f"{n} vertices, cap is {_SIZE_CAP}")
     if edge_prob is None:
         edge_prob = min(0.9, 1.8 * math.log(n) / n + 0.05)
+    if not edge_prob > 0:
+        raise DisconnectedGraph(f"edge probability {edge_prob} draws no edge")
+    if edge_prob > 1:
+        raise ValueError(f"edge probability must lie in (0, 1], got {edge_prob}")
     for attempt in range(max_retries):
         rng = np.random.default_rng([seed, attempt])
         upper = rng.random((n, n)) < edge_prob
@@ -94,6 +98,8 @@ def random_lp_cloud(
         raise ValueError("need at least two points and one dimension")
     if n > _SIZE_CAP:
         raise SizeCapExceeded(f"{n} points, cap is {_SIZE_CAP}")
+    if not 0 < box < math.inf:
+        raise ValueError(f"box must be positive and finite, got {box}")
     last: MetricError | None = None
     for attempt in range(max_retries):
         rng = np.random.default_rng([seed, attempt])

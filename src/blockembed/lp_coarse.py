@@ -32,6 +32,7 @@ from .blocks import (
     _L2_REDO_BELOW,
     BlockIsoModel,
     BlockVector,
+    _norms,
     inner_norm,
     lp_distance_matrix,
     pairwise_distance_matrix,
@@ -160,31 +161,26 @@ class LpPointSet:
             return _labelled(_checked_entries(d), self.labels)
         return validate_metric(d, self.labels)
 
-    def norms(self) -> np.ndarray:
-        """Distances to the basepoint."""
-        return self.distance_matrix[self.basepoint]
-
 
 def normalize_pointed(s: LpPointSet) -> tuple[LpPointSet, np.ndarray, float]:
     """Translate the basepoint to the origin and scale tiny sets up.
 
     When the smallest positive norm m falls below 1, every point is scaled
     by 1/m (nudged up by ulps if rounding leaves the minimum marginally
-    under 1).  Returns the normalized set plus the affine record
-    (translation, scale) so results can be restated in the input units.
+    under 1); a norm is, bit for bit, the point's ``distance_matrix`` entry
+    against the basepoint.  Returns the normalized set plus the affine
+    record (translation, scale) so results can be restated in input units.
     """
     origin = s.points[s.basepoint].copy()
     pts = s.points - origin
-    norms = np.array([inner_norm(row, s.p) for row in pts])
-    positive = norms[norms > 0]
+    norms = _norms(np.abs(pts), s.p)
+    positive = norms > 0
     scale = 1.0
-    if positive.size and positive.min() < 1.0:
-        scale = 1.0 / float(positive.min())
+    if positive.any() and norms[positive].min() < 1.0:
+        scale = 1.0 / float(norms[positive].min())
         bump = 1.0 + 2.0**-48
         for _ in range(64):
-            scaled = pts * scale
-            mins = [inner_norm(row, s.p) for i, row in enumerate(scaled) if norms[i] > 0]
-            if min(mins) >= 1.0:
+            if _norms(np.abs(pts[positive] * scale), s.p).min() >= 1.0:
                 break
             scale *= bump
         else:  # pragma: no cover - a few ulps always suffice
@@ -226,6 +222,12 @@ class LpParams:
         if not self.lambda_sim >= 1:
             raise ValueError("lambda_sim must be >= 1")
         _ = self.iso  # an unknown theta_mode or a negative seed fails here, not on first use
+        try:
+            finite = self.lower_denominator() < math.inf
+        except OverflowError:  # of lambda_sim ** 2
+            finite = False
+        if not finite:
+            raise ValueError("20 * lambda_sim^2 * (1 + delta)^2 must be finite")
 
     @property
     def iso(self) -> BlockIsoModel:

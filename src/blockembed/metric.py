@@ -14,7 +14,7 @@ bit-stable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -33,7 +33,6 @@ __all__ = [
     "PointedSpace",
     "Net",
     "ModuliProfile",
-    "PairRecord",
     "BoundsReport",
     "validate_metric",
     "greedy_maximal_net",
@@ -181,19 +180,6 @@ class ModuliProfile:
     expansion: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class PairRecord:
-    """One pair's verification: envelope values and the observed distance."""
-
-    i: int
-    j: int
-    d: float
-    image_distance: float
-    lower: float
-    upper: float
-    passed: bool
-
-
 @dataclass(frozen=True, eq=False)
 class BoundsReport:
     """Outcome of an envelope check over all distinct pairs.
@@ -201,12 +187,8 @@ class BoundsReport:
     Slack is signed margin: ``image_distance - lower`` on the lower side and
     ``upper - image_distance`` on the upper side.  The worst slacks are the
     minima over all pairs; a negative worst slack beyond the tolerance means
-    the check failed.
-
-    The report keeps the domain's distance matrix, the image distance matrix
-    and both envelopes by reference, and ``records`` builds the per-pair
-    records from them on demand, anew on each access.  They agree with the
-    counts only while the matrices are unchanged and the envelopes are pure.
+    the check failed.  The report holds plain values only: counts, extrema
+    and the constants echoed into it.
     """
 
     worst_lower_slack: float
@@ -217,26 +199,6 @@ class BoundsReport:
     passed: bool
     n_pairs: int
     n_failed: int
-    dist: np.ndarray = field(repr=False)
-    image_distances: np.ndarray = field(repr=False)
-    lower_envelope: Callable[[float], float] = field(repr=False)
-    upper_envelope: Callable[[float], float] = field(repr=False)
-
-    @property
-    def records(self) -> tuple[PairRecord, ...]:
-        """One record per distinct pair, in lexicographic pair order."""
-        n = self.dist.shape[0]
-        records = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = float(self.dist[i, j])
-                v = float(self.image_distances[i, j])
-                lo = float(self.lower_envelope(d))
-                hi = float(self.upper_envelope(d))
-                ok = v - lo >= -self.tolerance and hi - v >= -self.tolerance
-                ok = ok and (v != 0 or not lo > 0)
-                records.append(PairRecord(i, j, d, v, lo, hi, ok))
-        return tuple(records)
 
     def summary(self) -> dict[str, Any]:
         return {
@@ -503,8 +465,7 @@ def verify_bounds(
     report content, never exceptions.  The upper triangle is walked row by
     row: each envelope is called once per pair with the distance as a Python
     float, and the slacks, pass mask and extrema are taken with numpy.  Worst
-    slacks are the minima over all pairs; the report's ``records`` are built
-    only when read.
+    slacks are the minima over all pairs; no per-pair value outlives its row.
     """
     if math.isnan(tolerance):
         raise ValueError("tolerance must not be NaN")
@@ -529,7 +490,7 @@ def verify_bounds(
             any_zero = True
             ok &= nonzero | ~(lo > 0)
         n_failed += len(row) - int(np.count_nonzero(ok))
-        # fmin passes over a NaN slack, as the builtin min of the records does
+        # fmin passes over a NaN slack, as the builtin min of a per-pair loop does
         worst_lo = float(np.fmin.reduce(slack_lo, initial=worst_lo))
         worst_hi = float(np.fmin.reduce(slack_hi, initial=worst_hi))
         max_exp = float(np.max(v / d, initial=max_exp))
@@ -546,8 +507,4 @@ def verify_bounds(
         passed=n_failed == 0,
         n_pairs=n_pairs,
         n_failed=n_failed,
-        dist=domain.dist,
-        image_distances=m,
-        lower_envelope=lower_envelope,
-        upper_envelope=upper_envelope,
     )

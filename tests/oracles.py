@@ -18,7 +18,6 @@ import math
 import numpy as np
 
 from blockembed.blocks import DimensionMismatch
-from blockembed.metric import PairRecord
 
 
 def brute_inner(values, p):
@@ -152,11 +151,11 @@ def scan_triangle_violation(a, tol):
 
 
 def loop_verify_bounds(domain, lower_envelope, upper_envelope, image_distances, tolerance):
-    """(records, summary, passed) of the former per-pair loop of ``verify_bounds``,
-    with its rule that a zero image distance fails under a positive lower envelope."""
+    """(summary, passed) of the former per-pair loop of ``verify_bounds``, with
+    its rule that a zero image distance fails under a positive lower envelope."""
     n = domain.n_points
     m = np.asarray(image_distances, dtype=float)
-    records = []
+    n_pairs = n_failed = 0
     worst_lo = math.inf
     worst_hi = math.inf
     any_zero = False
@@ -173,7 +172,8 @@ def loop_verify_bounds(domain, lower_envelope, upper_envelope, image_distances, 
             ok = slack_lo >= -tolerance and slack_hi >= -tolerance
             if v == 0 and lo > 0:  # identical images of distinct points
                 ok = False
-            records.append(PairRecord(i, j, d, v, lo, hi, ok))
+            n_pairs += 1
+            n_failed += not ok
             worst_lo = min(worst_lo, slack_lo)
             worst_hi = min(worst_hi, slack_hi)
             if v == 0:
@@ -182,18 +182,17 @@ def loop_verify_bounds(domain, lower_envelope, upper_envelope, image_distances, 
                 max_inv = max(max_inv, d / v)
             max_exp = max(max_exp, v / d)
 
-    emp = math.inf if any_zero else (max_exp * max_inv if records else 1.0)
-    n_failed = sum(1 for r in records if not r.passed)
+    emp = math.inf if any_zero else (max_exp * max_inv if n_pairs else 1.0)
     summary = {
-        "pairs_total": len(records),
-        "pairs_passed": len(records) - n_failed,
+        "pairs_total": n_pairs,
+        "pairs_passed": n_pairs - n_failed,
         "pairs_failed": n_failed,
-        "worst_lower_slack": worst_lo if records else 0.0,
-        "worst_upper_slack": worst_hi if records else 0.0,
+        "worst_lower_slack": worst_lo if n_pairs else 0.0,
+        "worst_upper_slack": worst_hi if n_pairs else 0.0,
         "empirical_distortion": emp,
         "tolerance": float(tolerance),
     }
-    return records, summary, all(r.passed for r in records)
+    return summary, n_failed == 0
 
 
 def brute_net_check(matrix, members, center, ball_radius, radius, seed):

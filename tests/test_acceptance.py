@@ -99,10 +99,11 @@ def test_criterion_1_proper_bound_suite():
             emb = embed_space_proper(pspace, iso=iso)
             rep = verify_proper(emb, tolerance=TOL)
             assert rep.passed, (name, iso.mode, rep.worst_lower_slack, rep.worst_upper_slack)
-            # the stated inequality, asserted directly on every record
-            for rec in rep.records:
-                assert separation_envelope(rec.d) - TOL <= rec.image_distance
-                assert rec.image_distance <= 9.0 * emb.params.c_trunc * rec.d + TOL
+            # the stated inequality, asserted directly on every pair
+            images = pairwise_distance_matrix(emb.images, CODOMAIN_P)
+            for i, j in zip(*np.triu_indices(space.n_points, k=1)):
+                d, v = space.d(i, j), float(images[i, j])
+                assert separation_envelope(d) - TOL <= v <= 9.0 * emb.params.c_trunc * d + TOL
             worst_lower = min(worst_lower, rep.worst_lower_slack)
             worst_upper = min(worst_upper, rep.worst_upper_slack)
             checked += rep.n_pairs
@@ -141,9 +142,12 @@ def test_criterion_2_lp_bound_suite():
             rep = verify_lp(emb, tolerance=TOL)
             assert rep.passed, (p, lam, delta, i)
             # relative reading of the tolerance, per envelope value
-            for rec in rep.records:
-                assert rec.image_distance >= rec.lower * (1.0 - TOL)
-                assert rec.image_distance <= rec.upper * (1.0 + TOL)
+            space = emb.pointset.metric_space
+            images = pairwise_distance_matrix(emb.images, p)
+            denom = params.lower_denominator()
+            for i, j in zip(*np.triu_indices(space.n_points, k=1)):
+                d, v = space.d(i, j), float(images[i, j])
+                assert d / denom * (1.0 - TOL) <= v <= 9.0 * d * (1.0 + TOL)
             clouds += 1
             checked += rep.n_pairs
     elapsed = time.perf_counter() - started

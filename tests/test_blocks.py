@@ -13,6 +13,7 @@ from blockembed.blocks import (
     DimensionMismatch,
     NonpositiveK,
     axpy,
+    inner_norm,
     lp_distance_matrix,
     outer_norm,
     pair_index,
@@ -21,6 +22,7 @@ from blockembed.blocks import (
     scale_block,
     unpair_index,
 )
+from blockembed.lp_coarse import LpPointSet, normalize_pointed
 
 import oracles
 
@@ -370,14 +372,36 @@ class TestDistances:
         assert pairwise_distance_matrix(images, p)[0, 1] == math.inf
 
 
+class TestOneNorm:
+    """A point's norm is, bit for bit, its distance to the basepoint."""
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+    def test_norm_is_the_verified_distance(self, p):
+        rng = np.random.default_rng(17)
+        unscaled = 0
+        for dim in range(1, 65):
+            # 1e-200 and 1e200 take the rescue path of _norms for p = 2 and 3
+            for scale in (1e-200, 1e-100, 1.0, 1e100, 1e200):
+                pts = rng.standard_normal((12, dim)) * scale
+                b = int(rng.integers(12))
+                cloud = LpPointSet(p, pts, basepoint=b)
+                row = cloud.distance_matrix[b]
+                assert np.array_equal([inner_norm(x - pts[b], p) for x in pts], row)
+                ns, _, factor = normalize_pointed(cloud)
+                if factor == 1.0:
+                    unscaled += 1
+                    assert np.array_equal([inner_norm(t, p) for t in ns.points], row)
+        assert unscaled >= 2 * 64
+
+
 class TestBlockIsoModel:
     def test_exact_mode(self):
         iso = BlockIsoModel.exact()
         assert all(iso.factor(j) == 1.0 for j in range(10))
 
     def test_fixed_factor_uses_lower_bound(self):
-        iso = BlockIsoModel("fixed-factor", 0.5, 1.0, 0)
-        assert all(iso.factor(j) == 0.5 for j in range(10))
+        iso = BlockIsoModel.seeded(0.5, 0.5, 0)
+        assert all(iso.factor(j) == 0.5 for j in range(2000))
 
     def test_seeded_factors_in_interval(self):
         iso = BlockIsoModel.seeded(0.5, 1.0, 42)

@@ -346,26 +346,6 @@ class TestCliModes:
         assert payload["valid"] is False
         assert payload["error_type"] == "ZeroOffDiagonal"
 
-    @pytest.mark.parametrize(
-        "mode, kind",
-        [
-            ("embed-proper", "random-graph-metric"),
-            ("embed-lp", "random-lp-cloud"),
-            ("coarse", "random-lp-cloud"),
-        ],
-    )
-    def test_certificates_build_no_pair_records(self, tmp_path, monkeypatch, mode, kind):
-        fixture = tmp_path / "f.json"
-        assert run_cli("gen", "--kind", kind, "--n", 16, "--seed", 5, "--out", fixture) == 0
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a per-pair record was built")
-
-        monkeypatch.setattr(metric, "PairRecord", refuse)
-        report = tmp_path / "rep.json"
-        assert run_cli(mode, "--input", fixture, "--out", report) == 0
-        assert json.loads(report.read_text())["checks"]["pairs_total"] == 16 * 15 // 2
-
     @pytest.mark.parametrize("kind", ["cloud", "matrix"])
     @pytest.mark.parametrize("mode", ["embed-proper", "embed-lp", "coarse", "moduli"])
     def test_one_point_input_exits_two_in_embedding_modes(self, tmp_path, capsys, mode, kind):
@@ -491,6 +471,34 @@ class TestCliModes:
         assert run_cli(mode, "--input", fixture, flag, "nan") == 2
         err = capsys.readouterr().err
         assert err.startswith("blockembed: error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # 20 * lambda_sim^2 * (1 + delta)^2 overflows, or is infinite
+            ("embed-lp", "--lambda-sim", "1e200"),
+            ("coarse", "--lambda-sim", "1e200"),
+            ("moduli", "--lambda-sim", "1e200"),
+            ("embed-lp", "--delta", "inf"),
+            ("gen", "--kind", "random-lp-cloud", "--box", "inf"),
+            ("gen", "--kind", "random-lp-cloud", "--box", "nan"),
+            ("gen", "--kind", "random-graph-metric", "--edge-prob", "0"),
+            ("gen", "--kind", "random-graph-metric", "--edge-prob", "-1"),
+            ("gen", "--kind", "random-graph-metric", "--edge-prob", "nan"),
+            ("gen", "--kind", "random-graph-metric", "--edge-prob", "1.5"),
+        ],
+    )
+    def test_bad_parameter_exits_two(self, tmp_path, capsys, argv):
+        fixture = tmp_path / "c.json"
+        fixture.write_text('{"p":2,"points":[[0,0],[3,4],[6,8]]}')
+        if argv[0] == "gen":
+            where = ("--n", 8, "--out", tmp_path / "g.json")
+        else:
+            where = ("--input", fixture)
+        assert run_cli(*argv, *where) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("blockembed: error:") and err.count("\n") == 1
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("exponent", ["-300", "300"])

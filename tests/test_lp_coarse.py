@@ -13,6 +13,7 @@ from blockembed.blocks import (
     inner_norm,
     lp_distance_matrix,
     outer_norm,
+    pairwise_distance_matrix,
 )
 from blockembed.lp_coarse import (
     CoarseConstants,
@@ -266,8 +267,8 @@ class TestVerifyLp:
         params = LpParams(delta=0.01, lambda_sim=1.0, theta_mode="exact")
         emb = embed_set_lp(cloud_1d([0.0, 4.0]), params)
         rep = verify_lp(emb)
-        (rec,) = rep.records
-        ratio = rec.image_distance / rec.d
+        assert rep.passed
+        ratio = pairwise_distance_matrix(emb.images, 2.0)[0, 1] / 4.0
         assert ratio == 1.0
         assert 1 / 20.402 <= ratio <= 9.0
 

@@ -276,10 +276,10 @@ class TestVerifyProper:
         emb = embed_space_proper(two_point_space())
         rep = verify_proper(emb)
         assert rep.passed
-        (rec,) = rep.records
-        assert rec.image_distance == 4.0
-        assert rec.lower == pytest.approx(4 / 624, abs=1e-15)
-        assert rec.upper == pytest.approx(9 * emb.params.c_trunc * 4, abs=1e-12)
+        # the one pair's image distance is 4
+        assert _image_distances(emb)[0, 1] == 4.0
+        assert rep.worst_lower_slack == pytest.approx(4 - 4 / 624, abs=1e-15)
+        assert rep.worst_upper_slack == pytest.approx(9 * emb.params.c_trunc * 4 - 4, abs=1e-12)
 
     def test_path_all_pairs_pass(self):
         emb = embed_space_proper(path_space(4))
@@ -295,7 +295,7 @@ class TestVerifyProper:
 
     def test_worst_case_fixed_theta_still_passes(self):
         # every block scaled by the interval floor, the weakest admissible model
-        iso = BlockIsoModel("fixed-factor", 0.5, 1.0, 0)
+        iso = BlockIsoModel.seeded(0.5, 0.5, 0)
         for pspace in (path_space(8), two_point_space(), path_space(16)):
             rep = verify_proper(embed_space_proper(pspace, iso=iso))
             assert rep.passed
@@ -389,7 +389,7 @@ class TestImageDistances:
         n=st.integers(2, 40),
         seed=st.integers(0, 2**16),
         scale=st.sampled_from([1e-300, 1e-9, 1.0, 1e9, 1e300]),
-        theta=st.sampled_from(["exact", "fixed-factor", "seeded"]),
+        theta=st.sampled_from(["exact", "uniform", "seeded"]),
         k_slack=st.integers(0, 4),
         basepoint=st.integers(0, 39),
     )
@@ -398,7 +398,7 @@ class TestImageDistances:
         space = validate_metric(SPACES[kind](n, seed).dist * scale)
         iso = {
             "exact": BlockIsoModel.exact(),
-            "fixed-factor": BlockIsoModel("fixed-factor", 0.5, 1.0, 0),
+            "uniform": BlockIsoModel.seeded(0.5, 0.5, 0),  # every level the same theta
             "seeded": BlockIsoModel.seeded(0.5, 1.0, seed),
         }[theta]
         pspace = PointedSpace(space, basepoint % space.n_points)
