@@ -42,7 +42,6 @@ from .metric import (
     Net,
     NonzeroDiagonal,
     PointedSpace,
-    SeedOutsideBall,
     TooFewPoints,
     TriangleViolation,
     ZeroOffDiagonal,

@@ -17,7 +17,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .blocks import BlockIsoModel, pairwise_distance_matrix
+from .blocks import BlockIsoModel
 from .fixtures import (
     grid_net_cloud,
     path_metric,
@@ -35,7 +35,6 @@ from .io import (
     write_space,
 )
 from .lp_coarse import (
-    LpEmbedding,
     LpParams,
     LpPointSet,
     coarse_embed,
@@ -53,7 +52,7 @@ from .metric import (
     min_positive_distance,
     moduli_profile,
 )
-from .proper import ProperEmbedding, _image_distances, embed_space_proper, verify_proper
+from .proper import ProperEmbedding, embed_space_proper, verify_proper
 
 __all__ = ["RunConfig", "run_report", "main"]
 
@@ -203,33 +202,27 @@ def _run_net(config: RunConfig) -> tuple[dict[str, Any], bool]:
     return body, ok
 
 
-def _embed_proper(space: Any, config: RunConfig) -> tuple[ProperEmbedding, np.ndarray]:
-    """The proper embedding of an input and its image distance matrix."""
+def _embed_proper(space: Any, config: RunConfig) -> ProperEmbedding:
+    """The proper embedding of an input."""
     pspace = PointedSpace(*_pointed(space, config))
-    emb = embed_space_proper(pspace, iso=_proper_iso(config), k_slack=config.k_max_slack)
-    return emb, _image_distances(emb)
-
-
-def _embed_lp(cloud: LpPointSet, config: RunConfig) -> tuple[LpEmbedding, np.ndarray]:
-    """The l_p embedding of a cloud and its image distance matrix."""
-    emb = embed_set_lp(cloud, _lp_params(config))
-    return emb, pairwise_distance_matrix(emb.images, emb.pointset.p)
+    return embed_space_proper(pspace, iso=_proper_iso(config), k_slack=config.k_max_slack)
 
 
 def _run_embed_proper(config: RunConfig) -> tuple[dict[str, Any], bool]:
-    emb, dmat = _embed_proper(_load_embeddable(config), config)
-    report = verify_proper(emb, tolerance=config.tolerance, image_distances=dmat)
+    emb = _embed_proper(_load_embeddable(config), config)
+    report = verify_proper(emb, tolerance=config.tolerance)
     body = {
         "constants": dict(report.constants),
         "checks": report.summary(),
-        "moduli": _moduli_body(emb.pspace.space, dmat, config.moduli_points),
+        "moduli": _moduli_body(emb.pspace.space, emb.image_distances, config.moduli_points),
     }
     return body, report.passed
 
 
 def _run_embed_lp(config: RunConfig) -> tuple[dict[str, Any], bool]:
-    emb, dmat = _embed_lp(_require_cloud(_load_embeddable(config), config.mode), config)
-    report = verify_lp(emb, tolerance=config.tolerance, image_distances=dmat)
+    # the input cloud is not kept: the embedding holds its normalized copy
+    emb = embed_set_lp(_require_cloud(_load_embeddable(config), config.mode), _lp_params(config))
+    report = verify_lp(emb, tolerance=config.tolerance)
     body = {
         "constants": dict(report.constants),
         "normalization": {
@@ -237,7 +230,9 @@ def _run_embed_lp(config: RunConfig) -> tuple[dict[str, Any], bool]:
             "scale": emb.scale,
         },
         "checks": report.summary(),
-        "moduli": _moduli_body(emb.pointset.metric_space, dmat, config.moduli_points),
+        "moduli": _moduli_body(
+            emb.pointset.metric_space, emb.image_distances, config.moduli_points
+        ),
     }
     return body, report.passed
 
@@ -245,8 +240,7 @@ def _run_embed_lp(config: RunConfig) -> tuple[dict[str, Any], bool]:
 def _run_coarse(config: RunConfig) -> tuple[dict[str, Any], bool]:
     cloud = _require_cloud(_load_embeddable(config), config.mode)
     emb = coarse_embed(cloud, config.epsilon, _lp_params(config))
-    dmat = pairwise_distance_matrix(emb.images, cloud.p)
-    report = verify_coarse(emb, tolerance=config.tolerance, image_distances=dmat)
+    report = verify_coarse(emb, tolerance=config.tolerance)
     deviation = max_rounding_deviation(cloud, emb.beta)
     rounding_ok = deviation <= config.epsilon + 1e-12
     body = {
@@ -258,7 +252,7 @@ def _run_coarse(config: RunConfig) -> tuple[dict[str, Any], bool]:
             "pass": rounding_ok,
         },
         "checks": report.summary(),
-        "moduli": _moduli_body(cloud.metric_space, dmat, config.moduli_points),
+        "moduli": _moduli_body(cloud.metric_space, emb.image_distances, config.moduli_points),
     }
     return body, report.passed and rounding_ok
 
@@ -266,11 +260,11 @@ def _run_coarse(config: RunConfig) -> tuple[dict[str, Any], bool]:
 def _run_moduli(config: RunConfig) -> tuple[dict[str, Any], bool]:
     space = _load_embeddable(config)
     if isinstance(space, LpPointSet):
-        lp, dmat = _embed_lp(space, config)
-        domain, map_kind = lp.pointset.metric_space, "lipschitz-lp"
+        lp = embed_set_lp(space, _lp_params(config))
+        domain, dmat, map_kind = lp.pointset.metric_space, lp.image_distances, "lipschitz-lp"
     else:
-        emb, dmat = _embed_proper(space, config)
-        domain, map_kind = emb.pspace.space, "proper"
+        emb = _embed_proper(space, config)
+        domain, dmat, map_kind = emb.pspace.space, emb.image_distances, "proper"
     body = {
         "map": map_kind,
         "moduli": _moduli_body(domain, dmat, config.moduli_points),

@@ -20,6 +20,8 @@ __all__ = [
 ]
 
 _SIZE_CAP = 4096
+_GRAPH_DRAWS = 32  # connected-graph attempts of random_graph_metric
+_CLOUD_DRAWS = 8  # valid-cloud attempts of random_lp_cloud
 
 
 class DisconnectedGraph(ValueError):
@@ -43,13 +45,12 @@ def random_graph_metric(
     n: int,
     edge_prob: float | None = None,
     seed: int = 0,
-    max_retries: int = 32,
 ) -> FiniteMetricSpace:
     """Shortest-path metric of a seeded connected random graph, unit edges.
 
     Edges are sampled independently; disconnected draws are retried with a
-    derived sub-seed up to ``max_retries`` times before failing.  Default
-    edge probability sits safely above the connectivity threshold.
+    derived sub-seed, up to 32 draws in all, before failing.  Default edge
+    probability sits safely above the connectivity threshold.
     """
     if n < 2:
         raise ValueError("need at least two vertices")
@@ -61,7 +62,7 @@ def random_graph_metric(
         raise DisconnectedGraph(f"edge probability {edge_prob} draws no edge")
     if edge_prob > 1:
         raise ValueError(f"edge probability must lie in (0, 1], got {edge_prob}")
-    for attempt in range(max_retries):
+    for attempt in range(_GRAPH_DRAWS):
         rng = np.random.default_rng([seed, attempt])
         upper = rng.random((n, n)) < edge_prob
         adjacency: list[list[int]] = [[] for _ in range(n)]
@@ -74,7 +75,7 @@ def random_graph_metric(
         if any(d < 0 for row in rows for d in row):
             continue
         return validate_metric(np.array(rows, dtype=float))
-    raise DisconnectedGraph(f"no connected draw in {max_retries} attempts (seed {seed})")
+    raise DisconnectedGraph(f"no connected draw in {_GRAPH_DRAWS} attempts (seed {seed})")
 
 
 def random_lp_cloud(
@@ -83,16 +84,16 @@ def random_lp_cloud(
     p: float = 2.0,
     seed: int = 0,
     box: float = 8.0,
-    max_retries: int = 8,
 ) -> LpPointSet:
     """Seeded uniform points in [0, box]^dim with a validated l_p metric.
 
     A draw whose metric fails validation is retried with a derived
-    sub-seed.  For p in {1, 2, inf} and dim up to 1024 the triangle
-    inequality is proved rather than scanned (see ``LpPointSet``), so only a
-    duplicate point leads to a retry.  For other p, a larger dim, or l_2
-    distances outside [2^-480, 2^480], the scan still runs, and float
-    rounding can in principle also produce a hairline triangle violation.
+    sub-seed, up to 8 draws in all.  For p in {1, 2, inf} and dim up to 1024
+    the triangle inequality is proved rather than scanned (see
+    ``LpPointSet``), so only a duplicate point leads to a retry.  For other
+    p, a larger dim, or l_2 distances outside [2^-480, 2^480], the scan
+    still runs, and float rounding can in principle also produce a hairline
+    triangle violation.
     """
     if n < 2 or dim < 1:
         raise ValueError("need at least two points and one dimension")
@@ -101,7 +102,7 @@ def random_lp_cloud(
     if not 0 < box < math.inf:
         raise ValueError(f"box must be positive and finite, got {box}")
     last: MetricError | None = None
-    for attempt in range(max_retries):
+    for attempt in range(_CLOUD_DRAWS):
         rng = np.random.default_rng([seed, attempt])
         cloud = LpPointSet(p, rng.uniform(0.0, box, size=(n, dim)))
         try:
@@ -110,7 +111,7 @@ def random_lp_cloud(
             last = err
             continue
         return cloud
-    raise MetricError(f"no valid cloud in {max_retries} attempts (seed {seed}): {last}")
+    raise MetricError(f"no valid cloud in {_CLOUD_DRAWS} attempts (seed {seed}): {last}")
 
 
 def path_metric(n: int) -> FiniteMetricSpace:

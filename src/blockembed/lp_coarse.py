@@ -259,7 +259,11 @@ class CoarseConstants:
 
 @dataclass(frozen=True)
 class LpEmbedding:
-    """Lipschitz embedding of a normalized l_p point set."""
+    """Lipschitz embedding of a normalized l_p point set.
+
+    ``image_distances``, the images' pairwise l_p block-sum distances, is
+    computed on first read.
+    """
 
     pointset: LpPointSet  # normalized
     params: LpParams
@@ -267,10 +271,18 @@ class LpEmbedding:
     translation: np.ndarray
     scale: float
 
+    @cached_property
+    def image_distances(self) -> np.ndarray:
+        return pairwise_distance_matrix(self.images, self.pointset.p)
+
 
 @dataclass(frozen=True)
 class CoarseEmbedding:
-    """Net rounding composed with the Lipschitz embedding, in input units."""
+    """Net rounding composed with the Lipschitz embedding, in input units.
+
+    ``image_distances``, the images' pairwise l_p block-sum distances, is
+    computed on first read.
+    """
 
     pointset: LpPointSet  # original, un-normalized
     eps: float
@@ -279,6 +291,10 @@ class CoarseEmbedding:
     beta: tuple[int, ...]
     images: tuple[BlockVector, ...]
     constants: CoarseConstants
+
+    @cached_property
+    def image_distances(self) -> np.ndarray:
+        return pairwise_distance_matrix(self.images, self.pointset.p)
 
 
 def embed_point_lp(
@@ -319,28 +335,20 @@ def embed_set_lp(s: LpPointSet, params: LpParams | None = None) -> LpEmbedding:
     return LpEmbedding(ns, params, images, translation, scale)
 
 
-def verify_lp(
-    embedding: LpEmbedding,
-    tolerance: float = 1e-9,
-    *,
-    image_distances: np.ndarray | None = None,
-) -> BoundsReport:
+def verify_lp(embedding: LpEmbedding, tolerance: float = 1e-9) -> BoundsReport:
     """Certify d / (20 lambda^2 (1+delta)^2) <= image distance <= 9 d.
 
-    Distances are those of the normalized set the embedding was built on.
-    ``image_distances`` is the images' pairwise distance matrix when the
-    caller has already computed it; otherwise it is computed here.
+    Distances are those of the normalized set the embedding was built on;
+    the image distances are the embedding's own ``image_distances``.
     """
     params = embedding.params
     denom = params.lower_denominator()
-    if image_distances is None:
-        image_distances = pairwise_distance_matrix(embedding.images, embedding.pointset.p)
     return verify_bounds(
         embedding.pointset.metric_space,
         lambda d: d / denom,
         lambda d: 9.0 * d,
         tolerance=tolerance,
-        image_distances=image_distances,
+        image_distances=embedding.image_distances,
         constants={
             "p": "inf" if math.isinf(embedding.pointset.p) else embedding.pointset.p,
             "lambda_sim": params.lambda_sim,
@@ -359,18 +367,19 @@ def net_round(
     """Greedy eps/2-net of the whole set plus the rounding map beta.
 
     The net is seeded at ``basepoint`` (by default the cloud's basepoint,
-    or point 0 of a metric space) and scanned in index order; beta(t) is
-    the first net member strictly within eps/2 of t, so net members are
-    fixed and |d(beta a, beta b) - d(a, b)| < eps for every pair.  Returns
+    or point 0 of a metric space), the center of an unbounded ball, and
+    scanned in index order; beta(t) is the first net member strictly within
+    eps/2 of t, so net members are fixed and |d(beta a, beta b) - d(a, b)|
+    < eps for every pair.  ``eps`` must be positive and finite.  Returns
     (member indices in admission order, beta as an index per point).
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     space = s.metric_space if isinstance(s, LpPointSet) else s
     if basepoint is None:
         basepoint = s.basepoint if isinstance(s, LpPointSet) else 0
     r = eps / 2.0
-    net = greedy_maximal_net(space, (basepoint, math.inf), r, basepoint)
+    net = greedy_maximal_net(space, (basepoint, math.inf), r)
     members = np.array(net.members)
     # maximality puts a member strictly within r of every point
     beta = members[np.argmax(space.dist[:, members] < r, axis=1)]
@@ -403,26 +412,18 @@ def coarse_embed(
     return CoarseEmbedding(s, eps, params, members, beta, images, constants)
 
 
-def verify_coarse(
-    embedding: CoarseEmbedding,
-    tolerance: float = 0.0,
-    *,
-    image_distances: np.ndarray | None = None,
-) -> BoundsReport:
+def verify_coarse(embedding: CoarseEmbedding, tolerance: float = 0.0) -> BoundsReport:
     """Certify the affine envelope of the rounded embedding, input units.
 
-    ``image_distances`` is the images' pairwise distance matrix when the
-    caller has already computed it; otherwise it is computed here.
+    The image distances are the embedding's own ``image_distances``.
     """
     c = embedding.constants
-    if image_distances is None:
-        image_distances = pairwise_distance_matrix(embedding.images, embedding.pointset.p)
     return verify_bounds(
         embedding.pointset.metric_space,
         lambda d: d / c.c_d - c.c_a,
         lambda d: c.c_d * d + c.c_a,
         tolerance=tolerance,
-        image_distances=image_distances,
+        image_distances=embedding.image_distances,
         constants={
             "p": "inf" if math.isinf(embedding.pointset.p) else embedding.pointset.p,
             "c_d": c.c_d,

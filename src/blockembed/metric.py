@@ -26,7 +26,6 @@ __all__ = [
     "NonzeroDiagonal",
     "ZeroOffDiagonal",
     "TriangleViolation",
-    "SeedOutsideBall",
     "TooFewPoints",
     "LengthMismatch",
     "FiniteMetricSpace",
@@ -79,12 +78,6 @@ class TriangleViolation(MetricError):
             f"triangle violation ({i},{j},{k}): d({i},{j}) = {lhs} "
             f"> d({i},{k}) + d({k},{j}) = {rhs}"
         )
-
-
-class SeedOutsideBall(MetricError):
-    def __init__(self, seed: int, center: int, radius: float):
-        self.seed, self.center, self.radius = seed, center, radius
-        super().__init__(f"seed {seed} lies outside ball B({center}, {radius})")
 
 
 class TooFewPoints(MetricError):
@@ -349,31 +342,29 @@ def _scan_triangles(a: np.ndarray, tol: float, start: int) -> None:
 
 
 def greedy_maximal_net(
-    space: FiniteMetricSpace,
-    ball: tuple[int, float],
-    net_radius: float,
-    seed: int,
+    space: FiniteMetricSpace, ball: tuple[int, float], net_radius: float
 ) -> Net:
-    """Greedy maximal ``net_radius``-net of a closed ball, seed forced first.
+    """Greedy maximal ``net_radius``-net of a closed ball, its center first.
 
-    Scan order is the seed, then the input index order.  A point is
-    admitted iff no member so far lies strictly within ``net_radius`` of it
-    (a tie at exactly the radius is admitted), tracked as a covered mask in
-    which points outside the ball start covered.  The result is maximal:
-    every ball point sits strictly within ``net_radius`` of a member.
+    The ball is (center, radius).  Scan order is the center, which seeds the
+    net, then the input index order.  A point is admitted iff no member so
+    far lies strictly within ``net_radius`` of it (a tie at exactly the
+    radius is admitted), tracked as a covered mask in which points outside
+    the ball start covered.  The result is maximal: every ball point sits
+    strictly within ``net_radius`` of a member.
     """
     center, ball_radius = ball
     if not net_radius > 0:
         raise MetricError("net radius must be positive")
-    d = space.dist
-    if not 0 <= seed < space.n_points or not 0 <= center < space.n_points:
-        raise MetricError("seed or center index out of range")
-    if d[seed, center] > ball_radius:
-        raise SeedOutsideBall(seed, center, ball_radius)
+    if not ball_radius >= 0:  # the center lies in its own ball
+        raise MetricError("ball radius must be non-negative")
+    if not 0 <= center < space.n_points:
+        raise MetricError("center index out of range")
 
+    d = space.dist
     covered = d[center] > ball_radius
     members = []
-    for i in (seed, *range(space.n_points)):
+    for i in (center, *range(space.n_points)):
         if not covered[i]:
             members.append(i)
             covered |= d[i] < net_radius
@@ -458,17 +449,18 @@ def verify_bounds(
 ) -> BoundsReport:
     """Check lower(d) - tol <= image distance <= upper(d) + tol on all pairs.
 
-    The tolerance is an absolute two-sided slack; a NaN tolerance raises
-    ``ValueError``.  A pair whose image distance is exactly 0 while its lower
-    envelope is positive fails whatever the tolerance: a computed 0 means the
-    two images are identical, so no rounding slack applies.  Failures are
-    report content, never exceptions.  The upper triangle is walked row by
-    row: each envelope is called once per pair with the distance as a Python
-    float, and the slacks, pass mask and extrema are taken with numpy.  Worst
-    slacks are the minima over all pairs; no per-pair value outlives its row.
+    The tolerance is an absolute two-sided slack; a non-finite tolerance
+    raises ``ValueError``.  A pair whose image distance is exactly 0 while
+    its lower envelope is positive fails whatever the tolerance: a computed
+    0 means the two images are identical, so no rounding slack applies.
+    Failures are report content, never exceptions.  The upper triangle is
+    walked row by row: each envelope is called once per pair with the
+    distance as a Python float, and the slacks, pass mask and extrema are
+    taken with numpy.  Worst slacks are the minima over all pairs; no
+    per-pair value outlives its row.
     """
-    if math.isnan(tolerance):
-        raise ValueError("tolerance must not be NaN")
+    if not math.isfinite(tolerance):
+        raise ValueError(f"tolerance must be finite, got {tolerance}")
     n = domain.n_points
     m = _check_shape(n, image_distances)
 

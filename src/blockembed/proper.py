@@ -152,10 +152,9 @@ class ProperParams:
 
 @dataclass(frozen=True)
 class NetHierarchy:
-    """Greedy maximal nets keyed by (shell n, level k), plus ball members."""
+    """Greedy maximal nets keyed by (shell n, level k)."""
 
     nets: Mapping[tuple[int, int], Net]
-    ball_members: Mapping[int, tuple[int, ...]]
 
     def net(self, n: int, k: int) -> Net:
         return self.nets[(n, k)]
@@ -163,7 +162,13 @@ class NetHierarchy:
 
 @dataclass(frozen=True)
 class ProperEmbedding:
-    """A built embedding: domain, constants, net hierarchy; ``images`` is built on first read."""
+    """A built embedding: domain, constants, net hierarchy.
+
+    ``images`` and ``image_distances`` are each computed on first read.  The
+    image distances come from one Frechet matrix per (shell, net) group with
+    a proved screen and an exact fallback, without building the images, and
+    equal ``pairwise_distance_matrix(images, CODOMAIN_P)`` bit for bit.
+    """
 
     pspace: PointedSpace
     params: ProperParams
@@ -173,6 +178,10 @@ class ProperEmbedding:
     def images(self) -> tuple[BlockVector, ...]:
         pspace, n = self.pspace, self.pspace.space.n_points
         return tuple(embed_point_proper(t, pspace, self.params, self.hierarchy) for t in range(n))
+
+    @cached_property
+    def image_distances(self) -> np.ndarray:
+        return _image_distances(self)
 
 
 def make_proper_params(
@@ -229,18 +238,13 @@ def build_hierarchy(pspace: PointedSpace, params: ProperParams) -> NetHierarchy:
     scan order is the point index order, so the hierarchy is reproducible.
     """
     space = pspace.space
-    norms = pspace.norms()
     nets: dict[tuple[int, int], Net] = {}
-    members: dict[int, tuple[int, ...]] = {}
     for n in range(params.n_min, params.n_max + 1):
         ball_radius = math.ldexp(1.0, n + 1)
-        members[n] = tuple(int(i) for i in np.flatnonzero(norms <= ball_radius))
         for k in range(1, params.k_max[n] + 1):
             net_radius = math.ldexp(1.0, n + 3 - k)
-            nets[(n, k)] = greedy_maximal_net(
-                space, (pspace.basepoint, ball_radius), net_radius, pspace.basepoint
-            )
-    return NetHierarchy(nets, members)
+            nets[(n, k)] = greedy_maximal_net(space, (pspace.basepoint, ball_radius), net_radius)
+    return NetHierarchy(nets)
 
 
 def frechet_coords(t: int, net: Net, pspace: PointedSpace) -> np.ndarray:
@@ -398,32 +402,22 @@ def _image_distances(embedding: ProperEmbedding) -> np.ndarray:
     return out
 
 
-def verify_proper(
-    embedding: ProperEmbedding,
-    tolerance: float = 1e-9,
-    *,
-    image_distances: np.ndarray | None = None,
-) -> BoundsReport:
+def verify_proper(embedding: ProperEmbedding, tolerance: float = 1e-9) -> BoundsReport:
     """Certify separation_envelope(d) <= image distance <= 9 * C_trunc * d.
 
     The upper envelope uses the truncated weight total of the map actually
     built, which is at most the full series total, so the check is at least
-    as strict as the nominal 9 * WEIGHT_SERIES_SUM * d envelope.
-    ``image_distances`` is the images' pairwise distance matrix when the
-    caller has already computed it; otherwise it is computed here, bit for
-    bit, from one Frechet matrix per (shell, net) group with a proved
-    screen and an exact fallback, without building the images.
+    as strict as the nominal 9 * WEIGHT_SERIES_SUM * d envelope.  The image
+    distances are the embedding's own ``image_distances``.
     """
     params = embedding.params
     upper_factor = 9.0 * params.c_trunc
-    if image_distances is None:
-        image_distances = _image_distances(embedding)
     return verify_bounds(
         embedding.pspace.space,
         separation_envelope,
         lambda d: upper_factor * d,
         tolerance=tolerance,
-        image_distances=image_distances,
+        image_distances=embedding.image_distances,
         constants={
             "weight_series_sum": WEIGHT_SERIES_SUM,
             "c_trunc": params.c_trunc,

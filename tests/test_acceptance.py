@@ -327,7 +327,7 @@ def test_criterion_5_structural_invariants():
             # basepoint coordinates vanish; coordinates are 1-Lipschitz
             for (n, k), net in hierarchy.nets.items():
                 assert np.all(frechet_coords(0, net, pspace) == 0.0)
-                ball = hierarchy.ball_members[n]
+                ball = np.flatnonzero(pspace.norms() <= 2.0 ** (n + 1))
                 coords = {t: frechet_coords(t, net, pspace) for t in ball}
                 for a in ball:
                     for b in ball:

@@ -204,15 +204,19 @@ class TestCliModes:
 
     @pytest.mark.parametrize(
         "mode, kind",
-        [("embed-proper", "path"), ("embed-lp", "random-lp-cloud"), ("coarse", "random-lp-cloud")],
+        [
+            ("embed-proper", "path"),
+            ("moduli", "path"),
+            ("embed-lp", "random-lp-cloud"),
+            ("coarse", "random-lp-cloud"),
+            ("moduli", "random-lp-cloud"),
+        ],
     )
     def test_pairwise_kernel_runs_once_per_certificate(self, tmp_path, monkeypatch, mode, kind):
         fixture = tmp_path / "f.json"
         assert run_cli("gen", "--kind", kind, "--n", 12, "--seed", 3, "--out", fixture) == 0
-        # the proper embedding has its own image distance kernel
-        original = (
-            proper._image_distances if mode == "embed-proper" else blocks.pairwise_distance_matrix
-        )
+        # the proper embedding of a matrix has its own image distance kernel
+        original = proper._image_distances if kind == "path" else blocks.pairwise_distance_matrix
         calls = []
 
         def counting(*args, **kwargs):
@@ -487,6 +491,10 @@ class TestCliModes:
             ("gen", "--kind", "random-graph-metric", "--edge-prob", "-1"),
             ("gen", "--kind", "random-graph-metric", "--edge-prob", "nan"),
             ("gen", "--kind", "random-graph-metric", "--edge-prob", "1.5"),
+            # an infinite tolerance or net radius would pass every pair
+            ("embed-proper", "--tolerance", "inf"),
+            ("net", "--epsilon", "inf"),
+            ("coarse", "--epsilon", "inf"),
         ],
     )
     def test_bad_parameter_exits_two(self, tmp_path, capsys, argv):

@@ -53,7 +53,7 @@ class TestRandomGraph:
 
     def test_disconnected_after_retries(self):
         with pytest.raises(DisconnectedGraph):
-            random_graph_metric(12, edge_prob=0.0, seed=3, max_retries=3)
+            random_graph_metric(12, edge_prob=0.0, seed=3)
 
 
 class TestRandomCloud:

@@ -257,11 +257,15 @@ class TestVerifyLp:
             seed=7,
             theta_mode="exact" if delta == 0 else "seeded-random",
         )
-        rep = verify_lp(embed_set_lp(cloud, params))
+        emb = embed_set_lp(cloud, params)
+        rep = verify_lp(emb)
         assert rep.passed
         assert rep.constants["lower_denominator"] == pytest.approx(
             20 * lam**2 * (1 + delta) ** 2
         )
+        # the matrix the verifier read is the embedding's own, computed once
+        assert emb.image_distances is emb.image_distances
+        assert np.array_equal(emb.image_distances, pairwise_distance_matrix(emb.images, p))
 
     def test_one_dimensional_ratios_inside_envelope(self):
         params = LpParams(delta=0.01, lambda_sim=1.0, theta_mode="exact")
@@ -332,8 +336,9 @@ class TestNetRound:
             assert d[i, m] < 0.45
 
     def test_bad_eps(self):
-        with pytest.raises(ValueError):
-            net_round(cloud_1d([0.0, 1.0]), 0.0)
+        for eps in (0.0, math.inf):
+            with pytest.raises(ValueError):
+                net_round(cloud_1d([0.0, 1.0]), eps)
 
 
 class TestCoarseEmbed:
@@ -365,6 +370,8 @@ class TestCoarseEmbed:
         rep = verify_coarse(ce, tolerance=0.0)
         assert rep.passed
         assert max_rounding_deviation(cloud, ce.beta) <= 0.5
+        assert ce.image_distances is ce.image_distances
+        assert np.array_equal(ce.image_distances, pairwise_distance_matrix(ce.images, math.inf))
 
     def test_inequality_holds_in_input_units_after_rescaling(self):
         # a set tighter than the unit ball forces a normalization scale > 1;

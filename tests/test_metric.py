@@ -12,7 +12,6 @@ from blockembed.metric import (
     MetricError,
     NegativeEntry,
     NonzeroDiagonal,
-    SeedOutsideBall,
     TooFewPoints,
     TriangleViolation,
     ZeroOffDiagonal,
@@ -183,33 +182,31 @@ class TestTriangleFilter:
 class TestGreedyNet:
     def test_five_points_radius_15(self):
         space = line_space([0, 1, 2, 3, 4])
-        net = greedy_maximal_net(space, (0, 10.0), 1.5, 0)
+        net = greedy_maximal_net(space, (0, 10.0), 1.5)
         assert net.members == (0, 2, 4)
 
     def test_radius_beyond_diameter_gives_seed(self):
         space = line_space([0, 1, 2, 3, 4])
-        net = greedy_maximal_net(space, (0, 10.0), 5.0, 0)
+        net = greedy_maximal_net(space, (0, 10.0), 5.0)
         assert net.members == (0,)
 
     def test_single_point_ball(self):
         space = line_space([0, 8])
-        net = greedy_maximal_net(space, (0, 1.0), 0.5, 0)
+        net = greedy_maximal_net(space, (0, 1.0), 0.5)
         assert net.members == (0,)
-
-    def test_seed_outside_ball(self):
-        space = line_space([0, 8])
-        with pytest.raises(SeedOutsideBall):
-            greedy_maximal_net(space, (0, 1.0), 0.5, 1)
+        with pytest.raises(MetricError):  # a ball that misses its own center
+            greedy_maximal_net(space, (0, -1.0), 0.5)
 
     def test_tie_at_exact_radius_is_admitted(self):
         space = line_space([0, 1.5])
-        net = greedy_maximal_net(space, (0, 4.0), 1.5, 0)
+        net = greedy_maximal_net(space, (0, 4.0), 1.5)
         assert net.members == (0, 1)
 
     def test_seed_forced_first(self):
+        # the center seeds the net
         space = line_space([0, 1, 2, 3, 4])
-        net = greedy_maximal_net(space, (2, 10.0), 1.5, 2)
-        assert net.members[0] == 2
+        net = greedy_maximal_net(space, (2, 10.0), 1.5)
+        assert net.members == (2, 0, 4)
 
     def test_brute_force_invariants(self):
         rng = np.random.default_rng(3)
@@ -220,7 +217,7 @@ class TestGreedyNet:
             space = validate_metric(d)
             radius = float(rng.uniform(0.3, 3.0))
             ball_r = float(rng.uniform(2.0, 8.0))
-            net = greedy_maximal_net(space, (0, ball_r), radius, 0)
+            net = greedy_maximal_net(space, (0, ball_r), radius)
             flags = oracles.brute_net_check(
                 d.tolist(), net.members, 0, ball_r, radius, 0
             )
@@ -248,13 +245,10 @@ class TestGreedyOracle:
         n = len(matrix)
         center = data.draw(st.integers(0, n - 1))
         ball_radius = data.draw(st.integers(0, 12))
-        inside = [i for i in range(n) if matrix[i][center] <= ball_radius]
-        seed = data.draw(st.sampled_from(inside))
         radius = data.draw(st.integers(1, 6))
-        net = greedy_maximal_net(
-            validate_metric(matrix), (center, float(ball_radius)), float(radius), seed
-        )
-        members, _ = oracles.brute_greedy_net(matrix, center, ball_radius, radius, seed)
+        space = validate_metric(matrix)
+        net = greedy_maximal_net(space, (center, float(ball_radius)), float(radius))
+        members, _ = oracles.brute_greedy_net(matrix, center, ball_radius, radius, center)
         assert list(net.members) == members
 
     @given(integer_metrics(), st.integers(1, 6), st.data())

@@ -31,7 +31,6 @@ from blockembed.proper import (
     log_growth,
     make_proper_params,
     separation_envelope,
-    _image_distances,
     tier_weight,
     verify_proper,
 )
@@ -139,7 +138,6 @@ class TestHierarchy:
         assert h.net(2, 1).members == (0,)  # radius 16 swallows the other point
         assert h.net(2, 2).members == (0,)
         assert h.net(2, 3).members == (0, 1)  # tie at exact radius 4 admitted
-        assert h.ball_members[2] == (0, 1)
 
     def test_radii_halve(self):
         pspace = path_space(6)
@@ -193,7 +191,7 @@ class TestFrechetCoords:
         h = build_hierarchy(pspace, params)
         d = pspace.space.dist
         for (n, k), net in h.nets.items():
-            ball = h.ball_members[n]
+            ball = np.flatnonzero(pspace.norms() <= 2.0 ** (n + 1))
             coords = {t: frechet_coords(t, net, pspace) for t in ball}
             for a in ball:
                 for b in ball:
@@ -277,7 +275,7 @@ class TestVerifyProper:
         rep = verify_proper(emb)
         assert rep.passed
         # the one pair's image distance is 4
-        assert _image_distances(emb)[0, 1] == 4.0
+        assert emb.image_distances[0, 1] == 4.0
         assert rep.worst_lower_slack == pytest.approx(4 - 4 / 624, abs=1e-15)
         assert rep.worst_upper_slack == pytest.approx(9 * emb.params.c_trunc * 4 - 4, abs=1e-12)
 
@@ -327,7 +325,7 @@ class TestVerifyProper:
         params, h = emb.params, emb.hierarchy
         d = pspace.space.dist
         for n in range(params.n_min, params.n_max + 1):
-            ball = h.ball_members[n]
+            ball = np.flatnonzero(pspace.norms() <= 2.0 ** (n + 1))
             for a in ball:
                 for b in ball:
                     if a == b:
@@ -403,7 +401,8 @@ class TestImageDistances:
         }[theta]
         pspace = PointedSpace(space, basepoint % space.n_points)
         emb = embed_space_proper(pspace, iso=iso, k_slack=k_slack)
-        assert np.array_equal(_image_distances(emb), eager_distances(emb))
+        assert emb.image_distances is emb.image_distances
+        assert np.array_equal(emb.image_distances, eager_distances(emb))
 
     @pytest.mark.parametrize("scale", [1.0, 2.0**-1000])  # 2^-1000: the guard fails
     @pytest.mark.parametrize(
@@ -442,7 +441,7 @@ class TestImageDistances:
         # the smaller or equal constant still sets some distances, through rounding
         eager = eager_distances(emb)
         assert ((level(2) > level(1)) & (eager == level(2))).any()
-        assert np.array_equal(_image_distances(emb), eager)
+        assert np.array_equal(emb.image_distances, eager)
 
     def test_equal_weight_levels_under_exact_theta(self):
         # leaves 40 apart from the center: levels 4 and 6 of shell 5 (n - k =
@@ -451,7 +450,7 @@ class TestImageDistances:
         nets = emb.hierarchy
         assert nets.net(5, 4).members == nets.net(5, 6).members == tuple(range(10))
         assert tier_weight(5, 4) == tier_weight(5, 6)
-        assert np.array_equal(_image_distances(emb), eager_distances(emb))
+        assert np.array_equal(emb.image_distances, eager_distances(emb))
 
     @pytest.mark.parametrize("theta", [BlockIsoModel.exact(), BlockIsoModel.seeded(0.5, 1.0, 8)])
     def test_equal_norm_points_in_a_one_coordinate_group(self, theta):
@@ -459,7 +458,7 @@ class TestImageDistances:
         # leaf gets the same coordinate, so the dominant level reads 0 on every pair
         emb = embed_space_proper(PointedSpace(star_metric(12), 0), iso=theta)
         assert emb.hierarchy.net(0, 1).members == emb.hierarchy.net(0, 2).members == (0,)
-        assert np.array_equal(_image_distances(emb), eager_distances(emb))
+        assert np.array_equal(emb.image_distances, eager_distances(emb))
 
     def test_images_are_built_on_first_read(self):
         pspace = PointedSpace(random_graph_metric(30, None, 4), 2)
