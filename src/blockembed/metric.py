@@ -402,46 +402,54 @@ def moduli_profile(
     "unbounded" marker), an empty supremum as 0.0.
     """
     ts = [float(t) for t in thresholds]
-    if any(t < 0 for t in ts):
+    if not all(t >= 0 for t in ts):
         raise MetricError("thresholds must be non-negative")
     ts.sort()
-    n = domain.n_points
-    m = _check_shape(n, image_distances)
+    m = _check_shape(domain.n_points, image_distances)
 
-    iu = np.triu_indices(n, k=1)
-    dd = domain.dist[iu]
-    ii = m[iu]
-    compression = []
-    expansion = []
-    for t in ts:
-        above = ii[dd >= t]
-        compression.append(float(above.min()) if above.size else math.inf)
-        below = ii[dd <= t]
-        expansion.append(float(below.max()) if below.size else 0.0)
-    return ModuliProfile(tuple(ts), tuple(compression), tuple(expansion))
+    grid, at = np.unique([*ts, math.inf], return_inverse=True)  # inf: above every d
+    low = np.full(len(grid) + 1, math.inf)  # low[k]: min over pairs with k of grid <= d
+    high = np.zeros(len(grid) + 1)  # high[k]: max over pairs with k of grid < d
+    for d, v in _upper_chunks(domain.dist, m):
+        k = np.searchsorted(grid, d, "right")
+        np.minimum.at(low, k, v)
+        np.maximum.at(high, k - (grid[k - 1] == d), v)  # grid[-1] = inf > d at k = 0
+    compression = np.minimum.accumulate(low[::-1])[::-1][at[:-1] + 1]
+    expansion = np.maximum.accumulate(high)[at[:-1]]
+    return ModuliProfile(tuple(ts), tuple(compression.tolist()), tuple(expansion.tolist()))
 
 
 def distortion(domain: FiniteMetricSpace, *, image_distances: np.ndarray) -> float:
     """Product of the two Lipschitz constants of the map and its inverse.
 
     Scale-invariant; ``math.inf`` when two distinct points share an image.
+    This is the empirical distortion of :func:`verify_bounds`.
     """
-    n = domain.n_points
-    m = _check_shape(n, image_distances)
-    iu = np.triu_indices(n, k=1)
-    dd = domain.dist[iu]
-    ii = m[iu]
-    if dd.size == 0:
+    m = _check_shape(domain.n_points, image_distances)
+    if domain.n_points < 2:
         raise TooFewPoints("need at least two points")
-    if np.any(ii == 0):
-        return math.inf
-    return float(np.max(ii / dd) * np.max(dd / ii))
+    report = verify_bounds(domain, np.zeros_like, np.zeros_like, image_distances=m)
+    return report.empirical_distortion
+
+
+def _upper_chunks(dist: np.ndarray, m: np.ndarray, most: int = 2**16):
+    """Yield (dist, m) at the pairs i < j, flat in lexicographic order, per
+    row block of at most ``most`` pairs (a longer row alone)."""
+    n = dist.shape[0]
+    before = np.cumsum(np.arange(n, 0, -1)) - n  # pairs in the rows before row i
+    cols = np.arange(n)
+    i = 0
+    while i < n - 1:
+        k = max(i + 1, int(np.searchsorted(before, before[i] + most, "right")) - 1)
+        mask = cols > cols[i:k, None]
+        yield dist[i:k][mask], m[i:k][mask]
+        i = k
 
 
 def verify_bounds(
     domain: FiniteMetricSpace,
-    lower_envelope: Callable[[float], float],
-    upper_envelope: Callable[[float], float],
+    lower_envelope: Callable[[np.ndarray], np.ndarray],
+    upper_envelope: Callable[[np.ndarray], np.ndarray],
     *,
     image_distances: np.ndarray,
     tolerance: float = 1e-9,
@@ -453,11 +461,10 @@ def verify_bounds(
     raises ``ValueError``.  A pair whose image distance is exactly 0 while
     its lower envelope is positive fails whatever the tolerance: a computed
     0 means the two images are identical, so no rounding slack applies.
-    Failures are report content, never exceptions.  The upper triangle is
-    walked row by row: each envelope is called once per pair with the
-    distance as a Python float, and the slacks, pass mask and extrema are
-    taken with numpy.  Worst slacks are the minima over all pairs; no
-    per-pair value outlives its row.
+    Failures are report content, never exceptions.  An envelope maps an
+    array of distances to its values there, elementwise as on floats (an
+    overflow to inf stays silent); it is called once per row block of at
+    most 2^16 pairs, and only counts and exact extrema outlive a block.
     """
     if not math.isfinite(tolerance):
         raise ValueError(f"tolerance must be finite, got {tolerance}")
@@ -468,25 +475,23 @@ def verify_bounds(
     worst_lo = worst_hi = math.inf
     any_zero = False
     max_exp = max_inv = 0.0
-    for i in range(n - 1):
-        d = domain.dist[i, i + 1 :]
-        v = m[i, i + 1 :]
-        row = d.tolist()
-        lo = np.fromiter(map(lower_envelope, row), float, len(row))
-        hi = np.fromiter(map(upper_envelope, row), float, len(row))
-        slack_lo = v - lo
-        slack_hi = hi - v
+    for d, v in _upper_chunks(domain.dist, m):
+        with np.errstate(over="ignore"):
+            lo, hi = lower_envelope(d), upper_envelope(d)
+        slack_lo, slack_hi = v - lo, hi - v
+        del lo, hi  # and the slacks below: no two blocks' arrays coexist
         ok = (slack_lo >= -tolerance) & (slack_hi >= -tolerance)
-        nonzero = v != 0
-        if not nonzero.all():  # identical images fail under a positive lower envelope
-            any_zero = True
-            ok &= nonzero | ~(lo > 0)
-        n_failed += len(row) - int(np.count_nonzero(ok))
+        zero = v == 0  # identical images get no tolerance; their slack_lo is -lower
+        ok &= ~zero | (slack_lo >= 0)
+        any_zero = any_zero or bool(zero.any())
+        n_failed += ok.size - int(np.count_nonzero(ok))
         # fmin passes over a NaN slack, as the builtin min of a per-pair loop does
         worst_lo = float(np.fmin.reduce(slack_lo, initial=worst_lo))
         worst_hi = float(np.fmin.reduce(slack_hi, initial=worst_hi))
-        max_exp = float(np.max(v / d, initial=max_exp))
-        max_inv = float(np.max(d[nonzero] / v[nonzero], initial=max_inv))
+        if not any_zero:  # else the distortion is inf
+            max_exp = float(np.max(v / d, initial=max_exp))
+            max_inv = float(np.max(d / v, initial=max_inv))
+        del slack_lo, slack_hi
 
     n_pairs = n * (n - 1) // 2
     emp = math.inf if any_zero else (max_exp * max_inv if n_pairs else 1.0)

@@ -102,19 +102,23 @@ def annulus_index(r: float) -> tuple[int, float] | None:
     return n, lam
 
 
-def log_growth(t: float) -> float:
-    """(log2 t)^2 + 1, the growth profile in the lower envelope denominator."""
-    if t <= 0:
-        raise NonpositiveArgument(f"argument must be positive, got {t}")
-    lg = math.log2(t)
-    return lg * lg + 1.0
+def log_growth(t: float | np.ndarray) -> float | np.ndarray:
+    """(log2 t)^2 + 1, the growth profile in the lower envelope denominator.
+
+    Of a float, or elementwise and bit for bit alike of an array: both take
+    ``math.log2`` (np.log2 misses it in the last bit on some CPUs)."""
+    a = np.asarray(t, dtype=float)
+    if np.any(a <= 0):
+        raise NonpositiveArgument(f"argument must be positive, got {a.min()}")
+    lg = np.fromiter(map(math.log2, a.ravel().tolist()), float, a.size).reshape(a.shape)
+    return lg * lg + 1.0 if isinstance(t, np.ndarray) else float(lg * lg + 1.0)
 
 
-def separation_envelope(t: float) -> float:
-    """Guaranteed lower envelope t / (24 * max(log_growth(t), log_growth(t/128)))."""
-    if t <= 0:
-        raise NonpositiveArgument(f"argument must be positive, got {t}")
-    return t / (24.0 * max(log_growth(t), log_growth(t / 128.0)))
+def separation_envelope(t: float | np.ndarray) -> float | np.ndarray:
+    """Guaranteed lower envelope t / (24 * max(log_growth(t), log_growth(t/128))),
+    of a float or elementwise of an array, like :func:`log_growth`."""
+    out = t / (24.0 * np.maximum(log_growth(t), log_growth(t / 128.0)))
+    return out if isinstance(t, np.ndarray) else float(out)
 
 
 def tier_weight(n: int, k: int) -> float:

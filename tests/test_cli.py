@@ -558,6 +558,24 @@ class TestCliModes:
         assert err.startswith("blockembed: error:")
         assert "Traceback" not in err
 
+    def test_overflowing_upper_envelope_stays_silent(self, tmp_path, monkeypatch, capsys):
+        # c_d * d overflows to inf, silently as in float arithmetic: the report
+        # (pinned by its digest) and the empty stderr are those of a per-pair loop
+        import hashlib
+
+        from blockembed.fixtures import random_lp_cloud
+
+        monkeypatch.chdir(tmp_path)  # the report echoes the input path
+        pts = random_lp_cloud(30, 3, 2.0, seed=3).points * 1e200
+        write_space(LpPointSet(2.0, pts), "c.json")
+        argv = ("coarse", "--input", "c.json", "--lambda-sim", "1e100", "--epsilon", "1e199")
+        assert run_cli(*argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out)["checks"]["worst_upper_slack"] == "unbounded"
+        digest = "140efe8a5303a3086f67abdb5a76740b079cc4eb58a7b0568e3d7dab84cba418"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_theta_random_flag(self, tmp_path):
         fixture = tmp_path / "p6.json"
         run_cli("gen", "--kind", "path", "--n", 6, "--out", fixture)

@@ -318,8 +318,9 @@ class TestModuli:
 
     def test_negative_threshold_rejected(self):
         space = line_space([0, 1])
-        with pytest.raises(MetricError):
-            moduli_profile(space, [-1.0], image_distances=euclid([np.zeros(1), np.ones(1)]))
+        for bad in (-1.0, math.nan):  # NaN has no place in the sorted grid
+            with pytest.raises(MetricError):
+                moduli_profile(space, [1.0, bad], image_distances=euclid([np.zeros(1), np.ones(1)]))
 
     def test_length_mismatch(self):
         space = line_space([0, 1, 3])
@@ -344,6 +345,63 @@ class TestModuli:
             assert a == b or abs(a - b) < 1e-12
         for a, b in zip(prof.expansion, expa):
             assert abs(a - b) < 1e-12
+
+
+@st.composite
+def integer_maps(draw):
+    """(domain, image distances): an integer-weighted path or graph metric on
+    2..9 points and a symmetric integer matrix, zeros (shared images) allowed."""
+    if draw(st.booleans()):
+        gaps = draw(st.lists(st.integers(1, 4), min_size=1, max_size=8))
+        space = line_space(np.cumsum([0, *gaps]))
+    else:
+        space = validate_metric(draw(integer_metrics().filter(lambda d: len(d) >= 2)))
+    n = space.n_points
+    values = draw(st.lists(st.integers(0, 8), min_size=n * n, max_size=n * n))
+    imat = np.triu(np.array(values, dtype=float).reshape(n, n), 1)
+    return space, imat + imat.T
+
+
+class TestModuliExactly:
+    @given(integer_maps(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_brute_force_profile(self, space_and_images, data):
+        space, imat = space_and_images
+        dists = sorted(set(space.dist[np.triu_indices(space.n_points, 1)].tolist()))
+        # thresholds on existing distances (ties on both sides), below the least
+        # distance, above the diameter, and anywhere between
+        ts = data.draw(
+            st.lists(
+                st.one_of(
+                    st.sampled_from(dists),
+                    st.sampled_from([0.0, 0.5, dists[-1] + 1.0, math.inf]),
+                    st.floats(0.0, dists[-1] + 2.0),
+                ),
+                max_size=12,
+            )
+        )
+        prof = moduli_profile(space, ts, image_distances=imat)
+        comp, expa = oracles.brute_moduli(space.dist.tolist(), imat.tolist(), sorted(ts))
+        assert prof.thresholds == tuple(sorted(ts))
+        assert prof.compression == tuple(comp)
+        assert prof.expansion == tuple(expa)
+
+    def test_peak_memory_stays_small(self):
+        import tracemalloc
+
+        from blockembed.fixtures import random_lp_cloud
+
+        space = random_lp_cloud(512, 3, 2.0, seed=1).metric_space
+        m = 1.5 * space.dist
+        ts = np.geomspace(0.01, 2.0 * space.diameter(), 32).tolist()
+        tracemalloc.start()
+        try:
+            prof = moduli_profile(space, ts, image_distances=m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert prof.expansion[-1] == m.max()
+        assert peak < 4 * 2**20
 
 
 class TestDistortion:
@@ -493,12 +551,12 @@ ENVELOPES = {
     "coarse-affine": (lambda d: d / 20.402 - 9.0, lambda d: 20.402 * d + 9.0),
     "separation": _separation_pair(),
     "failing": (lambda d: 2.0 * d, lambda d: 0.5 * d),
-    "nan": (lambda d: math.nan if d > 2.0 else 0.0, lambda d: 9.0 * d),
+    "nan": (lambda d: np.where(d > 2.0, math.nan, 0.0), lambda d: 9.0 * d),
 }
 
 
 class TestVerifyBoundsAgainstLoop:
-    """The row-wise verifier against the former per-pair loop."""
+    """The block-wise verifier against the former per-pair loop."""
 
     @pytest.mark.parametrize("envelope", sorted(ENVELOPES))
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 17])
@@ -545,3 +603,26 @@ class TestVerifyBoundsAgainstLoop:
             tracemalloc.stop()
         assert rep.n_pairs == 512 * 511 // 2 and rep.passed
         assert peak < 4 * 2**20
+
+    def test_envelopes_called_once_per_block_not_per_pair(self):
+        from blockembed.fixtures import random_lp_cloud
+
+        space = random_lp_cloud(512, 3, 2.0, seed=1).metric_space
+        calls = {"lower": 0, "upper": 0}
+
+        def counting(side, envelope):
+            def counted(d):
+                calls[side] += 1
+                return envelope(d)
+
+            return counted
+
+        lower, upper = ENVELOPES["lp-linear"]
+        rep = verify_bounds(
+            space,
+            counting("lower", lower),
+            counting("upper", upper),
+            image_distances=1.5 * space.dist,
+        )
+        assert rep.n_pairs == 512 * 511 // 2 and rep.passed
+        assert 1 <= calls["lower"] == calls["upper"] <= math.ceil(rep.n_pairs / 2**16) + 1

@@ -88,6 +88,39 @@ class TestEnvelopeFunctions:
         with pytest.raises(NonpositiveArgument):
             separation_envelope(0.0)
 
+    # positive doubles from 1e-300 to 1e300, exact powers of two, and 128 * 2^k,
+    # whose t / 128 is an exact power of two
+    ARGS = st.one_of(
+        st.floats(1e-300, 1e300),
+        st.integers(-990, 1000).map(lambda k: 2.0**k),
+        st.integers(-990, 1000).map(lambda k: 128.0 * 2.0**k),
+    )
+
+    @given(st.lists(ARGS, min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_arrays_give_the_float_results_bit_for_bit(self, ts):
+        t = np.array(ts)
+        for f in (log_growth, separation_envelope):
+            floats = [f(x) for x in ts]
+            assert all(type(y) is float for y in floats)
+            out = f(t)
+            assert out.dtype == np.float64 and out.shape == t.shape
+            assert out.tobytes() == np.array(floats).tobytes()
+            assert f(t.reshape(1, -1)).tobytes() == out.tobytes()
+
+    @given(
+        st.lists(ARGS, max_size=20),
+        st.sampled_from([0.0, -0.0, -1e-300, -1.0, -math.inf]),
+        st.data(),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_a_nonpositive_entry_anywhere_raises(self, ts, bad, data):
+        i = data.draw(st.integers(0, len(ts)))
+        t = np.array([*ts[:i], bad, *ts[i:]])
+        for f in (log_growth, separation_envelope):
+            with pytest.raises(NonpositiveArgument):
+                f(t)
+
     def test_series_total_matches_independent_sum(self):
         total, half_width = oracles.weight_series_partial(1_000_000)
         assert half_width < 1e-10
