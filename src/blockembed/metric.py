@@ -41,6 +41,8 @@ __all__ = [
     "verify_bounds",
 ]
 
+_BLOCK_PAIRS = 2**16  # pairs per row block of _upper_chunks
+
 
 class MetricError(ValueError):
     """The input fails a metric-space requirement."""
@@ -425,22 +427,21 @@ def distortion(domain: FiniteMetricSpace, *, image_distances: np.ndarray) -> flo
     Scale-invariant; ``math.inf`` when two distinct points share an image.
     This is the empirical distortion of :func:`verify_bounds`.
     """
-    m = _check_shape(domain.n_points, image_distances)
+    report = verify_bounds(domain, np.zeros_like, np.zeros_like, image_distances=image_distances)
     if domain.n_points < 2:
         raise TooFewPoints("need at least two points")
-    report = verify_bounds(domain, np.zeros_like, np.zeros_like, image_distances=m)
     return report.empirical_distortion
 
 
-def _upper_chunks(dist: np.ndarray, m: np.ndarray, most: int = 2**16):
-    """Yield (dist, m) at the pairs i < j, flat in lexicographic order, per
-    row block of at most ``most`` pairs (a longer row alone)."""
+def _upper_chunks(dist: np.ndarray, m: np.ndarray):
+    """Yield (dist, m) at the pairs i < j, flat in lexicographic order, per row
+    block of at most _BLOCK_PAIRS pairs, or one row when a row alone is longer."""
     n = dist.shape[0]
     before = np.cumsum(np.arange(n, 0, -1)) - n  # pairs in the rows before row i
     cols = np.arange(n)
     i = 0
     while i < n - 1:
-        k = max(i + 1, int(np.searchsorted(before, before[i] + most, "right")) - 1)
+        k = max(i + 1, int(np.searchsorted(before, before[i] + _BLOCK_PAIRS, "right")) - 1)
         mask = cols > cols[i:k, None]
         yield dist[i:k][mask], m[i:k][mask]
         i = k
@@ -463,8 +464,8 @@ def verify_bounds(
     0 means the two images are identical, so no rounding slack applies.
     Failures are report content, never exceptions.  An envelope maps an
     array of distances to its values there, elementwise as on floats (an
-    overflow to inf stays silent); it is called once per row block of at
-    most 2^16 pairs, and only counts and exact extrema outlive a block.
+    overflow to inf stays silent); it is called once per row block of at most
+    2^16 pairs, or one row when a row alone is longer (see _upper_chunks).
     """
     if not math.isfinite(tolerance):
         raise ValueError(f"tolerance must be finite, got {tolerance}")

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from blockembed.blocks import lp_distance_matrix
 from blockembed.lp_coarse import LpPointSet, net_round
 from blockembed.metric import (
+    _BLOCK_PAIRS,
     AsymmetricMatrix,
     LengthMismatch,
     MetricError,
@@ -625,4 +626,4 @@ class TestVerifyBoundsAgainstLoop:
             image_distances=1.5 * space.dist,
         )
         assert rep.n_pairs == 512 * 511 // 2 and rep.passed
-        assert 1 <= calls["lower"] == calls["upper"] <= math.ceil(rep.n_pairs / 2**16) + 1
+        assert 1 <= calls["lower"] == calls["upper"] <= math.ceil(rep.n_pairs / _BLOCK_PAIRS) + 1
