@@ -230,22 +230,14 @@ def lp_distance_matrix(points: np.ndarray, p: float) -> np.ndarray:
 def pairwise_distance_matrix(images: Sequence[BlockVector], p: float) -> np.ndarray:
     """All pairwise image distances in the block sum with exponent p.
 
-    Equivalent to ``outer_norm(axpy(1, u, -1, v), p)`` on every pair; used
-    on the hot verification paths.  The diagonal is exactly zero and the
-    matrix is exactly symmetric.
+    Equivalent to ``outer_norm(axpy(1, u, -1, v), p)`` on every pair.  The
+    diagonal is exactly zero and the matrix is exactly symmetric.
 
     Each block j only touches the c_j points that carry it, gathered once
-    as a c_j x dim array.  A pair with one carrier is charged that
-    carrier's block norm and a pair with none is charged nothing, so only
-    carrier-by-carrier distances are formed (:func:`lp_distance_matrix`).
-    Block norms are folded into the l_p sum in ascending id order with the
-    same per-block formula for every entry, so each distance is
-    bit-identical to that of a dense difference over all n points.  For
-    finite p > 1, an entry whose p-th powers overflow is computed again from
-    every coordinate divided by an exact power of two, its root multiplied
-    back; entries whose plain fold stays finite keep their bits.
+    as a c_j x dim array and folded by :func:`_fold_distances`, so each
+    distance is bit-identical to that of a dense difference over all n
+    points.
     """
-    n = len(images)
     dims: dict[int, int] = {}
     carriers: dict[int, list[int]] = {}
     coords: dict[int, list[np.ndarray]] = {}
@@ -256,37 +248,56 @@ def pairwise_distance_matrix(images: Sequence[BlockVector], p: float) -> np.ndar
                 raise DimensionMismatch(j, d, len(x))
             carriers.setdefault(j, []).append(i)
             coords.setdefault(j, []).append(x)
+    blocks = [(np.array(carriers[j]), np.array(coords[j])) for j in sorted(dims)]
+    return _fold_distances(len(images), blocks, p)
 
-    blocks = [(carriers[j], coords[j]) for j in sorted(dims)]
+
+def _fold_distances(
+    n: int, blocks: list[tuple[np.ndarray | slice, np.ndarray]], p: float
+) -> np.ndarray:
+    """The n x n image distances of blocks folded by :func:`_fold`, with an
+    exactly zero diagonal.
+
+    For finite p > 1, an entry whose p-th powers overflow is computed again
+    from every coordinate divided by an exact power of two, its root
+    multiplied back; entries whose plain fold stays finite keep their bits.
+    """
     out = _fold(n, blocks, p, 0)
     if not math.isinf(p) and p != 1:
         over = np.isinf(out)
         if over.any():
             # a block distance is at most 2 * dim * max|x| < 2^shift
-            top = max(float(np.abs(x).max()) for xs in coords.values() for x in xs)
-            shift = math.frexp(top)[1] + max(dims.values()).bit_length() + 1
+            top = max(float(np.abs(x).max()) for _, x in blocks)
+            dim = max(x.shape[1] for _, x in blocks)
+            shift = math.frexp(top)[1] + dim.bit_length() + 1
             out[over] = _fold(n, blocks, p, shift)[over]
     np.fill_diagonal(out, 0.0)
     return out
 
 
 def _fold(
-    n: int, blocks: list[tuple[list[int], list[np.ndarray]]], p: float, shift: int
+    n: int, blocks: list[tuple[np.ndarray | slice, np.ndarray]], p: float, shift: int
 ) -> np.ndarray:
-    """Fold blocks, given as (carrier indices, carrier coordinates), into
-    the n x n l_p sum of their distances, with every coordinate divided by
-    2^shift and the root multiplied back.  The diagonal is left as it comes.
-    An entry that overflows comes out inf."""
+    """Fold blocks into the n x n l_p sum of their distances, in list order,
+    with every coordinate divided by 2^shift and the root multiplied back.
+
+    A block is (carriers, coordinates): an index array or a slice of the n
+    points, and their c x dim coordinate rows.  A pair of carriers is
+    charged their distance (:func:`lp_distance_matrix`), a pair with one
+    carrier that carrier's block norm, and a pair with none nothing.  A
+    carrier whose row is zero is charged as a non-carrier would be, to the
+    bit, so a caller may keep such rows to make its carriers one slice.
+    The diagonal is left as it comes.  An entry that overflows comes out
+    inf.
+    """
     sup = math.isinf(p)
     out = np.zeros((n, n))
-    for carriers, coords in blocks:
-        idx = np.array(carriers)
-        x = np.array(coords)
+    for idx, x in blocks:
         if shift:
             x = np.ldexp(x, -shift)
         # column b of the carriers: N_b against non-carrier rows, the exact
         # block distance against carrier rows
-        col = np.empty((n, len(idx)))
+        col = np.empty((n, len(x)))
         with np.errstate(over="ignore"):  # an overflowed entry is computed again, scaled
             col[:] = _norms(np.abs(x), p)
             col[idx] = lp_distance_matrix(x, p)

@@ -314,10 +314,19 @@ _RUNNERS = {
 
 
 def run_report(config: RunConfig) -> tuple[dict[str, Any], bool]:
-    """Execute the configured pipeline and assemble the report payload."""
+    """Execute the configured pipeline and assemble the report payload.
+
+    Every mode first rejects a NaN setting, which no report can echo, and a
+    non-finite tolerance, which would pass every pair.
+    """
     runner = _RUNNERS.get(config.mode)
     if runner is None:
         raise UsageError(f"unknown mode {config.mode!r}")
+    for name, value in config.echo().items():
+        if isinstance(value, float) and math.isnan(value):
+            raise UsageError(f"{name} must be a number, got nan")
+    if not math.isfinite(config.tolerance):
+        raise UsageError(f"tolerance must be finite, got {config.tolerance}")
     body, passed = runner(config)
     report: dict[str, Any] = {
         "schema": REPORT_SCHEMA,

@@ -32,10 +32,10 @@ from .blocks import (
     _L2_REDO_BELOW,
     BlockIsoModel,
     BlockVector,
+    _fold_distances,
     _norms,
     inner_norm,
     lp_distance_matrix,
-    pairwise_distance_matrix,
     scale_block,
 )
 from .metric import BoundsReport, FiniteMetricSpace, greedy_maximal_net, verify_bounds
@@ -257,31 +257,88 @@ class CoarseConstants:
             raise ValueError("coarse constants must be positive")
 
 
+def _shell_distances(
+    points: np.ndarray,
+    params: LpParams,
+    p: float,
+    a: float = 1.0,
+    rows: np.ndarray | slice = slice(None),
+) -> np.ndarray:
+    """Image distances, each image scaled by ``a``, between the normalized
+    points ``points[rows]``: bit for bit those of the images
+    ``embed_point_lp`` builds, scaled as :func:`~blockembed.blocks.scale_block`
+    scales them.
+
+    A point of shell n carries lam * theta_n * R(t) on tier n and (1 - lam)
+    * theta_(n+1) * R(t) on tier n + 1, so with the points sorted by norm the
+    carriers of tier j, the points of shells j - 1 and j, are one slice.
+    One fold (:func:`~blockembed.blocks._fold_distances`) runs over that
+    order, tiers ascending.  A carrier of blend exactly 0 (a dyadic norm)
+    keeps a zero row, which changes no distance; points of norm 0 sort
+    first, in no slice.  The result is taken back to input order in one
+    gather.
+    """
+    r = _norms(np.abs(points), p)
+    if np.any((r > 0) & (r < 1)):
+        raise NormBelowOne(f"point norm {r[r > 0].min()} < 1; normalize the set first")
+    order = np.argsort(r, kind="stable")
+    zero = int(np.count_nonzero(r == 0))  # the points of norm 0 sort first
+    r = r[order[zero:]]
+    shell = np.frexp(r)[1] - 1
+    if len(shell) and shell[-1] >= 1023:  # as in annulus_index, 2^(n+1) is no double
+        raise OverflowError(f"point norm {r[-1]} lies past the last dyadic shell")
+    lam = (np.ldexp(1.0, shell + 1) - r) / np.ldexp(1.0, shell)  # annulus_index's blend
+    rt = params.diag_map(points.shape[1]) * points[order[zero:]]
+    blocks = []
+    for tier in range(int(shell[0]), int(shell[-1]) + 2) if len(shell) else ():
+        lo = int(np.searchsorted(shell, tier - 1, side="left"))
+        hi = int(np.searchsorted(shell, tier, side="right"))
+        if lo == hi:  # no point in shell tier - 1 or tier
+            continue
+        blend = np.where(shell[lo:hi] == tier, lam[lo:hi], 1.0 - lam[lo:hi])
+        x = a * ((blend * params.iso.factor(tier))[:, None] * rt[lo:hi])
+        blocks.append((slice(zero + lo, zero + hi), x))
+    out = _fold_distances(len(points), blocks, p)
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    at = position[rows]
+    return out[np.ix_(at, at)]
+
+
 @dataclass(frozen=True)
 class LpEmbedding:
     """Lipschitz embedding of a normalized l_p point set.
 
-    ``image_distances``, the images' pairwise l_p block-sum distances, is
-    computed on first read.
+    The embedding holds its factors, not its images: ``image_distances``,
+    the images' pairwise l_p block-sum distances, is computed on first read
+    by one fold over the points sorted by shell (see ``_shell_distances``),
+    and ``images``, the block vectors themselves, are built only when read.
     """
 
     pointset: LpPointSet  # normalized
     params: LpParams
-    images: tuple[BlockVector, ...]
     translation: np.ndarray
     scale: float
 
     @cached_property
+    def images(self) -> tuple[BlockVector, ...]:
+        p = self.pointset.p
+        return tuple(embed_point_lp(row, self.params, p) for row in self.pointset.points)
+
+    @cached_property
     def image_distances(self) -> np.ndarray:
-        return pairwise_distance_matrix(self.images, self.pointset.p)
+        return _shell_distances(self.pointset.points, self.params, self.pointset.p)
 
 
 @dataclass(frozen=True)
 class CoarseEmbedding:
     """Net rounding composed with the Lipschitz embedding, in input units.
 
+    ``net`` embeds the net members, in ``members`` order; point t's image is
+    that of member beta(t), scaled by 1 / ``net.scale``.
     ``image_distances``, the images' pairwise l_p block-sum distances, is
-    computed on first read.
+    computed on first read from one fold over the members only, then
+    indexed by beta; ``images`` are built only when read.
     """
 
     pointset: LpPointSet  # original, un-normalized
@@ -289,12 +346,26 @@ class CoarseEmbedding:
     params: LpParams
     members: tuple[int, ...]
     beta: tuple[int, ...]
-    images: tuple[BlockVector, ...]
+    net: LpEmbedding
     constants: CoarseConstants
+
+    def _member_rows(self) -> np.ndarray:
+        """Each point's row in the net: the position of beta(t) in ``members``."""
+        position = np.empty(self.pointset.n_points, dtype=int)
+        position[list(self.members)] = np.arange(len(self.members))
+        return position[list(self.beta)]
+
+    @cached_property
+    def images(self) -> tuple[BlockVector, ...]:
+        inv = 1.0 / self.net.scale
+        member_images = [scale_block(inv, v) for v in self.net.images]
+        return tuple(member_images[k] for k in self._member_rows())
 
     @cached_property
     def image_distances(self) -> np.ndarray:
-        return pairwise_distance_matrix(self.images, self.pointset.p)
+        net = self.net
+        points, p = net.pointset.points, net.pointset.p
+        return _shell_distances(points, self.params, p, 1.0 / net.scale, self._member_rows())
 
 
 def embed_point_lp(
@@ -331,8 +402,7 @@ def embed_set_lp(s: LpPointSet, params: LpParams | None = None) -> LpEmbedding:
     """Normalize a point set and embed every point."""
     params = params if params is not None else LpParams()
     ns, translation, scale = normalize_pointed(s)
-    images = tuple(embed_point_lp(row, params, ns.p) for row in ns.points)
-    return LpEmbedding(ns, params, images, translation, scale)
+    return LpEmbedding(ns, params, translation, scale)
 
 
 def verify_lp(embedding: LpEmbedding, tolerance: float = 1e-9) -> BoundsReport:
@@ -399,17 +469,13 @@ def coarse_embed(
     params = params if params is not None else LpParams()
     members, beta = net_round(s, eps)
     sub = LpPointSet(s.p, s.points[list(members)], basepoint=0)
-    emb = embed_set_lp(sub, params)
-    inv = 1.0 / emb.scale
-    member_images = [scale_block(inv, v) for v in emb.images]
-    position = {m: idx for idx, m in enumerate(members)}
-    images = tuple(member_images[position[b]] for b in beta)
+    net = embed_set_lp(sub, params)
     constants = CoarseConstants(
         c_d=max(9.0, params.lower_denominator()),
         c_a=9.0 * eps,
         eps=eps,
     )
-    return CoarseEmbedding(s, eps, params, members, beta, images, constants)
+    return CoarseEmbedding(s, eps, params, members, beta, net, constants)
 
 
 def verify_coarse(embedding: CoarseEmbedding, tolerance: float = 0.0) -> BoundsReport:
@@ -439,8 +505,12 @@ def verify_coarse(embedding: CoarseEmbedding, tolerance: float = 0.0) -> BoundsR
 def max_rounding_deviation(s: LpPointSet | FiniteMetricSpace, beta: tuple[int, ...]) -> float:
     """max over pairs of | d(beta a, beta b) - d(a, b) |."""
     d = s.distance_matrix if isinstance(s, LpPointSet) else s.dist
+    if not len(d):
+        return 0.0
     b = np.asarray(beta, dtype=int)
-    return float(np.abs(d[np.ix_(b, b)] - d).max()) if len(d) else 0.0
+    gap = d[np.ix_(b, b)]  # the one n x n temporary, reused in place
+    gap -= d
+    return float(np.abs(gap, out=gap).max())
 
 
 def grid_net(n_dim: int, k: int, size_cap: int = 200_000) -> np.ndarray:

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from blockembed import blocks, metric, proper
+from blockembed import blocks, lp_coarse, metric, proper
 from blockembed.cli import RunConfig, main, run_report
 from blockembed.io import (
     ParseError,
@@ -215,8 +215,9 @@ class TestCliModes:
     def test_pairwise_kernel_runs_once_per_certificate(self, tmp_path, monkeypatch, mode, kind):
         fixture = tmp_path / "f.json"
         assert run_cli("gen", "--kind", kind, "--n", 12, "--seed", 3, "--out", fixture) == 0
-        # the proper embedding of a matrix has its own image distance kernel
-        original = proper._image_distances if kind == "path" else blocks.pairwise_distance_matrix
+        # the proper embedding of a matrix has its own image distance kernel;
+        # the l_p and coarse ones fold the shell-sorted points once
+        original = proper._image_distances if kind == "path" else blocks._fold
         calls = []
 
         def counting(*args, **kwargs):
@@ -298,26 +299,27 @@ class TestCliModes:
             assert calls == {"validate_metric": 0, "_scan_triangles": 0}
 
     @pytest.mark.parametrize(
-        "mode, kind, built",
+        "mode, kind",
         [
-            ("embed-proper", "random-graph-metric", False),
-            ("moduli", "random-graph-metric", False),
-            ("verify_proper", "random-graph-metric", False),
-            ("embed-lp", "random-lp-cloud", True),
-            ("coarse", "random-lp-cloud", True),
-            ("moduli", "random-lp-cloud", True),
+            ("embed-proper", "random-graph-metric"),
+            ("moduli", "random-graph-metric"),
+            ("verify_proper", "random-graph-metric"),
+            ("embed-lp", "random-lp-cloud"),
+            ("coarse", "random-lp-cloud"),
+            ("moduli", "random-lp-cloud"),
         ],
     )
-    def test_image_vectors_built_only_off_the_proper_path(
-        self, tmp_path, monkeypatch, mode, kind, built
-    ):
+    def test_image_vectors_built_only_off_the_proper_path(self, tmp_path, monkeypatch, mode, kind):
+        # no mode builds image vectors, on the proper path or off it: every
+        # embedding computes its image distances from its factors
         fixture = tmp_path / "f.json"
         assert run_cli("gen", "--kind", kind, "--n", 16, "--seed", 5, "--out", fixture) == 0
-        calls = {"embed_point_proper": 0, "pairwise_distance_matrix": 0}
         originals = {
             "embed_point_proper": proper.embed_point_proper,
+            "embed_point_lp": lp_coarse.embed_point_lp,
             "pairwise_distance_matrix": blocks.pairwise_distance_matrix,
         }
+        calls = dict.fromkeys(originals, 0)
         for name, original in originals.items():
 
             def counting(*args, _name=name, _original=original, **kwargs):
@@ -335,10 +337,7 @@ class TestCliModes:
             assert proper.verify_proper(emb).passed
         else:
             assert run_cli(mode, "--input", fixture, "--out", tmp_path / "rep.json") == 0
-        if built:
-            assert calls["pairwise_distance_matrix"] == 1
-        else:
-            assert calls == {"embed_point_proper": 0, "pairwise_distance_matrix": 0}
+        assert calls == dict.fromkeys(originals, 0)
 
     @pytest.mark.parametrize("flags", [(), ("--p", 1), ("--basepoint", 1)])
     def test_validate_invalid_cloud_reports_invalid(self, tmp_path, flags):
@@ -476,6 +475,31 @@ class TestCliModes:
         err = capsys.readouterr().err
         assert err.startswith("blockembed: error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "mode", ["validate", "net", "embed-proper", "embed-lp", "coarse", "moduli", "gen"]
+    )
+    def test_non_finite_tolerance_exits_two_in_every_mode(self, tmp_path, capsys, mode, value):
+        fixture = tmp_path / "c.json"
+        fixture.write_text('{"p":2,"points":[[0,0],[3,4],[6,8]]}')
+        out = tmp_path / "out.json"
+        where = ("--kind", "path", "--n", 4) if mode == "gen" else ("--input", fixture)
+        assert run_cli(mode, *where, f"--tolerance={value}", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("blockembed: error:") and err.count("\n") == 1
+        assert not out.exists()  # rejected before any work
+
+    @pytest.mark.parametrize(
+        "mode, flag",
+        [("validate", "--lambda-sim"), ("net", "--delta"), ("moduli", "--epsilon")],
+    )
+    def test_nan_setting_a_mode_ignores_exits_two(self, tmp_path, capsys, mode, flag):
+        fixture = tmp_path / "c.json"
+        fixture.write_text('{"p":2,"points":[[0,0],[3,4],[6,8]]}')
+        assert run_cli(mode, "--input", fixture, flag, "nan") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("blockembed: error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv",

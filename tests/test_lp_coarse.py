@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blockembed import metric
+from blockembed import blocks, metric
 from blockembed.blocks import (
     BlockIsoModel,
     BlockVector,
+    _norms,
     axpy,
     inner_norm,
     lp_distance_matrix,
@@ -277,15 +278,16 @@ class TestVerifyLp:
         assert 1 / 20.402 <= ratio <= 9.0
 
     def test_zero_map_fails_every_pair(self):
-        params = LpParams(delta=0.0)
-        base = embed_set_lp(cloud_1d([0.0, 2.0, 5.0]), params)
-        broken = LpEmbedding(
-            base.pointset,
-            base.params,
-            tuple(BlockVector.empty() for _ in base.images),
-            base.translation,
-            base.scale,
-        )
+        class ZeroMap(LpEmbedding):
+            """Every point to the empty block vector."""
+
+            @property
+            def image_distances(self):
+                empty = [BlockVector.empty()] * self.pointset.n_points
+                return pairwise_distance_matrix(empty, self.pointset.p)
+
+        base = embed_set_lp(cloud_1d([0.0, 2.0, 5.0]), LpParams(delta=0.0))
+        broken = ZeroMap(base.pointset, base.params, base.translation, base.scale)
         rep = verify_lp(broken)
         assert rep.n_failed == rep.n_pairs == 3
 
@@ -385,6 +387,132 @@ class TestCoarseEmbed:
     def test_constants_validated(self):
         with pytest.raises(ValueError):
             CoarseConstants(c_d=0.0, c_a=1.0, eps=1.0)
+
+
+@st.composite
+def factored_cases(draw):
+    """(cloud, params, eps): 2..10 distinct points of a dim 1..3 integer
+    grid, sometimes jittered off it, scaled by a unit that makes many norms
+    exactly dyadic, scales the cloud up (tiny units) or overflows its l_2
+    fold (1e300), with any basepoint."""
+    p = draw(st.sampled_from([1.0, 2.0, 3.0, math.inf]))
+    n = draw(st.integers(2, 10))
+    dim = draw(st.integers(1, 3))
+    row = st.tuples(*[st.integers(-16, 16)] * dim)
+    pts = np.array(draw(st.lists(row, min_size=n, max_size=n, unique=True)), dtype=float)
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        pts += rng.uniform(-0.4, 0.4, size=pts.shape)  # keeps the points distinct
+    pts *= draw(st.sampled_from([1.0, 0.25, 3.0, 1e-3, 2.0**-600, 1e300]))
+    cloud = LpPointSet(p, pts, basepoint=draw(st.integers(0, n - 1)))
+    params = LpParams(
+        delta=draw(st.sampled_from([0.0, 0.01, 0.5])),
+        lambda_sim=draw(st.sampled_from([1.0, 3.0])),
+        seed=draw(st.integers(0, 50)),
+        theta_mode=draw(st.sampled_from(["exact", "seeded-random"])),
+    )
+    eps = draw(st.sampled_from([0.1, 1.0, 5.0, 40.0])) * float(np.abs(pts).max())
+    return cloud, params, eps
+
+
+def assert_bit_equal(a, b):
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_factored_equals_images(emb):
+    assert_bit_equal(emb.image_distances, pairwise_distance_matrix(emb.images, emb.pointset.p))
+
+
+class TestShellSortedDistances:
+    """image_distances, from one fold over the points sorted by shell, equal
+    the distance matrix of the images bit for bit."""
+
+    @given(factored_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_equal_to_the_images_distances(self, case):
+        cloud, params, eps = case
+        assert_factored_equals_images(embed_set_lp(cloud, params))
+        assert_factored_equals_images(coarse_embed(cloud, eps, params))
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+    def test_grid_net_with_dyadic_norms(self, p):
+        cloud = LpPointSet(p, grid_net(2, 2), basepoint=12)  # the origin
+        params = LpParams(delta=0.01, lambda_sim=2.0, seed=3)
+        emb = embed_set_lp(cloud, params)
+        # some points sit exactly on a shell boundary: one block, blend 1
+        assert any(len(v.block_ids) == 1 for v in emb.images[1:])
+        assert_factored_equals_images(emb)
+        assert_factored_equals_images(coarse_embed(cloud, 0.6, params))
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+    def test_basepoint_row_holds_the_image_norms(self, p):
+        rng = np.random.default_rng(5)
+        cloud = LpPointSet(p, rng.uniform(0, 8, size=(12, 3)), basepoint=7)
+        emb = embed_set_lp(cloud, LpParams(seed=2))
+        assert emb.images[7].is_zero
+        norms = [0.0 if v.is_zero else outer_norm(v, p) for v in emb.images]
+        # the fold sums block by block, outer_norm over the concatenation
+        np.testing.assert_allclose(emb.image_distances[7], norms, rtol=1e-14)
+        assert_factored_equals_images(emb)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+    def test_cloud_in_one_shell(self, p):
+        rng = np.random.default_rng(8)
+        directions = rng.normal(size=(15, 4))
+        directions /= _norms(np.abs(directions), p)[:, None]
+        radii = rng.uniform(1.0, 1.9, size=(15, 1))
+        cloud = LpPointSet(p, np.vstack([np.zeros(4), directions * radii]))
+        emb = embed_set_lp(cloud, LpParams(seed=4, lambda_sim=1.5))
+        assert emb.scale == 1.0
+        assert {v.block_ids for v in emb.images[1:]} == {(0, 1)}
+        assert_factored_equals_images(emb)
+
+    @pytest.mark.parametrize("unit", [1e-3, 2.0**-600])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+    def test_tiny_cloud_scaled_up(self, p, unit):
+        rng = np.random.default_rng(11)
+        cloud = LpPointSet(p, rng.uniform(0, 1, size=(14, 3)) * unit)
+        emb = embed_set_lp(cloud, LpParams(seed=6))
+        assert emb.scale > 1.0
+        assert_factored_equals_images(emb)
+        assert_factored_equals_images(coarse_embed(cloud, 0.2 * unit, LpParams(seed=6)))
+
+    def test_l2_overflow_is_redone_scaled(self, monkeypatch):
+        shifts = []
+        fold = blocks._fold
+
+        def recording(n, blocks_, p, shift):
+            shifts.append(shift)
+            return fold(n, blocks_, p, shift)
+
+        monkeypatch.setattr(blocks, "_fold", recording)
+        rng = np.random.default_rng(13)
+        cloud = LpPointSet(2.0, rng.uniform(-1, 1, size=(12, 3)) * 1e306)
+        emb = embed_set_lp(cloud, LpParams(seed=1))
+        distances = emb.image_distances
+        assert shifts[0] == 0 and shifts[1] > 0  # the plain fold overflowed
+        assert np.isfinite(distances).all()
+        assert_factored_equals_images(emb)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+    def test_many_points_round_to_one_member(self, p):
+        rng = np.random.default_rng(17)
+        cloud = LpPointSet(p, rng.uniform(0, 8, size=(40, 2)))
+        ce = coarse_embed(cloud, 6.0, LpParams(seed=9, lambda_sim=2.0))
+        assert len(ce.members) < 10
+        assert_factored_equals_images(ce)
+        # two points rounded onto one member have the same image
+        i, j = next(
+            (i, j) for i in range(40) for j in range(i) if ce.beta[i] == ce.beta[j]
+        )
+        assert ce.image_distances[i, j] == 0.0
+
+    def test_unnormalized_set_rejected_like_its_images(self):
+        emb = LpEmbedding(cloud_1d([0.0, 0.5, 3.0]), LpParams(), np.zeros(1), 1.0)
+        with pytest.raises(NormBelowOne):
+            emb.image_distances
+        with pytest.raises(NormBelowOne):
+            emb.images
 
 
 class TestGridNet:
