@@ -199,7 +199,7 @@ def _norms(diff: np.ndarray, p: float) -> np.ndarray:
     root = np.sqrt if p == 2 else (lambda x: x ** (1.0 / p))
     with np.errstate(over="ignore"):  # an overflowed row is redone below
         out = root(powers(diff).sum(axis=-1))
-    redo = ~(out >= _L2_REDO_BELOW ** (2.0 / p)) | np.isinf(out)
+    redo = _needs_redo(out, p)
     if redo.any():
         rows = diff[redo]
         e = np.frexp(rows.max(axis=-1))[1]
@@ -208,22 +208,56 @@ def _norms(diff: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
+def _needs_redo(out: np.ndarray, p: float) -> np.ndarray:
+    """Entries of finite-p norms whose powers may have left the normal range."""
+    return ~(out >= _L2_REDO_BELOW ** (2.0 / p)) | np.isinf(out)
+
+
 def lp_distance_matrix(points: np.ndarray, p: float) -> np.ndarray:
     """Pairwise l_p distances of the rows of an (m, dim) array, p in [1, inf].
 
-    Differences are formed ``_CHUNK_ELEMS`` elements (or one row, if
-    larger) at a time, so temporaries stay at O(m^2 + chunk).
+    For 1 <= dim < 8, per chunk of ``_CHUNK_ELEMS // m`` rows, the planes
+    |x[rows, k] - x[:, k]|^p are added (for p = inf, maxed) in coordinate
+    order, rooted, and the entries :func:`_norms` would redo are redone by
+    it; numpy sums fewer than 8 terms along a last axis left to right, so
+    this is :func:`_norms` of the difference rows to the bit.  Wider rows
+    are differenced ``_CHUNK_ELEMS`` elements (or one row) at a time into
+    :func:`_norms`.  Either way temporaries stay at O(m^2 + chunk).
     """
     x = np.asarray(points, dtype=float)
     m, dim = x.shape
     out = np.empty((m, m))
-    step = max(1, _CHUNK_ELEMS // max(1, m * dim))
-    buf = np.empty((min(step, m), m, dim))
-    for lo in range(0, m, step):
-        diff = buf[: min(step, m - lo)]
-        with np.errstate(over="ignore"):  # an overflow stays inf; metric checks reject it
-            np.subtract(x[lo : lo + step, None, :], x[None, :, :], out=diff)
-        out[lo : lo + step] = _norms(np.abs(diff, out=diff), p)
+    if not 1 <= dim < 8:
+        step = max(1, _CHUNK_ELEMS // max(1, m * dim))
+        buf = np.empty((min(step, m), m, dim))
+        for lo in range(0, m, step):
+            diff = buf[: min(step, m - lo)]
+            with np.errstate(over="ignore"):  # an overflow stays inf; metric checks reject it
+                np.subtract(x[lo : lo + step, None, :], x[None, :, :], out=diff)
+            out[lo : lo + step] = _norms(np.abs(diff, out=diff), p)
+        return out
+    sup, powered = math.isinf(p), not math.isinf(p) and p != 1
+    cols = x.T.copy()  # one contiguous row per coordinate
+    step = max(1, _CHUNK_ELEMS // max(1, m))
+    buf = np.empty((min(step, m), m))
+    with np.errstate(over="ignore"):  # an overflow stays inf, or is redone below
+        for lo in range(0, m, step):
+            acc = out[lo : lo + step]
+            for k in range(dim):
+                d = buf[: len(acc)] if k else acc
+                np.subtract.outer(cols[k, lo : lo + step], cols[k], out=d)
+                (np.square if p == 2 else np.abs)(d, out=d)  # d^2 = |d|^2
+                if powered and p != 2:
+                    np.power(d, p, out=d)
+                if k:
+                    (np.maximum if sup else np.add)(acc, d, out=acc)
+            if powered:
+                np.sqrt(acc, out=acc) if p == 2 else np.power(acc, 1.0 / p, out=acc)
+                redo = _needs_redo(acc, p)
+                np.fill_diagonal(redo[:, lo:], False)  # 0, redone or not
+                i, j = np.nonzero(redo)
+                if len(i):
+                    acc[i, j] = _norms(np.abs(x[lo + i] - x[j]), p)
     return out
 
 

@@ -39,7 +39,7 @@ from .blocks import (
     scale_block,
 )
 from .metric import BoundsReport, FiniteMetricSpace, greedy_maximal_net, verify_bounds
-from .proper import annulus_index
+from .proper import AnnulusOutOfRange, annulus_index
 
 __all__ = [
     "NormBelowOne",
@@ -286,7 +286,7 @@ def _shell_distances(
     r = r[order[zero:]]
     shell = np.frexp(r)[1] - 1
     if len(shell) and shell[-1] >= 1023:  # as in annulus_index, 2^(n+1) is no double
-        raise OverflowError(f"point norm {r[-1]} lies past the last dyadic shell")
+        raise AnnulusOutOfRange(f"point norm {r[-1]} lies past the last dyadic shell")
     lam = (np.ldexp(1.0, shell + 1) - r) / np.ldexp(1.0, shell)  # annulus_index's blend
     rt = params.diag_map(points.shape[1]) * points[order[zero:]]
     blocks = []

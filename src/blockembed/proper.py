@@ -91,6 +91,7 @@ def annulus_index(r: float) -> tuple[int, float] | None:
     (n, lam) with 2^n <= r <= 2^(n+1) and lam = (2^(n+1) - r)/2^n in (0, 1];
     an exactly dyadic r = 2^n gets lam = 1 in shell n, and the blend on the
     next shell is then zero, so the choice of side never changes the image.
+    A radius of 2^1023 or more (2^(n+1) is no double) raises AnnulusOutOfRange.
     """
     if r < 0:
         raise NegativeRadius(f"radius must be non-negative, got {r}")
@@ -98,6 +99,8 @@ def annulus_index(r: float) -> tuple[int, float] | None:
         return None
     m, e = math.frexp(r)  # r = m * 2^e with m in [0.5, 1), exact
     n = e - 1
+    if n >= 1023:
+        raise AnnulusOutOfRange(f"radius {r} lies past the last dyadic shell")
     lam = (math.ldexp(1.0, n + 1) - r) / math.ldexp(1.0, n)
     return n, lam
 
@@ -209,6 +212,8 @@ def make_proper_params(
     for r in positive:
         n, lam = annulus_index(float(r))
         n_max = max(n_max, n if lam == 1.0 else n + 1)
+    if n_max >= 1022:  # its level-1 net radius 2^(n_max + 2) is no double
+        raise AnnulusOutOfRange(f"shell {n_max} lies past the last shell with a net radius")
 
     k_max: dict[int, int] = {}
     used: set[int] = set()

@@ -6,6 +6,8 @@ implementations it checks.  The exceptions are kept former library code,
 the references for exact-equality checks of its replacements:
 :func:`dense_pair_distances` and :func:`dense_lp_distances`, the dense numpy
 kernels the library used before its row-chunked one;
+:func:`dense_redo_lp_distances`, the row-chunked kernel in one shot, which
+reduces each difference row with the library's ``blocks._norms``;
 :func:`scan_triangle_violation`, the per-row triangle scan that
 ``validate_metric`` used before its min-plus filter; and
 :func:`loop_verify_bounds`, the per-pair loop of ``verify_bounds``.
@@ -17,7 +19,7 @@ import math
 
 import numpy as np
 
-from blockembed.blocks import DimensionMismatch
+from blockembed.blocks import DimensionMismatch, _norms
 
 
 def brute_inner(values, p):
@@ -269,6 +271,17 @@ def dense_lp_distances(points, p):
         d = (diff**p).sum(axis=-1) ** (1.0 / p)
     np.fill_diagonal(d, 0.0)
     return d
+
+
+def dense_redo_lp_distances(points, p):
+    """Pairwise l_p distances as ``blocks._norms`` of one n x n x dim array of
+    absolute differences, overflow and underflow redo included.
+
+    What ``lp_distance_matrix`` computed for every dim before its
+    coordinate-plane path; kept as the bit-identity reference for that path.
+    """
+    with np.errstate(over="ignore"):
+        return _norms(np.abs(points[:, None, :] - points[None, :, :]), p)
 
 
 def brute_moduli(dmat, imat, thresholds):

@@ -312,15 +312,79 @@ class TestDistances:
         assert np.array_equal(lp_distance_matrix(x, p), oracles.dense_lp_distances(x, p))
 
     @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
-    @pytest.mark.parametrize("dim", [1, 3, 9, 140])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7, 8, 9, 140])
     def test_lp_distance_matrix_bit_identical_across_chunk_sizes(self, chunk, dim, monkeypatch):
-        x = np.random.default_rng(dim).uniform(-5, 5, size=(30, dim))
+        rng = np.random.default_rng(dim)
+        x = rng.uniform(-5, 5, size=(30, dim))
+        # rows whose powers under- or overflow, so that _norms's redo runs in every chunk
+        y = rng.uniform(-1, 1, (20, dim)) * np.repeat([2.0**-480, 1e-300, 1.0, 1e300], 5)[:, None]
         monkeypatch.setattr(blocks, "_CHUNK_ELEMS", chunk)
         for p in (1.0, 2.0, 3.0, math.inf):
             mat = lp_distance_matrix(x, p)
             assert np.array_equal(mat, oracles.dense_lp_distances(x, p))
             assert np.array_equal(mat, mat.T)
             assert np.all(np.diagonal(mat) == 0.0)
+        for p in (1.5, 2.0, 3.0):
+            assert np.array_equal(lp_distance_matrix(y, p), oracles.dense_redo_lp_distances(y, p))
+
+    @given(
+        st.integers(1, 10),
+        st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]),
+        st.lists(st.sampled_from([2.0**-480, 1e-300, 1.0, 1e300]), min_size=1, max_size=12),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_lp_distance_matrix_bit_identical_through_the_redo(self, dim, p, scales, seed):
+        # rows near 2^-480 and 1e-300 have powers that underflow, rows near
+        # 1e300 powers that overflow: either way _norms redoes their entries
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-1, 1, (len(scales), dim)) * np.array(scales)[:, None]
+        if len(x) > 2:
+            x[-1] = x[0]  # an exactly zero distance off the diagonal
+        mat = lp_distance_matrix(x, p)
+        assert np.array_equal(mat, oracles.dense_redo_lp_distances(x, p))
+        assert np.array_equal(mat, mat.T)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+    @pytest.mark.parametrize("dim", range(1, 10))
+    def test_distance_to_a_zero_row_is_the_norm(self, dim, p):
+        # _fold charges a carrier whose row is zero as a non-carrier, to the bit
+        rng = np.random.default_rng(dim)
+        scales = np.array([2.0**-480, 1e-300, 1e-5, 1.0, 1e5, 1e300] * 2)
+        x = rng.uniform(-1, 1, (len(scales), dim)) * scales[:, None]
+        mat = lp_distance_matrix(np.vstack([x, np.zeros((1, dim))]), p)
+        assert np.array_equal(mat[:-1, -1], blocks._norms(np.abs(x), p))
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+    def test_lp_distance_matrix_peak_memory_is_output_plus_chunks(self, p):
+        m = 600
+        x = np.random.default_rng(6).uniform(-5, 5, (m, 3))
+        tracemalloc.start()
+        try:
+            lp_distance_matrix(x, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the output, one plane buffer and the redo test's boolean masks
+        assert peak < m * m * 8 + 2 * blocks._CHUNK_ELEMS * 8
+
+    @pytest.mark.parametrize("terms", range(1, 8))
+    def test_numpy_sums_a_short_last_axis_left_to_right(self, terms):
+        # lp_distance_matrix's coordinate-plane path (dim < 8) adds the
+        # planes left to right and relies on _norms's sum doing the same
+        rng = np.random.default_rng(terms)
+        shape = (300, 4, terms)
+        a = np.abs(rng.standard_normal(shape)) * 2.0 ** rng.integers(-60, 60, shape)
+        if terms >= 3:
+            a[0, 0, :3] = [1.0, 1.0, 2.0**53]  # (1 + 1) + 2^53 != 1 + (1 + 2^53)
+        total = a[..., 0].copy()
+        for k in range(1, terms):
+            total += a[..., k]
+        assert np.array_equal(a.sum(axis=-1), total), (
+            f"numpy no longer sums {terms} terms along the last axis left to right: "
+            "blocks.lp_distance_matrix's coordinate-plane path would then differ "
+            "from _norms in the last bit"
+        )
 
     @pytest.mark.parametrize("scale", [1e-300, 1e300])
     def test_l2_distances_scaled_past_the_range_of_their_squares(self, scale):

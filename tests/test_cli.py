@@ -533,6 +533,29 @@ class TestCliModes:
         assert err.startswith("blockembed: error:") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "mode, space",
+        [
+            *[
+                (mode, '{"p":"inf","points":[[0,0],[1e308,0],[5e307,1e307]]}')
+                for mode in ("embed-lp", "coarse", "moduli", "embed-proper")
+            ],
+            # a norm at or past 2^1023: 2^(n+1) of its shell is no double
+            ("embed-proper", '{"dist":[[0,1e308],[1e308,0]]}'),
+            ("moduli", '{"dist":[[0,1e308],[1e308,0]]}'),
+            # shell 1022: its level-1 net radius 2^1024 is no double
+            ("embed-proper", '{"dist":[[0,3e307,3e307],[3e307,0,3e307],[3e307,3e307,0]]}'),
+        ],
+    )
+    def test_norm_past_the_last_dyadic_shell_exits_two(self, tmp_path, capsys, mode, space):
+        fixture = tmp_path / "s.json"
+        fixture.write_text(space)
+        out = tmp_path / "out.json"
+        assert run_cli(mode, "--input", fixture, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("blockembed: error:") and err.count("\n") == 1
+        assert "shell" in err and not out.exists()
+
     @pytest.mark.parametrize("exponent", ["-300", "300"])
     def test_validate_l2_cloud_at_extreme_scale(self, tmp_path, exponent):
         # the squares of these coordinates under- or overflow a double

@@ -68,6 +68,13 @@ class TestAnnulus:
         assert 0.0 < lam <= 1.0
         assert lam == (math.ldexp(1.0, n + 1) - r) / math.ldexp(1.0, n)
 
+    @pytest.mark.parametrize("r", [2.0**1023, 1e308, np.finfo(float).max])
+    def test_radius_past_the_last_shell(self, r):
+        # 2^(n+1) would overflow for shell n = 1023
+        with pytest.raises(AnnulusOutOfRange):
+            annulus_index(r)
+        assert annulus_index(np.nextafter(2.0**1023, 0.0))[0] == 1022
+
     @given(st.integers(-40, 40))
     @settings(max_examples=81, deadline=None)
     def test_dyadic_radius_gets_blend_one(self, e):
