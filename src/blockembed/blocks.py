@@ -216,8 +216,12 @@ def _needs_redo(out: np.ndarray, p: float) -> np.ndarray:
 def lp_distance_matrix(points: np.ndarray, p: float) -> np.ndarray:
     """Pairwise l_p distances of the rows of an (m, dim) array, p in [1, inf].
 
-    For 1 <= dim < 8, per chunk of ``_CHUNK_ELEMS // m`` rows, the planes
-    |x[rows, k] - x[:, k]|^p are added (for p = inf, maxed) in coordinate
+    Each chunk of rows [lo, hi) is formed against the columns lo: only and
+    copied, transposed, into the rows below it.  That is exact: fl(a - b) =
+    -fl(b - a), so (t, u) and (u, t) reduce the same magnitudes in the same
+    order.  For 1 <= dim < 8, per chunk of rows (all m when m^2 is at most
+    ``_CHUNK_ELEMS``, else up to half that many entries), the planes
+    |x[rows, k] - x[lo:, k]|^p are added (for p = inf, maxed) in coordinate
     order, rooted, and the entries :func:`_norms` would redo are redone by
     it; numpy sums fewer than 8 terms along a last axis left to right, so
     this is :func:`_norms` of the difference rows to the bit.  Wider rows
@@ -229,23 +233,34 @@ def lp_distance_matrix(points: np.ndarray, p: float) -> np.ndarray:
     out = np.empty((m, m))
     if not 1 <= dim < 8:
         step = max(1, _CHUNK_ELEMS // max(1, m * dim))
-        buf = np.empty((min(step, m), m, dim))
+        buf = np.empty(min(step, m) * m * dim)
         for lo in range(0, m, step):
-            diff = buf[: min(step, m - lo)]
+            hi = min(lo + step, m)
+            diff = buf[: (hi - lo) * (m - lo) * dim].reshape(hi - lo, m - lo, dim)
             with np.errstate(over="ignore"):  # an overflow stays inf; metric checks reject it
-                np.subtract(x[lo : lo + step, None, :], x[None, :, :], out=diff)
-            out[lo : lo + step] = _norms(np.abs(diff, out=diff), p)
+                np.subtract(x[lo:hi, None, :], x[None, lo:, :], out=diff)
+            rows = _norms(np.abs(diff, out=diff), p)
+            out[lo:hi, lo:] = rows
+            out[hi:, lo:hi] = rows[:, hi - lo :].T
         return out
     sup, powered = math.isinf(p), not math.isinf(p) and p != 1
     cols = x.T.copy()  # one contiguous row per coordinate
-    step = max(1, _CHUNK_ELEMS // max(1, m))
-    buf = np.empty((min(step, m), m))
+    # A matrix of at most _CHUNK_ELEMS entries is formed in place.  Otherwise
+    # a chunk holds at most half that many entries (or one row), formed
+    # contiguously in the buffer's second half so that its transposed copy
+    # reads with a short stride; chunks grow taller as their rows shorten.
+    whole = m * m <= _CHUNK_ELEMS
+    half = m * m if whole else max(_CHUNK_ELEMS // 2, m)
+    buf = np.empty(half if whole else 2 * half)
+    lo = 0
     with np.errstate(over="ignore"):  # an overflow stays inf, or is redone below
-        for lo in range(0, m, step):
-            acc = out[lo : lo + step]
+        while lo < m:
+            hi = min(m, lo + max(1, half // (m - lo)))
+            size, shape = (hi - lo) * (m - lo), (hi - lo, m - lo)
+            acc = out if whole else buf[half : half + size].reshape(shape)
             for k in range(dim):
-                d = buf[: len(acc)] if k else acc
-                np.subtract.outer(cols[k, lo : lo + step], cols[k], out=d)
+                d = buf[:size].reshape(shape) if k else acc
+                np.subtract.outer(cols[k, lo:hi], cols[k, lo:], out=d)
                 (np.square if p == 2 else np.abs)(d, out=d)  # d^2 = |d|^2
                 if powered and p != 2:
                     np.power(d, p, out=d)
@@ -254,10 +269,14 @@ def lp_distance_matrix(points: np.ndarray, p: float) -> np.ndarray:
             if powered:
                 np.sqrt(acc, out=acc) if p == 2 else np.power(acc, 1.0 / p, out=acc)
                 redo = _needs_redo(acc, p)
-                np.fill_diagonal(redo[:, lo:], False)  # 0, redone or not
+                np.fill_diagonal(redo, False)  # 0, redone or not
                 i, j = np.nonzero(redo)
                 if len(i):
-                    acc[i, j] = _norms(np.abs(x[lo + i] - x[j]), p)
+                    acc[i, j] = _norms(np.abs(x[lo + i] - x[lo + j]), p)
+            if not whole:
+                out[lo:hi, lo:] = acc
+                out[hi:, lo:hi] = acc[:, hi - lo :].T
+            lo = hi
     return out
 
 

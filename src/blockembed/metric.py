@@ -260,14 +260,22 @@ def validate_metric(
     # a row before the first flagged row i, and the exact scan of rows i..
     # names the same triple as a full scan; a flag it does not confirm is
     # a rounding near-miss, and the matrix is accepted.
-    bound = tol - 16 * 2.0**-53 * scale
+    # When 2M overflows (M >= 2^1023), a sum a_ik + a_jk may too, so the
+    # filter runs on b = fl(a / 2) against fl(tol / 2) and M / 2, whose sums
+    # stay at most M.  Halving is exact down to 2^-1021 and below that errs
+    # by at most 2^-1075, so each filter value is within 8u(M / 2) + 3 * 2^-1075
+    # of half the scan's, and fl(tol / 2) within 2^-1075 of tol / 2: as M / 2 >=
+    # 2^1022, the bounds above hold with tol, M halved, losses included.
+    half = 0.5 if scale >= 2.0**1023 else 1.0
+    b = a * half if half < 1 else a
+    bound = tol * half - 16 * 2.0**-53 * (scale * half)
     sums = np.empty((n, n))
     for i in range(n - 1):
-        s = sums[: n - 1 - i]  # s[r, k] = a[i, k] + a[j, k] for j = i + 1 + r
-        np.add(a[i + 1 :], a[i], out=s)
+        s = sums[: n - 1 - i]  # s[r, k] = b[i, k] + b[j, k] for j = i + 1 + r
+        np.add(b[i + 1 :], b[i], out=s)
         s[:, i] = np.inf
         s.reshape(-1)[i + 1 :: n + 1] = np.inf  # the k = j entries
-        if np.any(a[i, i + 1 :] - s.min(axis=1) > bound):
+        if np.any(b[i, i + 1 :] - s.min(axis=1) > bound):
             _scan_triangles(a, tol, i)
             break
 
@@ -333,14 +341,15 @@ def _scan_triangles(a: np.ndarray, tol: float, start: int) -> None:
     of a.T keeps memory access contiguous.
     """
     for i in range(start, a.shape[0]):
-        excess = a[i][:, None] - a[i][None, :] - a
+        with np.errstate(over="ignore"):  # a -inf excess exceeds no tol
+            excess = a[i][:, None] - a[i][None, :] - a
         excess[i, :] = -np.inf
         excess[:, i] = -np.inf
         np.fill_diagonal(excess, -np.inf)
         bad = np.argwhere(excess > tol)
         if bad.size:
             j, k = map(int, bad[0])
-            raise TriangleViolation(i, j, k, float(a[i, j]), float(a[i, k] + a[k, j]))
+            raise TriangleViolation(i, j, k, float(a[i, j]), float(a[i, k]) + float(a[k, j]))
 
 
 def greedy_maximal_net(

@@ -245,14 +245,23 @@ def build_hierarchy(pspace: PointedSpace, params: ProperParams) -> NetHierarchy:
     Shell n uses the closed ball of radius 2^(n+1) around the basepoint and
     net radius 2^(n+3-k) at level k; the basepoint seeds every net, and the
     scan order is the point index order, so the hierarchy is reproducible.
+    Once a level's net holds the whole ball, every two ball points lie at
+    least its radius apart, so each deeper level's scan would admit the
+    same points in the same order: those levels reuse its members unscanned.
     """
-    space = pspace.space
+    space, norms = pspace.space, pspace.norms()
     nets: dict[tuple[int, int], Net] = {}
     for n in range(params.n_min, params.n_max + 1):
         ball_radius = math.ldexp(1.0, n + 1)
+        ball_size = int(np.count_nonzero(norms <= ball_radius))
+        net = None
         for k in range(1, params.k_max[n] + 1):
             net_radius = math.ldexp(1.0, n + 3 - k)
-            nets[(n, k)] = greedy_maximal_net(space, (pspace.basepoint, ball_radius), net_radius)
+            if net is not None and len(net) == ball_size:
+                net = Net(net.members, net_radius, pspace.basepoint, ball_radius)
+            else:
+                net = greedy_maximal_net(space, (pspace.basepoint, ball_radius), net_radius)
+            nets[(n, k)] = net
     return NetHierarchy(nets)
 
 

@@ -368,6 +368,29 @@ class TestDistances:
         # the output, one plane buffer and the redo test's boolean masks
         assert peak < m * m * 8 + 2 * blocks._CHUNK_ELEMS * 8
 
+    @pytest.mark.parametrize("chunk", [1, 2000, 5000, 1 << 16])
+    def test_wide_rows_reduce_each_pair_once(self, chunk, monkeypatch):
+        # the dim >= 8 path differences a chunk of rows [lo, lo + step) against
+        # the columns lo: only, (m^2 + m * step) / 2 rows at most in all, and
+        # copies the other triangle
+        m, dim = 45, 9
+        x = np.random.default_rng(chunk).uniform(-5, 5, (m, dim))
+        reduced = []
+        norms = blocks._norms
+
+        def counting(diff, p):
+            reduced.append(diff.size // dim)
+            return norms(diff, p)
+
+        monkeypatch.setattr(blocks, "_CHUNK_ELEMS", chunk)
+        monkeypatch.setattr(blocks, "_norms", counting)
+        step = min(m, max(1, chunk // (m * dim)))
+        for p in (1.0, 2.0, 3.0, math.inf):
+            reduced.clear()
+            mat = lp_distance_matrix(x, p)
+            assert sum(reduced) <= (m * m + m * step) / 2
+            assert np.array_equal(mat, oracles.dense_lp_distances(x, p))
+
     @pytest.mark.parametrize("terms", range(1, 8))
     def test_numpy_sums_a_short_last_axis_left_to_right(self, terms):
         # lp_distance_matrix's coordinate-plane path (dim < 8) adds the

@@ -662,3 +662,40 @@ class TestDeterminism:
             "--out", report,
         )
         assert report.read_bytes() == first
+
+    # sha256 of reports whose numbers a change of kernel or hierarchy must not
+    # move; the cloud has m > 256, so its kernel runs in several chunks
+    GOLDEN = [
+        ("graph", ("embed-proper", "--theta", "random", "--seed", "7"),
+         "998ac7d0c10e98fc125e7a1fe7578d6e1cffa84b054af8cee55bb19459d97732"),
+        ("graph", ("moduli", "--theta", "random", "--seed", "7"),
+         "e022cc67077dc1739c0cc486df395bc2ba2c38245d9064177491c3a607cddaa5"),
+        ("path", ("embed-proper",),
+         "f18b6404eb2c0cbe1db8887a5be2529af1e054d88b8c12d70fe01286c45ae2f6"),
+        ("path", ("moduli",),
+         "937d79d4685da7588120666a0a5527aa3f80ece91f8cdf139be597168b94a202"),
+        ("cloud", ("embed-lp",),
+         "bb93bcc7f48db74919c32e5903b914851fea6c70d50c308459486beb82207e2f"),
+        ("cloud", ("coarse",),
+         "018ad2a8c46279692a5780c971d059c9d534400165448eee2acbfba3d8920704"),
+    ]
+
+    @pytest.mark.parametrize(
+        "name, argv, digest", GOLDEN, ids=[f"{name}-{argv[0]}" for name, argv, _ in GOLDEN]
+    )
+    def test_golden_report_digests(self, name, argv, digest, tmp_path, monkeypatch, capsys):
+        import hashlib
+
+        from blockembed.fixtures import path_metric, random_graph_metric, random_lp_cloud
+
+        monkeypatch.chdir(tmp_path)  # the report echoes the input path
+        space = {
+            "graph": lambda: random_graph_metric(96, None, 7),
+            "path": lambda: path_metric(64),
+            "cloud": lambda: random_lp_cloud(300, 3, 2.0, 7),
+        }[name]()
+        write_space(space, f"{name}.json")
+        assert run_cli(argv[0], "--input", f"{name}.json", *argv[1:]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

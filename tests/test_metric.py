@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blockembed import metric
 from blockembed.blocks import lp_distance_matrix
 from blockembed.lp_coarse import LpPointSet, net_round
 from blockembed.metric import (
@@ -178,6 +179,59 @@ class TestTriangleFilter:
         d[0, 2] = d[2, 0] = np.nextafter(2.0, 3.0)
         assert oracles.scan_triangle_violation(d, 5e-16) is None
         validate_metric(d, tol=5e-16)
+
+    @pytest.mark.parametrize("tol", [None, 0.0, -2e307])
+    @pytest.mark.parametrize(
+        "d",
+        [
+            [[0, 1e308, 1e308], [1e308, 0, 1e308], [1e308, 1e308, 0]],
+            [[0, 1.7e308, 0.9e308], [1.7e308, 0, 0.9e308], [0.9e308, 0.9e308, 0]],
+        ],
+        ids=["equilateral", "overflowing-sum"],
+    )
+    def test_sums_past_the_largest_double(self, d, tol):
+        # d(i,k) + d(k,j) overflows: the filter still flags what the scan
+        # rejects, silently (every warning fails the run)
+        a = np.array(d, dtype=float)
+        effective = 1e-12 * float(a.max()) if tol is None else tol
+        try:
+            metric._scan_triangles(a, effective, 0)
+            expected = None
+        except TriangleViolation as err:
+            expected = (err.i, err.j, err.k)
+        if expected is None:
+            validate_metric(d, tol=tol)
+            return
+        with pytest.raises(TriangleViolation) as err:
+            validate_metric(d, tol=tol)
+        assert (err.value.i, err.value.j, err.value.k) == expected
+
+    @given(
+        st.integers(3, 8),
+        st.sampled_from([0.05, 0.5]),
+        st.sampled_from([None, 0.0, -1e-3, -2e307, -1.5e308]),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_same_outcome_as_the_scan_near_the_largest_double(self, n, low, tol, tiny, seed):
+        # entries up to 0.9 of the largest double, so most sums overflow; an
+        # odd multiple of the smallest subnormal does not halve exactly
+        rng = np.random.default_rng(seed)
+        a = np.triu(rng.uniform(low, 0.9, size=(n, n)), 1) * np.finfo(float).max
+        if tiny:
+            a[0, 1] = math.ldexp(6071.0, -1074)
+        a = a + a.T
+        effective = 1e-12 * float(a.max()) if tol is None else tol
+        with np.errstate(over="ignore"):
+            expected = oracles.scan_triangle_violation(a, effective)
+        if expected is None:
+            validate_metric(a, tol=tol)
+            return
+        with pytest.raises(TriangleViolation) as err:
+            validate_metric(a, tol=tol)
+        e = err.value
+        assert (e.i, e.j, e.k, e.lhs, e.rhs) == expected
 
 
 class TestGreedyNet:

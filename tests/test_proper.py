@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blockembed import proper
 from blockembed.blocks import (
     BlockIsoModel,
     outer_norm,
@@ -15,7 +16,7 @@ from blockembed.blocks import (
 )
 from blockembed.fixtures import path_metric, random_graph_metric, random_lp_cloud, star_metric
 from blockembed.lp_coarse import LpPointSet
-from blockembed.metric import Net, PointedSpace, validate_metric
+from blockembed.metric import Net, PointedSpace, greedy_maximal_net, validate_metric
 from blockembed.proper import (
     CODOMAIN_P,
     WEIGHT_SERIES_SUM,
@@ -198,6 +199,58 @@ class TestHierarchy:
                 mat, net.members, net.center, net.ball_radius, net.radius, 0
             )
             assert flags == (True, True, True)
+
+    @staticmethod
+    def _counting_scans(pspace, params):
+        """The hierarchy, and the greedy_maximal_net calls it made."""
+        scans = []
+        greedy = proper.greedy_maximal_net
+
+        def counting(*args):
+            scans.append(args)
+            return greedy(*args)
+
+        proper.greedy_maximal_net = counting
+        try:
+            return build_hierarchy(pspace, params), scans
+        finally:
+            proper.greedy_maximal_net = greedy
+
+    @given(
+        st.sampled_from(["graph", "path", "cloud"]),
+        st.integers(2, 40),
+        st.integers(0, 2**16),
+        st.integers(0, 5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_net_is_its_greedy_scan(self, kind, n, seed, k_slack):
+        # a level after the first whole-ball net reuses it unscanned, yet
+        # equals the scan it skips in members, radii and center
+        space = {
+            "graph": lambda: random_graph_metric(n, None, seed),
+            "path": lambda: path_metric(n),
+            "cloud": lambda: random_lp_cloud(n, 2, 2.0, seed).metric_space,
+        }[kind]()
+        pspace = PointedSpace(space, seed % n)
+        params = make_proper_params(pspace, k_slack=k_slack)
+        h, scans = self._counting_scans(pspace, params)
+        expected_scans = 0
+        for shell in range(params.n_min, params.n_max + 1):
+            ball = (pspace.basepoint, math.ldexp(1.0, shell + 1))
+            ball_size = np.count_nonzero(pspace.norms() <= ball[1])
+            whole = False
+            for k in range(1, params.k_max[shell] + 1):
+                net = greedy_maximal_net(space, ball, math.ldexp(1.0, shell + 3 - k))
+                assert h.net(shell, k) == net
+                expected_scans += not whole
+                whole = len(net) == ball_size
+        assert len(scans) == expected_scans
+
+    def test_whole_ball_levels_of_a_graph_are_scanned_once(self):
+        pspace = PointedSpace(random_graph_metric(256, None, 7), 0)
+        params = make_proper_params(pspace)
+        h, scans = self._counting_scans(pspace, params)
+        assert (len(scans), len(h.nets)) == (12, 24)
 
 
 class TestFrechetCoords:
