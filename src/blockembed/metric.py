@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 _BLOCK_PAIRS = 2**16  # pairs per row block of _upper_chunks
+_FILTER_SUMS = 2**16  # buffer elements per chunk of the triangle filter: a share of L2 cache
 
 
 class MetricError(ValueError):
@@ -230,12 +231,18 @@ def validate_metric(
     k and flags the pair when ``d(i,j)`` exceeds it by more than ``tol``
     less a margin of 16 * 2^-53 times the largest entry.  The margin covers
     the rounding difference between the filter and the exact scan, so the
-    filter flags every pair the scan would reject.  Only when a pair is
-    flagged does the exact per-triple scan run, from the flagged row on; it
-    decides the outcome and names the first violating triple.
+    filter flags every pair the scan would reject.  Before the filter forms
+    a pair's n sums, a screen compares ``d(i,j)`` with ``r_i + r_j``, where
+    r_i is the distance from i to its nearest other point.  Every sum the
+    filter would take is at least ``r_i + r_j``, so a pair that passes the
+    screen cannot be flagged and is cleared at once; on graph metrics most
+    pairs are.  Only when a pair is flagged does the exact per-triple scan
+    run, from the flagged row on; it decides the outcome and names the first
+    violating triple.  A NaN ``tol`` raises ``ValueError``.
     """
+    if tol is not None and math.isnan(tol):
+        raise ValueError(f"tol must be a number, got {tol}")
     a = _checked_entries(matrix)
-    n = a.shape[0]
     scale = float(a.max(initial=0.0))
     if tol is None:
         tol = 1e-12 * scale
@@ -266,20 +273,62 @@ def validate_metric(
     # by at most 2^-1075, so each filter value is within 8u(M / 2) + 3 * 2^-1075
     # of half the scan's, and fl(tol / 2) within 2^-1075 of tol / 2: as M / 2 >=
     # 2^1022, the bounds above hold with tol, M halved, losses included.
+    # The screen: with r_i = min_{k != i} b_ik, r_i + r_j <= b_ik + b_jk for
+    # every k not in {i, j}, and rounding is monotone, so fl(b_ij - fl(r_i +
+    # r_j)) bounds every filter value of pair (i, j) from above: a pair whose
+    # screen value is at most bound is never flagged, and the filter skips it.
     half = 0.5 if scale >= 2.0**1023 else 1.0
     b = a * half if half < 1 else a
     bound = tol * half - 16 * 2.0**-53 * (scale * half)
-    sums = np.empty((n, n))
-    for i in range(n - 1):
-        s = sums[: n - 1 - i]  # s[r, k] = b[i, k] + b[j, k] for j = i + 1 + r
-        np.add(b[i + 1 :], b[i], out=s)
-        s[:, i] = np.inf
-        s.reshape(-1)[i + 1 :: n + 1] = np.inf  # the k = j entries
-        if np.any(b[i, i + 1 :] - s.min(axis=1) > bound):
-            _scan_triangles(a, tol, i)
-            break
+    i = _first_flagged_row(b, bound)
+    if i is not None:
+        _scan_triangles(a, tol, i)
 
     return _labelled(a, labels)
+
+
+def _first_flagged_row(b: np.ndarray, bound: float) -> int | None:
+    """The first row i of a pair i < j whose filter value (see validate_metric)
+    exceeds bound, or None.  b's diagonal is inf while it runs."""
+    n = b.shape[0]
+    width = max(2, _FILTER_SUMS // max(n, 1))  # pairs per slice of b
+    step = width // 2  # pairs per gathered chunk, which fills two buffers; rows per block
+    cols = np.arange(n)
+    buf = np.empty((width, n))  # reused: fresh temporaries this size churn malloc
+    np.fill_diagonal(b, np.inf)  # so the k = i and k = j sums are inf
+    try:
+        r = b.min(axis=1, initial=np.inf)
+        for i0 in range(0, n - 1, step):
+            rows, c0 = cols[i0 : i0 + step], i0 + 1  # the screen of pairs (i in rows, j > i)
+            keep = b[i0 : i0 + step, c0:] - (r[rows, None] + r[c0:]) > bound
+            keep &= cols[c0:] > rows[:, None]
+            # A long row that keeps most of its pairs adds contiguous slices of
+            # b; the kept pairs of the other rows are gathered, many to a chunk.
+            left = n - 1 - rows
+            wide = (2 * np.count_nonzero(keep, axis=1) > left) & (left >= step // 4)
+            I, J = np.nonzero(keep[~wide])
+            I, J = rows[~wide][I], J + c0
+            chunks = [
+                (i, slice(j, min(j + width, n)))
+                for i in rows[wide].tolist()
+                for j in range(i + 1, n, width)
+            ]
+            chunks += [(I[p : p + step], J[p : p + step]) for p in range(0, I.size, step)]
+            flagged = []
+            for ii, jj in chunks:
+                if isinstance(jj, slice):
+                    s = np.add(b[jj], b[ii], out=buf[: jj.stop - jj.start])
+                else:
+                    s, t = buf[: jj.size], buf[step : step + ii.size]
+                    np.add(np.take(b, jj, 0, s, "clip"), np.take(b, ii, 0, t, "clip"), out=s)
+                bad = b[ii, jj] - s.min(axis=1) > bound
+                if bad.any():
+                    flagged.append(ii if isinstance(jj, slice) else ii[bad.argmax()])
+            if flagged:  # the chunks hold every kept pair of the block's rows
+                return int(min(flagged))
+        return None
+    finally:
+        np.fill_diagonal(b, 0.0)
 
 
 def _checked_entries(matrix: Any) -> np.ndarray:

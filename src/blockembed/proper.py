@@ -120,7 +120,16 @@ def log_growth(t: float | np.ndarray) -> float | np.ndarray:
 def separation_envelope(t: float | np.ndarray) -> float | np.ndarray:
     """Guaranteed lower envelope t / (24 * max(log_growth(t), log_growth(t/128))),
     of a float or elementwise of an array, like :func:`log_growth`."""
-    out = t / (24.0 * np.maximum(log_growth(t), log_growth(t / 128.0)))
+    # In exact arithmetic log_growth(t) - log_growth(t / 128) = 14 log2 t - 49:
+    # at least 21 for t >= 32 and at most -7 for t <= 8, where a subnormal
+    # t / 128 moves its log2 by less than 1.  Rounding moves neither side by
+    # a whole unit, so only 8 < t < 32 takes both sides.  A t <= 0 is passed
+    # on as it is, so that the error names it.
+    a = np.asarray(t, dtype=float).ravel()
+    g = log_growth(np.where((a >= 32.0) | (a <= 0.0), a, a / 128.0))
+    band = (a > 8.0) & (a < 32.0)
+    g[band] = np.maximum(g[band], log_growth(a[band]))
+    out = t / (24.0 * g.reshape(np.shape(t)))
     return out if isinstance(t, np.ndarray) else float(out)
 
 

@@ -9,8 +9,10 @@ kernels the library used before its row-chunked one;
 :func:`dense_redo_lp_distances`, the row-chunked kernel in one shot, which
 reduces each difference row with the library's ``blocks._norms``;
 :func:`scan_triangle_violation`, the per-row triangle scan that
-``validate_metric`` used before its min-plus filter; and
-:func:`loop_verify_bounds`, the per-pair loop of ``verify_bounds``.
+``validate_metric`` used before its min-plus filter;
+:func:`loop_verify_bounds`, the per-pair loop of ``verify_bounds``; and
+:func:`two_sided_separation_envelope`, the lower envelope with both sides
+of its max taken for every argument.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import math
 import numpy as np
 
 from blockembed.blocks import DimensionMismatch, _norms
+from blockembed.proper import log_growth
 
 
 def brute_inner(values, p):
@@ -150,6 +153,14 @@ def scan_triangle_violation(a, tol):
             j, k = map(int, bad[0])
             return (i, j, k, float(a[i, j]), float(a[i, k] + a[k, j]))
     return None
+
+
+
+def two_sided_separation_envelope(t):
+    """The former ``proper.separation_envelope``, verbatim: it takes both
+    log_growth(t) and log_growth(t / 128) for every t."""
+    out = t / (24.0 * np.maximum(log_growth(t), log_growth(t / 128.0)))
+    return out if isinstance(t, np.ndarray) else float(out)
 
 
 def loop_verify_bounds(domain, lower_envelope, upper_envelope, image_distances, tolerance):

@@ -1,11 +1,14 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from blockembed import metric
 from blockembed.blocks import lp_distance_matrix
+from blockembed.fixtures import random_graph_metric
 from blockembed.lp_coarse import LpPointSet, net_round
 from blockembed.metric import (
     _BLOCK_PAIRS,
@@ -91,6 +94,13 @@ class TestValidate:
         with pytest.raises(LengthMismatch):
             validate_metric([[0, 1], [1, 0]], labels=["a"])
 
+    def test_nan_tolerance_raises(self):
+        # every comparison with a NaN bound is False, so a NaN tol would
+        # accept this violation
+        with pytest.raises(ValueError, match="tol") as err:
+            validate_metric([[0, 1, 5], [1, 0, 1], [5, 1, 0]], tol=math.nan)
+        assert not isinstance(err.value, MetricError)
+
     def test_hairline_tolerance_default_vs_exact(self):
         # a triangle tight up to one float ulp: accepted by default,
         # rejected by the exact check
@@ -152,6 +162,16 @@ def symmetric_matrices(draw):
         if target > 0:
             a[i, j] = a[j, i] = target
     return a, tol
+
+
+@st.composite
+def planted_paths(draw):
+    """(n, i, j, value): a path on n points of 100..260 whose d(i,j) is set
+    to value, below, at or above the path distance."""
+    n = draw(st.integers(100, 260))
+    i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    value = draw(st.sampled_from([0.5, abs(i - j) / 2 + 1.0, float(abs(i - j)), abs(i - j) + 1.0]))
+    return n, i, j, value
 
 
 class TestTriangleFilter:
@@ -232,6 +252,110 @@ class TestTriangleFilter:
             validate_metric(a, tol=tol)
         e = err.value
         assert (e.i, e.j, e.k, e.lhs, e.rhs) == expected
+
+
+    @pytest.mark.parametrize("tol", [None, 0.0, -0.5], ids=["default", "zero", "minus-half-max"])
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 2.0**1023], ids=["1e-300", "1", "halved"])
+    def test_pairs_on_the_screen_boundary(self, scale, tol):
+        # d(i,j) equal to fl(r_i + r_j), or 1 ulp above or below it, where r_i
+        # is i's nearest distance; at 2^1023 the filter runs on halved entries.
+        # The outcome and the triple are those of the exact scan alone.
+        rng = np.random.default_rng(11)
+        cases = []
+        for x, y in rng.uniform(0.4, 0.95, size=(8, 2)) * scale:
+            cases.append(np.array([[0.0, x], [x, 0.0]]))
+            s = x + y
+            for long in (np.nextafter(s, 0.0), s, np.nextafter(s, math.inf)):
+                for i, k, j in itertools.permutations(range(3)):
+                    a = np.zeros((3, 3))
+                    a[i, k] = a[k, i] = x
+                    a[k, j] = a[j, k] = y
+                    a[i, j] = a[j, i] = long
+                    cases.append(a)
+        for a in cases:
+            effective = 1e-12 * float(a.max()) if tol is None else tol * float(a.max())
+            try:
+                metric._scan_triangles(a, effective, 0)
+                expected = None
+            except TriangleViolation as err:
+                expected = (err.i, err.j, err.k)
+            if expected is None:
+                validate_metric(a, tol=None if tol is None else effective)
+                continue
+            with pytest.raises(TriangleViolation) as err:
+                validate_metric(a, tol=None if tol is None else effective)
+            assert (err.value.i, err.value.j, err.value.k) == expected
+
+    @given(planted_paths())
+    @example((200, 2, 199, 100.0)).via("a far shortcut at the last column")
+    @example((200, 50, 199, 150.0)).via("a long pair at the end of a sliced row")
+    @settings(max_examples=40, deadline=None)
+    def test_a_violation_in_a_long_kept_row(self, case):
+        # a path keeps its rows' far pairs past the screen, so their sums are
+        # formed from contiguous slices; one entry is moved off the metric
+        n, i, j, value = case
+        idx = np.arange(n)
+        a = np.abs(idx[:, None] - idx[None, :]).astype(float)
+        a[i, j] = a[j, i] = value
+        expected = oracles.scan_triangle_violation(a, 1e-12 * float(a.max()))
+        if expected is None:
+            validate_metric(a)
+            return
+        with pytest.raises(TriangleViolation) as err:
+            validate_metric(a)
+        e = err.value
+        assert (e.i, e.j, e.k, e.lhs, e.rhs) == expected
+
+    @pytest.mark.parametrize("i", [0, 60, 170])
+    def test_every_kept_pair_of_a_row_reaches_the_filter(self, i):
+        # on a path of 200 points, lengthen d(i,j) by 2.5 for one j at a time:
+        # rows 0 and 60 then add contiguous slices, row 170 (29 pairs) is
+        # gathered, and only pair (i, j) violates a triangle
+        idx = np.arange(200)
+        path = np.abs(idx[:, None] - idx[None, :]).astype(float)
+        for j in range(i + 1, 200):
+            a = path.copy()
+            a[i, j] = a[j, i] = j - i + 2.5
+            with pytest.raises(TriangleViolation) as scan:
+                metric._scan_triangles(a, 1e-12 * float(a.max()), i)
+            expected = (scan.value.i, scan.value.j, scan.value.k)
+            assert expected[:2] == (i, j)
+            with pytest.raises(TriangleViolation) as err:
+                validate_metric(a)
+            assert (err.value.i, err.value.j, err.value.k) == expected
+
+    def test_the_screen_clears_most_graph_pairs(self, monkeypatch):
+        # count the pairs whose n min-plus sums are formed: each chunk of sums
+        # is one np.add into an array with a row per pair
+        class CountingNumpy:
+            pairs = 0
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def add(self, *args, **kwargs):
+                out = np.add(*args, **kwargs)
+                self.pairs += out.shape[0] if out.ndim == 2 else 0
+                return out
+
+        d = random_graph_metric(256, None, 7).dist
+        counting = CountingNumpy()
+        monkeypatch.setattr(metric, "np", counting)
+        validate_metric(d)
+        assert 0 < counting.pairs <= 0.15 * (256 * 255 // 2)
+
+    def test_peak_memory_within_the_copy_and_one_square_buffer(self):
+        # a path keeps almost every pair past the screen
+        n = 600
+        idx = np.arange(n)
+        a = np.abs(idx[:, None] - idx[None, :]).astype(float)
+        tracemalloc.start()
+        try:
+            validate_metric(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * n * n * a.itemsize  # the checked copy, then at most n x n more
 
 
 class TestGreedyNet:

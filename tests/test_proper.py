@@ -116,6 +116,36 @@ class TestEnvelopeFunctions:
             assert out.tobytes() == np.array(floats).tobytes()
             assert f(t.reshape(1, -1)).tobytes() == out.tobytes()
 
+    # mantissas over 2^-1000 .. 2^1000, a few ulps around 8, 2^3.5 and 32
+    # (the band where both sides of the max are taken, and its crossing),
+    # and subnormals, whose t / 128 rounds or underflows to 0
+    SPREAD = st.one_of(
+        st.tuples(st.floats(1.0, 2.0, exclude_max=True), st.integers(-1000, 1000)).map(
+            lambda mk: math.ldexp(*mk)
+        ),
+        st.tuples(st.sampled_from([8.0, 2.0**3.5, 32.0]), st.integers(-3, 3)).map(
+            lambda xk: float(xk[0] + xk[1] * np.spacing(xk[0]))
+        ),
+        st.floats(8.0, 32.0),
+        st.floats(5e-324, 2.0**-1000, allow_subnormal=True),
+    )
+
+    @given(st.lists(SPREAD, min_size=1, max_size=40), st.sampled_from([None, 0.0, -1.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_one_sided_envelope_matches_the_two_sided_formula(self, ts, bad):
+        ts = ts if bad is None else [*ts, bad]
+        for t in (np.array(ts), *ts):
+            try:
+                expected = oracles.two_sided_separation_envelope(t)
+            except NonpositiveArgument as err:  # a t <= 0, or a t / 128 that underflows
+                with pytest.raises(NonpositiveArgument) as got:
+                    separation_envelope(t)
+                assert str(got.value) == str(err)
+                continue
+            out = separation_envelope(t)
+            assert type(out) is type(expected)
+            assert np.asarray(out).tobytes() == np.asarray(expected).tobytes()
+
     @given(
         st.lists(ARGS, max_size=20),
         st.sampled_from([0.0, -0.0, -1e-300, -1.0, -math.inf]),
