@@ -12,6 +12,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass, asdict
+from functools import lru_cache
 from typing import Any
 
 import numpy as np
@@ -348,6 +349,7 @@ def _exponent(text: str) -> float:
     return value
 
 
+@lru_cache(maxsize=None)  # built once per process: parse_args leaves it as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blockembed",

@@ -147,7 +147,9 @@ class LpPointSet:
         # below 3085u * M^ < 3.5e-13 * M^, under the default slack
         # 1e-12 * M^ (rounding is monotone, so the rounded slack still
         # exceeds the float excess).  So validate_metric accepts the matrix
-        # exactly when the O(n^2) entry checks pass.
+        # exactly when the O(n^2) entry checks pass.  The excess of the
+        # stored matrix is at most 3g/(1 - g) * M^ < 4(dim + 2)u * M^; that,
+        # rounded up, is the triangle slack recorded with the space.
         proved = self.dim <= _PROVED_DIM_CAP and (
             self.p == 1
             or math.isinf(self.p)
@@ -158,7 +160,8 @@ class LpPointSet:
             )
         )
         if proved:
-            return _labelled(_checked_entries(d), self.labels)
+            slack = np.nextafter(4 * (self.dim + 2) * 2.0**-53 * d.max(initial=0.0), np.inf)
+            return _labelled(_checked_entries(d), self.labels, float(slack))
         return validate_metric(d, self.labels)
 
 

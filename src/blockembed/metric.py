@@ -43,6 +43,7 @@ __all__ = [
 
 _BLOCK_PAIRS = 2**16  # pairs per row block of _upper_chunks
 _FILTER_SUMS = 2**16  # buffer elements per chunk of the triangle filter: a share of L2 cache
+_SYM_ROWS = 64  # rows per strip of the symmetry check
 
 
 class MetricError(ValueError):
@@ -97,11 +98,15 @@ class FiniteMetricSpace:
 
     Construct through :func:`validate_metric`, or from an l_p cloud through
     ``LpPointSet.metric_space``; direct construction skips every metric check
-    and only asserts the cheap shape invariants.
+    and only asserts the cheap shape invariants.  ``triangle_slack`` is a
+    number at least every defect d(i,j) - d(i,k) - d(k,j) of the stored
+    matrix in exact arithmetic, and at least 0; both constructors record the
+    one their check proves, and a directly built space leaves it ``None``.
     """
 
     labels: tuple[str, ...]
     dist: np.ndarray
+    triangle_slack: float | None = None
 
     def __post_init__(self):
         if self.dist.ndim != 2 or self.dist.shape[0] != self.dist.shape[1]:
@@ -283,8 +288,12 @@ def validate_metric(
     i = _first_flagged_row(b, bound)
     if i is not None:
         _scan_triangles(a, tol, i)
-
-    return _labelled(a, labels)
+    # So every triple's scan value fl(s - a_jk), s = fl(a_ij - a_ik), is at
+    # most tol, and its exact defect is within uM of s - a_jk.  When s > a_jk
+    # that is at most tol + u(1 + u)M, else at most 0: every defect lies
+    # below the triangle slack max(tol, 0) + 4uM, rounded up.
+    slack = float(np.nextafter(max(tol, 0.0) + 2.0**-51 * scale, math.inf))
+    return _labelled(a, labels, slack)
 
 
 def _first_flagged_row(b: np.ndarray, bound: float) -> int | None:
@@ -333,44 +342,57 @@ def _first_flagged_row(b: np.ndarray, bound: float) -> int | None:
 
 def _checked_entries(matrix: Any) -> np.ndarray:
     """The matrix as a new float array, after every check of
-    :func:`validate_metric` but the triangle inequality, in its order."""
+    :func:`validate_metric` but the triangle inequality, in its order.  Each
+    check is one pass; only a failed one looks for its first entry."""
     try:
         a = np.array(matrix, dtype=float)
     except (TypeError, ValueError) as err:
         raise MetricError(f"matrix entries must be numbers: {err}") from err
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise MetricError("matrix must be square")
-    if not np.all(np.isfinite(a)):
+    lo, hi = a.min(initial=0.0), a.max(initial=0.0)  # NaN if any entry is
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise MetricError("matrix entries must be finite")
 
-    neg = np.argwhere(a < 0)
-    if neg.size:
-        i, j = map(int, neg[0])
+    if lo < 0:
+        i, j = map(int, np.argwhere(a < 0)[0])
         raise NegativeEntry(i, j, float(a[i, j]))
 
-    asym = np.argwhere(a != a.T)
-    if asym.size:
-        i, j = map(int, asym[0])
-        if i > j:
-            i, j = j, i
-        raise AsymmetricMatrix(i, j)
+    # rows i0.. against columns i0.., one strip of _SYM_ROWS at a time: the
+    # transposed strip stays in cache.  The first asymmetric entry of a
+    # has i < j, since (j, i) is asymmetric too.
+    n = a.shape[0]
+    for i0 in range(0, n, _SYM_ROWS):
+        if (a[i0 : i0 + _SYM_ROWS, i0:] != a[i0:, i0 : i0 + _SYM_ROWS].T).any():
+            i, j = map(int, np.argwhere(a != a.T)[0])
+            raise AsymmetricMatrix(i, j)
 
     diag = np.flatnonzero(np.diagonal(a) != 0)
     if diag.size:
         i = int(diag[0])
         raise NonzeroDiagonal(i, float(a[i, i]))
 
-    zero = np.argwhere((a == 0) & ~np.eye(a.shape[0], dtype=bool))
-    if zero.size:
-        i, j = map(int, zero[0])
-        if i > j:
-            i, j = j, i
+    off = _off_diagonal(a)
+    if not off.all():
+        r, c = map(int, np.argwhere(off == 0)[0])
+        i, j = sorted(divmod(1 + r * (n + 1) + c, n))
         raise ZeroOffDiagonal(i, j)
     return a
 
 
-def _labelled(a: np.ndarray, labels: Sequence[str] | None) -> FiniteMetricSpace:
-    """Wrap a checked matrix, read-only, with labels (p0, p1, ... by default)."""
+def _off_diagonal(a: np.ndarray) -> np.ndarray:
+    """The off-diagonal entries of a square matrix as an (n - 1) x (n + 1)
+    array in row-major order (a view when a is contiguous): dropping entry
+    (0, 0), every row of n + 1 entries ends on the next diagonal entry."""
+    n = a.shape[0]
+    return a.ravel()[1:].reshape(max(n - 1, 0), n + 1)[:, :-1]
+
+
+def _labelled(
+    a: np.ndarray, labels: Sequence[str] | None, triangle_slack: float
+) -> FiniteMetricSpace:
+    """Wrap a checked matrix, read-only, with labels (p0, p1, ... by default)
+    and the triangle slack its check proved."""
     n = a.shape[0]
     if labels is None:
         labels = tuple(f"p{i}" for i in range(n))
@@ -379,7 +401,7 @@ def _labelled(a: np.ndarray, labels: Sequence[str] | None) -> FiniteMetricSpace:
             raise LengthMismatch("labels and matrix size differ")
         labels = tuple(str(s) for s in labels)
     a.setflags(write=False)
-    return FiniteMetricSpace(labels, a)
+    return FiniteMetricSpace(labels, a, triangle_slack)
 
 
 def _scan_triangles(a: np.ndarray, tol: float, start: int) -> None:
@@ -435,8 +457,7 @@ def min_positive_distance(space: FiniteMetricSpace) -> float:
     """Minimum distance over distinct pairs."""
     if space.n_points < 2:
         raise TooFewPoints("need at least two points")
-    off = space.dist[~np.eye(space.n_points, dtype=bool)]
-    return float(off.min())
+    return float(_off_diagonal(space.dist).min())
 
 
 def _check_shape(n: int, image_distances: np.ndarray) -> np.ndarray:

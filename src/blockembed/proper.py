@@ -15,8 +15,11 @@ The certified envelopes are ``separation_envelope(d)`` from below and
 ``9 * C_trunc * d`` from above, where C_trunc sums the weight series over
 the shell/level offsets actually used and never exceeds the full series
 total WEIGHT_SERIES_SUM = pi * coth(pi).  Image distances come from one
-Frechet matrix per (shell, net) group, with a proved rounding screen and an
-exact fallback for the pairs it cannot clear; images are built when read.
+Frechet matrix per (shell, net) group.  A pair's distance is the max over
+every block of both points, so before a group's kernel runs, each carrier
+pair's proved upper bound on the group (Frechet coordinates are 1-Lipschitz
+up to the space's triangle slack) is set against the running max, and only
+the pairs it leaves are computed, exactly; images are built when read.
 """
 
 from __future__ import annotations
@@ -82,6 +85,12 @@ WEIGHT_SERIES_SUM = math.pi / math.tanh(math.pi)
 
 #: Exponent of the codomain: a sup-sum of sup-normed blocks.
 CODOMAIN_P = math.inf
+
+# Groups of at most this many net members skip the screens: their kernel
+# costs less than the bounds.
+_DENSE_MEMBERS = 8
+# K of the screens' rounding margin (see _fold_group).
+_SCREEN_K = 1.0 + 2.0**-45
 
 
 def annulus_index(r: float) -> tuple[int, float] | None:
@@ -347,85 +356,195 @@ def _image_distances(embedding: ProperEmbedding) -> np.ndarray:
     Level j of a group gives carrier t the block a_tj * F_t, a_tj = (b_t *
     w_j) * theta_j as in ``embed_point_proper``.  Against a non-carrier, t
     gets max_j fl(a_tj * |F_t|_inf), its block norm, as rounding is
-    monotone; carrier pairs get the kernel for the level j* of largest c_j =
-    w_j * theta_j, and each other level where the screen cannot clear it.
-    The sup fold is exact in any order; a zero block counts as absent."""
+    monotone.  Carrier pairs get each level's sup distance where a proved
+    upper bound (see ``_fold_group``) can exceed the running max, and
+    nowhere else: the sup fold is exact in any order, so a value at or below
+    the max cannot change it.  Shells run cheapest first, and a shell's
+    groups smallest first, so that the max is high before the big kernels.
+    A zero block counts as absent."""
     pspace, params, nets = embedding.pspace, embedding.params, embedding.hierarchy
     dist, norms = pspace.space.dist, pspace.norms()
+    # the guards of _fold_group: no screen when a distance or the slack is
+    # past 2^900 (or NaN), no Lipschitz screen when the slack is unknown
+    fits = -(2.0**900) <= dist.min(initial=0.0) and dist.max(initial=0.0) <= 2.0**900
+    slack = pspace.space.triangle_slack
+    slack = slack if fits and slack is not None and slack <= 2.0**900 else None
     shells: dict[int, list[tuple[int, float]]] = {}
     for t in np.flatnonzero(norms).tolist():
         for tier, blend in _tiers(t, annulus_index(float(norms[t])), params):
             shells.setdefault(tier, []).append((t, blend))
-    out = np.zeros_like(dist)
+    work = []
     for shell, carried in shells.items():
-        idx, blend = map(np.array, zip(*carried))
         groups: dict[tuple[int, ...], list[int]] = {}
         for k in range(1, params.k_max[shell] + 1):
             groups.setdefault(nets.net(shell, k).members, []).append(k)
-        solo, pair = np.zeros(len(idx)), np.zeros((len(idx), len(idx)))
-        for members, ks in groups.items():
-            f = dist[np.ix_(idx, members)] - norms[list(members)]
+        work.append((len(carried) ** 2 * sum(map(len, groups)), shell, carried, groups))
+    out = np.zeros_like(dist)
+    for _, shell, carried, groups in sorted(work, key=lambda w: w[:2]):
+        # blends descending, so that b_t >= b_u on every pair t < u
+        idx, blend = map(np.array, zip(*sorted(carried, key=lambda tb: -tb[1])))
+        plan = []
+        for members, ks in sorted(groups.items(), key=lambda g: len(g[0])):
             w = np.array([tier_weight(shell, k) for k in ks])
             theta = np.array([params.iso.factor(pair_index(shell, k)) for k in ks])
             a, c = blend[:, None] * w * theta, w * theta
+            screened = fits and len(members) > _DENSE_MEMBERS
+            screened = screened and 2.0**-1000 <= a.min() <= a.max() <= 1
+            plan.append((members, a, c, _SCREEN_K * c.max() if screened else 0.0))
+        # later[i]: the largest fl(K c_j) of a screened group after the i-th
+        later = np.maximum.accumulate([k for *_, k in plan][::-1])[::-1].tolist()[1:] + [0.0]
+        solo, pair = np.zeros(len(idx)), out[np.ix_(idx, idx)]
+        bound = _lipschitz_bound(dist, idx, blend, norms[idx], slack)
+        open_ = np.triu(np.ones(pair.shape, dtype=bool), 1)  # pairs a group may still raise
+        for i, (members, a, c, k_top) in enumerate(plan):
+            f = dist[np.ix_(idx, members)] - norms[list(members)]
             norm = np.abs(f).max(axis=1)
             np.maximum(solo, (a * norm[:, None]).max(axis=1), out=solo)
-            top = int(np.argmax(c))
-            q = lp_distance_matrix(a[:, top, None] * f, math.inf)  # V*, divided by N below
-            np.maximum(pair, q, out=pair)
-            # Screen of level j against j*.  With u = 2^-53 and gamma_k =
-            # k u / (1 - k u) (Higham ch. 3), a_tj = b_t c_j (1 + eta),
-            # |eta| <= gamma_2, and each coordinate fl(a_tj F_ts) is
-            # b_t c_j F_ts (1 + gamma_3-bounded), as long as nothing leaves
-            # the normal range: b, w, theta <= 1 and the guard keeps a_tj
-            # above 2^-1000, a non-zero |a_tj F_ts| above 2^-900 and |F|
-            # below 2^900 (a subnormal difference is exact).  With G_s =
-            # |b_t F_ts - b_u F_us| <= N_s = b_t |F_ts| + b_u |F_us| and one
-            # more rounding for the difference, every computed level value
-            # V_j lies within c_j (G +- gamma_4 N), G = max_s G_s and N =
-            # b_t |F_t| + b_u |F_u|.
-            # From V* = V_j* >= c_j* (G - gamma_4 N), with rho = c_j / c_j*,
-            #     V_j <= rho V* + 2 gamma_4 c_j N,
-            # so V_j <= V* once (1 - rho) V* >= 2 gamma_4 c_j N.  Per level,
-            # s <= 1 - rho, e >= 16u c_j and tau >= max(e / s, 2^-1000) are
-            # rounded outward with nextafter.  Per pair, q = fl(V* / fl(fl(b_t
-            # |F_t|) + fl(b_u |F_u|))) carries three roundings, all normal:
-            # q >= tau gives V* >= N (1 - u)^2 tau / (1 + u) >= 16u (1 - u)^2
-            # / (1 + u) c_j N / (1 - rho) >= 2 gamma_4 c_j N / (1 - rho).
-            # Pairs with q < tau are computed exactly, with lp_distance_matrix's
-            # subtraction; when the guard fails, every level goes through it.
-            small = a.min() * np.abs(f).min(where=f != 0, initial=math.inf)
-            safe = a.min() >= 2.0**-1000 and small >= 2.0**-900 and norm.max() <= 2.0**900
-            if safe:
-                bn = blend * norm
-                np.divide(q, np.add.outer(bn, bn), out=q)
-                up = np.nextafter(c, math.inf)
-                rho = np.nextafter(up / np.nextafter(c[top], 0.0), math.inf)
-                s = np.maximum(np.nextafter(1.0 - rho, -math.inf), 0.0)
-                e = np.nextafter(up * 2.0**-49, math.inf)
-                with np.errstate(divide="ignore"):  # s = 0: tau = inf
-                    tau = np.maximum(np.nextafter(e / s, math.inf), 2.0**-1000)
-            for j in range(len(ks)):
-                if np.array_equal(a[:, j], a[:, top]):  # the same block, j* included
-                    continue
-                if not safe:
+            if not k_top:  # unscreened: every level, densely
+                for j in _levels(a, c):
                     np.maximum(pair, lp_distance_matrix(a[:, j, None] * f, math.inf), out=pair)
-                    continue
-                ti, ui = np.nonzero(np.triu(q < tau[j], 1))
-                step = max(1, _CHUNK_ELEMS // len(members))
-                for lo in range(0, len(ti), step):
-                    t, u = ti[lo : lo + step], ui[lo : lo + step]
-                    with np.errstate(over="ignore"):  # an overflow stays inf, as in the kernel
-                        v = np.abs(a[t, j, None] * f[t] - a[u, j, None] * f[u]).max(axis=1)
-                    pair[t, u] = np.maximum(pair[t, u], v)
-                pair[ui, ti] = pair[ti, ui]
-            del f, q  # before the next group's are built
+            else:
+                _fold_group(pair, open_, bound, f, a, c, blend * norm, later[i])
+            del f  # before the next group's is built
         # carrier columns: solo against non-carrier rows, pair against carriers
         col = np.maximum(out[:, idx], solo)
-        col[idx] = np.maximum(out[np.ix_(idx, idx)], pair)
+        col[idx] = pair
         out[:, idx] = col
         out[idx] = col.T
     np.fill_diagonal(out, 0.0)
+    return out
+
+
+def _levels(a: np.ndarray, c: np.ndarray) -> list[int]:
+    """A group's levels with distinct blocks, the one of largest c first."""
+    top = int(np.argmax(c))
+    return [top] + [j for j in range(len(c)) if j != top and not np.array_equal(a[:, j], a[:, top])]
+
+
+def _lipschitz_bound(dist, idx, blend, radius, slack):
+    """The Lipschitz bound h (see ``_fold_group``) of the carriers ``idx``,
+    blends descending and norms ``radius``, as a function of pairs (ti, ui),
+    ti < ui; inf everywhere when the triangle slack is unknown (None).  It
+    is computed once, in row blocks, into an m x m array read at t < u."""
+    if slack is None:
+        return lambda ti, ui: np.full(len(ti), math.inf)
+    m = len(idx)
+    reach = radius + slack
+    e = 2.0**-49 * (blend * reach)
+    hm = np.empty((m, m))
+    rows = max(1, _CHUNK_ELEMS // (4 * m))
+    for r0 in range(0, m, rows):
+        t, u = slice(r0, r0 + rows), slice(r0, m)
+        h = hm[t, u]
+        np.add(dist[np.ix_(idx[t], idx[u])], slack, out=h)
+        h *= blend[u]
+        h += (blend[t, None] - blend[u]) * reach[t, None]
+        h += e[t, None] + e[u]
+    return lambda ti, ui: hm[ti, ui]
+
+
+def _fold_group(pair, open_, bound, f, a, c, bn, k_next) -> None:
+    """Raise ``pair``, the running max over the carrier pairs, to each
+    level's sup distance max_s |a_tj F_ts - a_uj F_us| wherever that may
+    exceed it: the level j* of largest c_j = fl(w_j theta_j) on the pairs of
+    ``open_`` (the pairs t < u a group may still raise) whose Lipschitz bound
+    ``bound(ti, ui)`` clears the max, then every other level on the pairs
+    where j*'s value leaves room.  ``bn`` holds b_t |f_t|_inf.  Of the pairs
+    j* leaves alone, keeps in ``open_`` those a level of fl(K c_j) at most
+    k_next, in a later group, may still raise."""
+    # Write u = 2^-53 and gamma_k = k u / (1 - k u) (Higham ch. 3); C_j = w_j
+    # theta_j exactly; over the group's members, G = |b_t F_t - b_u F_u|_inf
+    # and R = b_t |F_t|_inf + b_u |F_u|_inf.  A rounding errs by at most u
+    # times its exact result, plus 2^-1075 if a product or quotient
+    # underflows.  The guards keep a_tj in [2^-1000, 1], so a_tj = b_t C_j (1
+    # + gamma_2-bounded), and the distances within 2^900, so |F| <= 2^901 and
+    # no difference overflows; each coordinate fl(a_tj fl(F_ts)) is b_t C_j
+    # F_ts (1 + gamma_4-bounded) plus at most 2^-1075.  So the computed V_j obeys
+    #     (1 - u) (C_j (G - gamma_4 R) - 2^-1074) <= V_j <= (1 + u) C_j H + 3 * 2^-1075
+    # for any H >= G + gamma_4 R, and it cannot raise the max once fl(fl(h
+    # fl(c_j K)) + 2^-1040) is at most the max, K = 1 + 2^-45 (_SCREEN_K), for
+    # h an evaluation of H from non-negative terms in at most 8 roundings:
+    # with the 4 of c_j, c_j K, the product and the sum, each loses a factor
+    # of at most 1 - u or 2^-1075, which K (1 - u)^12 >= 1 + u and the
+    # 2^-1040 cover.  Two such H, each with 16u >= gamma_4 / (1 - u)^10:
+    # * Lipschitz (_lipschitz_bound), for every group of the shell: with
+    #   sigma the triangle slack, |F_ts - F_us| = |d(t,s) - d(u,s)| <= d(t,u)
+    #   + sigma and |F_ts| <= |t| + sigma.  As b_t >= b_u, b_t F_t - b_u F_u
+    #   = b_u (F_t - F_u) + (b_t - b_u) F_t, so G <= b_u (d(t,u) + sigma) +
+    #   (b_t - b_u)(|t| + sigma), and R <= b_t (|t| + sigma) + b_u (|u| +
+    #   sigma): H adds the two, the second times 16u.  Its terms stay below
+    #   2^903.
+    # * From V* = V_j*: its lower side gives G <= V* / ((1 - u) C_j*) +
+    #   gamma_4 R + 2^-1074 / C_j*, and C_j <= (1 + u) C_j* / (1 - u) (j* has
+    #   the largest c_j) keeps the last term's share of V_j below 2^-1073,
+    #   which the 2^-1040 covers too.  So H = V* / c_j* + 32u (b_t |f_t|_inf
+    #   + b_u |f_u|_inf) serves, as c_j* <= (1 + u) C_j* and |f_t|_inf >= (1
+    #   - u) |F_t|_inf.  Where it overflows, h = inf clears nothing.
+    levels = _levels(a, c)
+    top, k = levels[0], _SCREEN_K * c
+    m = len(pair)
+    rows = max(1, _CHUNK_ELEMS // m)
+    hit = np.zeros_like(open_)  # the open pairs j* may raise
+
+    def screen(r0):  # a function, so that its arrays are gone before the kernels run
+        ti, ui = np.nonzero(open_[r0 : r0 + rows])
+        ti += r0
+        h, low = bound(ti, ui), pair[ti, ui]
+        s = h * k[top] + 2.0**-1040 > low
+        hit[ti[s], ui[s]] = True
+        if k_next:  # the max of a pair j* leaves alone is final for this group
+            open_[ti, ui] = s | (h * k_next + 2.0**-1040 > low)
+
+    blocks = [r0 for r0 in range(0, m, rows) if open_[r0 : r0 + rows].any()]
+    for r0 in blocks:
+        screen(r0)
+    x = a[:, top, None] * f
+    dense = 4 * np.count_nonzero(hit) > m * (m - 1)  # over half the pairs
+    if dense:
+        q = lp_distance_matrix(x, math.inf)
+        np.maximum(pair, q, out=pair)
+        if len(levels) == 1:
+            return
+    for r0 in blocks:
+        ts, us = np.nonzero(hit[r0 : r0 + rows])
+        ts += r0
+        v = q[ts, us] if dense else _sup_pairs(x, ts, us)
+        if not dense:
+            _raise(pair, ts, us, v)
+        if len(levels) > 1:
+            with np.errstate(over="ignore"):
+                h_top = v / c[top] + 2.0**-48 * (bn[ts] + bn[us])
+            for j in levels[1:]:
+                r = h_top * k[j] + 2.0**-1040 > pair[ts, us]
+                if r.any():
+                    _raise(pair, ts[r], us[r], _sup_pairs(f, ts[r], us[r], a[:, j]))
+
+
+def _raise(pair: np.ndarray, ti: np.ndarray, ui: np.ndarray, v: np.ndarray) -> None:
+    """pair[t, u] = pair[u, t] = max(pair[t, u], v) at the pairs (ti, ui)."""
+    v = np.maximum(pair[ti, ui], v)
+    pair[ti, ui] = v
+    pair[ui, ti] = v
+
+
+def _sup_pairs(
+    x: np.ndarray, ti: np.ndarray, ui: np.ndarray, scale: np.ndarray | None = None
+) -> np.ndarray:
+    """max_s |y_ts - y_us| at each pair (ti, ui), y = x, or y = scale[:, None]
+    * x when ``scale`` is given: ``lp_distance_matrix(y, inf)[ti, ui]`` to
+    the bit, as the max is exact in any order."""
+    step = max(1, _CHUNK_ELEMS // (2 * x.shape[1]))  # two buffers of half a chunk
+    out = np.empty(len(ti))
+    buf = np.empty((2, min(step, len(ti)), x.shape[1]))
+    for lo in range(0, len(ti), step):
+        t, u = ti[lo : lo + step], ui[lo : lo + step]
+        d, e = buf[0, : len(t)], buf[1, : len(t)]
+        np.take(x, t, 0, d)
+        np.take(x, u, 0, e)
+        if scale is not None:
+            d *= scale[t, None]
+            e *= scale[u, None]
+        np.abs(np.subtract(d, e, out=d), out=d).max(axis=1, out=out[lo : lo + len(t)])
     return out
 
 

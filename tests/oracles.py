@@ -10,6 +10,8 @@ kernels the library used before its row-chunked one;
 reduces each difference row with the library's ``blocks._norms``;
 :func:`scan_triangle_violation`, the per-row triangle scan that
 ``validate_metric`` used before its min-plus filter;
+:func:`checked_entries`, the entry checks of ``validate_metric`` before they
+became one pass each;
 :func:`loop_verify_bounds`, the per-pair loop of ``verify_bounds``; and
 :func:`two_sided_separation_envelope`, the lower envelope with both sides
 of its max taken for every argument.
@@ -18,10 +20,18 @@ of its max taken for every argument.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from blockembed.blocks import DimensionMismatch, _norms
+from blockembed.metric import (
+    AsymmetricMatrix,
+    MetricError,
+    NegativeEntry,
+    NonzeroDiagonal,
+    ZeroOffDiagonal,
+)
 from blockembed.proper import log_growth
 
 
@@ -154,6 +164,55 @@ def scan_triangle_violation(a, tol):
             return (i, j, k, float(a[i, j]), float(a[i, k] + a[k, j]))
     return None
 
+
+
+def exact_triangle_defect(matrix):
+    """max d(i,j) - d(i,k) - d(k,j) over all triples of indices, repeats
+    included, in exact rational arithmetic (0 for an empty matrix)."""
+    f = [[Fraction(float(x)) for x in row] for row in matrix]
+    n = len(f)
+    return max(
+        (f[i][j] - f[i][k] - f[k][j] for i in range(n) for j in range(n) for k in range(n)),
+        default=Fraction(0),
+    )
+
+
+def checked_entries(matrix):
+    """The former ``metric._checked_entries``, verbatim: the matrix as a new
+    float array after every entry check of ``validate_metric``."""
+    try:
+        a = np.array(matrix, dtype=float)
+    except (TypeError, ValueError) as err:
+        raise MetricError(f"matrix entries must be numbers: {err}") from err
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise MetricError("matrix must be square")
+    if not np.all(np.isfinite(a)):
+        raise MetricError("matrix entries must be finite")
+
+    neg = np.argwhere(a < 0)
+    if neg.size:
+        i, j = map(int, neg[0])
+        raise NegativeEntry(i, j, float(a[i, j]))
+
+    asym = np.argwhere(a != a.T)
+    if asym.size:
+        i, j = map(int, asym[0])
+        if i > j:
+            i, j = j, i
+        raise AsymmetricMatrix(i, j)
+
+    diag = np.flatnonzero(np.diagonal(a) != 0)
+    if diag.size:
+        i = int(diag[0])
+        raise NonzeroDiagonal(i, float(a[i, i]))
+
+    zero = np.argwhere((a == 0) & ~np.eye(a.shape[0], dtype=bool))
+    if zero.size:
+        i, j = map(int, zero[0])
+        if i > j:
+            i, j = j, i
+        raise ZeroOffDiagonal(i, j)
+    return a
 
 
 def two_sided_separation_envelope(t):

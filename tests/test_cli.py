@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from blockembed import blocks, lp_coarse, metric, proper
+from blockembed import blocks, cli, lp_coarse, metric, proper
 from blockembed.cli import RunConfig, main, run_report
 from blockembed.io import (
     ParseError,
@@ -637,6 +637,53 @@ class TestCliModes:
         assert payload["constants"]["theta_interval"] == [0.5, 1]
 
 
+class TestParserReuse:
+    """``main`` builds its parser once per process and parses every call with it."""
+
+    GOOD = [
+        ["embed-proper", "--input", "g.json", "--theta", "random", "--seed", "3"],
+        ["gen", "--kind", "path", "--n", "5", "--out", "p.json"],
+        ["validate", "--input", "m.csv", "--format", "csv"],
+        ["embed-lp", "--input", "c.json", "--p", "inf", "--lambda-sim", "2"],
+        ["gen", "--kind", "random-lp-cloud", "--n", "9", "--dim", "2", "--out", "c.json"],
+        ["coarse", "--input", "c.json", "--epsilon", "0.5", "--tolerance", "0"],
+        ["moduli", "--input", "g.json", "--basepoint", "2", "--moduli-points", "4"],
+        ["net", "--input", "g.json"],
+        ["embed-proper", "--input", "g.json"],
+    ]
+    BAD = [
+        ["embed-proper", "--theta", "sideways"],
+        ["gen", "--n", "5"],  # no --kind
+        ["nosuchmode"],
+        ["embed-lp", "--p", "0.5"],
+        ["validate", "--basepoint", "x"],
+        [],
+    ]
+
+    def test_calls_parse_as_with_a_fresh_parser(self, monkeypatch, capsys):
+        assert cli._build_parser() is cli._build_parser()
+        fresh = cli._build_parser.__wrapped__  # an uncached build
+        seen = []
+
+        def record(config):
+            seen.append(config)
+            raise cli.UsageError("recorded")
+
+        monkeypatch.setattr(cli, "run_report", record)
+        for _ in range(2):
+            for good, bad in zip(self.GOOD, self.BAD + self.BAD):
+                assert main(good) == 2  # the recorded run's usage error
+                assert seen.pop() == cli.RunConfig(**vars(fresh().parse_args(good)))
+                with pytest.raises(SystemExit) as err:
+                    main(bad)
+                assert err.value.code == 2
+                with pytest.raises(SystemExit) as err:
+                    fresh().parse_args(bad)
+                assert err.value.code == 2
+        assert not seen
+        capsys.readouterr()
+
+
 class TestDeterminism:
     def test_gen_byte_identical(self, tmp_path):
         a = tmp_path / "a.json"
@@ -678,6 +725,17 @@ class TestDeterminism:
          "bb93bcc7f48db74919c32e5903b914851fea6c70d50c308459486beb82207e2f"),
         ("cloud", ("coarse",),
          "018ad2a8c46279692a5780c971d059c9d534400165448eee2acbfba3d8920704"),
+        # embed-proper across the screen of _image_distances
+        ("graph-exact", ("embed-proper",),
+         "5ac4e3901c97844245634a5853b0add03741d1ba2bdead64f5811f49ad9601c7"),
+        ("star", ("embed-proper",),
+         "f0423e2e13a099b5d615f65f540cf6842e043a75c890014a63253b9ea9c4d77b"),
+        ("l1", ("embed-proper",),
+         "43730b41ebd94588b08e7426c39baf6f7be9815db66eeeee08aa74a24f262365"),
+        ("cloud", ("embed-proper",),
+         "f1d2694133404452b8ff975d194d3980318b1496883952fb09f94d75d7f01f56"),
+        ("linf", ("embed-proper",),
+         "cd0c6cec14b573a678064111f7bfe9448ddf98dd70fb98e780053e8c99b61fb0"),
     ]
 
     @pytest.mark.parametrize(
@@ -686,13 +744,22 @@ class TestDeterminism:
     def test_golden_report_digests(self, name, argv, digest, tmp_path, monkeypatch, capsys):
         import hashlib
 
-        from blockembed.fixtures import path_metric, random_graph_metric, random_lp_cloud
+        from blockembed.fixtures import (
+            path_metric,
+            random_graph_metric,
+            random_lp_cloud,
+            star_metric,
+        )
 
         monkeypatch.chdir(tmp_path)  # the report echoes the input path
         space = {
             "graph": lambda: random_graph_metric(96, None, 7),
+            "graph-exact": lambda: random_graph_metric(96, None, 7),
             "path": lambda: path_metric(64),
             "cloud": lambda: random_lp_cloud(300, 3, 2.0, 7),
+            "star": lambda: star_metric(40),
+            "l1": lambda: random_lp_cloud(150, 3, 1.0, 7),
+            "linf": lambda: random_lp_cloud(150, 3, math.inf, 7),
         }[name]()
         write_space(space, f"{name}.json")
         assert run_cli(argv[0], "--input", f"{name}.json", *argv[1:]) == 0

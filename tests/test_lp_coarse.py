@@ -130,6 +130,17 @@ class TestMetricSpace:
         if not isinstance(expected[0], type):
             assert expected[2] is False
 
+    @given(lp_clouds())
+    @settings(max_examples=150, deadline=None)
+    def test_triangle_slack_bounds_every_exact_defect(self, case):
+        p, pts, _ = case
+        try:
+            with np.errstate(over="ignore"):
+                space = LpPointSet(p, pts).metric_space
+        except MetricError:
+            return
+        assert space.triangle_slack >= oracles.exact_triangle_defect(space.dist)
+
     @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
     @pytest.mark.parametrize("dim", [1, 3, 64])
     def test_tight_collinear_triangles(self, p, dim):

@@ -174,6 +174,75 @@ def planted_paths(draw):
     return n, i, j, value
 
 
+@st.composite
+def faulty_matrices(draw):
+    """A symmetric matrix of 0..150 points (past one strip of the symmetry
+    check) with up to three planted faults: non-finite, negative,
+    asymmetric, diagonal or zero entries at random places."""
+    n = draw(st.integers(0, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = np.triu(rng.uniform(1.0, 2.0, size=(n, n)), 1)
+    a = a + a.T
+    for _ in range(draw(st.integers(0, 3)) if n else 0):
+        i, j = (int(x) for x in rng.integers(0, n, 2))
+        kind = draw(st.sampled_from(["nan", "inf", "negative", "asymmetric", "diagonal", "zero"]))
+        if kind == "diagonal":
+            a[i, i] = 0.5
+        elif kind == "asymmetric":
+            a[i, j] = np.nextafter(a[i, j], 3.0)
+        else:
+            value = {"nan": math.nan, "inf": -math.inf, "negative": -1.0, "zero": 0.0}[kind]
+            a[i, j] = a[j, i] = value
+    return a
+
+
+class TestCheckedEntries:
+    """The one-pass entry checks against the former ones."""
+
+    @given(faulty_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_same_outcome_as_the_former_checks(self, a):
+        try:
+            expected = oracles.checked_entries(a)
+        except MetricError as err:
+            with pytest.raises(type(err)) as got:
+                metric._checked_entries(a)
+            assert (got.value.args, vars(got.value)) == (err.args, vars(err))
+        else:
+            assert np.array_equal(metric._checked_entries(a), expected)
+
+    @given(faulty_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_min_positive_distance_is_the_off_diagonal_min(self, a):
+        space = metric.FiniteMetricSpace(tuple(map(str, range(len(a)))), a)
+        if len(a) < 2:
+            return
+        expected = np.min(a, initial=math.inf, where=~np.eye(len(a), dtype=bool))
+        assert np.array_equal(min_positive_distance(space), expected, equal_nan=True)
+
+
+class TestTriangleSlack:
+    """The triangle slack a validated space records bounds its defects."""
+
+    @given(symmetric_matrices(), st.sampled_from([None, 0.5, 10.0]))
+    @settings(max_examples=400, deadline=None)
+    def test_bounds_every_exact_defect(self, case, other):
+        # the matrices' own tol plants triangles within ulps of it
+        a, tol = case
+        tol = other if tol == -1e-3 else tol
+        try:
+            space = validate_metric(a, tol=tol)
+        except MetricError:
+            return
+        assert space.triangle_slack >= 0.0
+        assert space.triangle_slack >= oracles.exact_triangle_defect(a)
+
+    def test_accepted_defect_is_covered(self):
+        a = np.array([[0.0, 3.0, 1.0], [3.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        assert validate_metric(a, tol=1.0).triangle_slack >= 1.0
+        assert metric.FiniteMetricSpace(("a", "b", "c"), a).triangle_slack is None
+
+
 class TestTriangleFilter:
     """The min-plus filter in front of the triangle scan against the scan alone."""
 

@@ -16,7 +16,13 @@ from blockembed.blocks import (
 )
 from blockembed.fixtures import path_metric, random_graph_metric, random_lp_cloud, star_metric
 from blockembed.lp_coarse import LpPointSet
-from blockembed.metric import Net, PointedSpace, greedy_maximal_net, validate_metric
+from blockembed.metric import (
+    FiniteMetricSpace,
+    Net,
+    PointedSpace,
+    greedy_maximal_net,
+    validate_metric,
+)
 from blockembed.proper import (
     CODOMAIN_P,
     WEIGHT_SERIES_SUM,
@@ -502,6 +508,25 @@ SPACES = {
 }
 
 
+ISO = {
+    "exact": lambda seed: BlockIsoModel.exact(),
+    "uniform": lambda seed: BlockIsoModel.seeded(0.5, 0.5, 0),  # every level the same theta
+    "seeded": lambda seed: BlockIsoModel.seeded(0.5, 1.0, seed),
+}
+
+
+def defect_space(seed):
+    """A graph, l_2 cloud or path metric with some distances shrunk by up to
+    70%, validated with a tol as large as its largest entry."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(50, 110))
+    d = SPACES[("graph", "l2", "path")[seed % 3]](n, seed).dist.copy()
+    shrink = np.triu(rng.random((n, n)) < rng.uniform(0.02, 0.3), 1)
+    d[shrink] *= rng.uniform(0.3, 0.95, int(shrink.sum()))
+    d = np.triu(d) + np.triu(d, 1).T
+    return validate_metric(d, tol=float(d.max()))
+
+
 class TestImageDistances:
     """One Frechet matrix per (shell, net) against the per-point images."""
 
@@ -582,6 +607,106 @@ class TestImageDistances:
         emb = embed_space_proper(PointedSpace(star_metric(12), 0), iso=theta)
         assert emb.hierarchy.net(0, 1).members == emb.hierarchy.net(0, 2).members == (0,)
         assert np.array_equal(emb.image_distances, eager_distances(emb))
+
+    @given(
+        kind=st.sampled_from(sorted(SPACES)),
+        n=st.integers(40, 150),
+        seed=st.integers(0, 2**16),
+        theta=st.sampled_from(["exact", "uniform", "seeded"]),
+        basepoint=st.integers(0, 149),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_bit_identical_where_groups_are_skipped(self, kind, n, seed, theta, basepoint):
+        # big enough that most carrier pairs skip most groups; paths and
+        # clouds carry unequal blends on nearly every pair
+        space = SPACES[kind](n, seed)
+        emb = embed_space_proper(PointedSpace(space, basepoint % n), iso=ISO[theta](seed))
+        assert np.array_equal(emb.image_distances, eager_distances(emb))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_triangle_defects_validated_at_a_large_tol(self, seed):
+        # shrinking some distances plants defects up to 70% of them; the
+        # screen must widen its Lipschitz bound by the recorded slack, and
+        # without it the same matrix loses bits
+        space = defect_space(seed)
+        assert space.triangle_slack >= 0.5 * space.dist.max()
+        emb = embed_space_proper(PointedSpace(space, seed), iso=ISO["seeded"](seed))
+        eager = eager_distances(emb)
+        assert np.array_equal(emb.image_distances, eager)
+        unslacked = FiniteMetricSpace(space.labels, space.dist, 0.0)
+        emb = embed_space_proper(PointedSpace(unslacked, seed), iso=ISO["seeded"](seed))
+        assert not np.array_equal(emb.image_distances, eager)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_directly_built_space_with_defects(self, seed):
+        space = defect_space(seed)
+        direct = FiniteMetricSpace(space.labels, space.dist)
+        assert direct.triangle_slack is None  # unknown: no Lipschitz screen
+        emb = embed_space_proper(PointedSpace(direct, seed), iso=ISO["exact"](seed))
+        assert np.array_equal(emb.image_distances, eager_distances(emb))
+
+    @pytest.mark.parametrize(
+        "n, seed, basepoint, k_slack", [(89, 0, 56, 2), (46, 180, 26, 2), (92, 240, 60, 1)]
+    )
+    def test_bounds_within_an_ulp_of_the_max(self, n, seed, basepoint, k_slack):
+        # Validated exactly (slack 4u * max), these graphs hold pairs whose
+        # distance is set by a block one ulp above the rest, so that the
+        # Lipschitz bound of that block's group, c * b * d(t,u), lies within
+        # an ulp of the running max: the screen clears such a group only
+        # with its rounding margin, and these pairs lose a bit without it.
+        space = validate_metric(random_graph_metric(n, None, seed).dist, tol=0.0)
+        emb = embed_space_proper(PointedSpace(space, basepoint), k_slack=k_slack)
+        eager = eager_distances(emb)
+        assert np.array_equal(emb.image_distances, eager)
+        below = np.zeros_like(eager)  # the largest block value under the distance
+        for j in {j for v in emb.images for j in v.blocks}:
+            level = pairwise_distance_matrix([project_block(v, j) for v in emb.images], CODOMAIN_P)
+            below = np.where(level < eager, np.maximum(below, level), below)
+        assert (eager == np.nextafter(below, math.inf)).any()
+
+    @pytest.mark.parametrize(
+        "space, share",
+        [
+            (random_lp_cloud(200, 3, 2.0, 7).metric_space, 0.02),
+            (path_metric(200), 0.1),
+        ],
+        ids=["l2-cloud", "path"],
+    )
+    def test_screen_skips_most_kernel_work(self, space, share, monkeypatch):
+        # kernel work is carrier pairs times net members, summed over the
+        # kernels run; every level of every group would take `full`, and a
+        # space of unknown slack, screened by the levels only, takes over a
+        # fifth of it
+        work = [0]
+        sup_pairs, dense = proper._sup_pairs, proper.lp_distance_matrix
+
+        def counted_pairs(x, ti, ui, scale=None):
+            work[0] += len(ti) * x.shape[1]
+            return sup_pairs(x, ti, ui, scale)
+
+        def counted_dense(x, p):
+            work[0] += len(x) * (len(x) - 1) // 2 * x.shape[1]
+            return dense(x, p)
+
+        monkeypatch.setattr(proper, "_sup_pairs", counted_pairs)
+        monkeypatch.setattr(proper, "lp_distance_matrix", counted_dense)
+        for s, most in ((space, share), (FiniteMetricSpace(space.labels, space.dist), 1.0)):
+            emb = embed_space_proper(PointedSpace(s, 0))
+            params, norms, full = emb.params, s.dist[0], 0
+            for shell in range(params.n_min, params.n_max + 1):
+                m = sum(
+                    tier == shell
+                    for t in np.flatnonzero(norms)
+                    for tier, _ in proper._tiers(t, annulus_index(float(norms[t])), params)
+                )
+                pairs = m * (m - 1) // 2
+                for k in range(1, params.k_max[shell] + 1):
+                    full += pairs * len(emb.hierarchy.net(shell, k).members)
+            work[0] = 0
+            emb.image_distances
+            assert work[0] <= most * full
+            if most == 1.0:
+                assert work[0] > 0.2 * full
 
     def test_images_are_built_on_first_read(self):
         pspace = PointedSpace(random_graph_metric(30, None, 4), 2)
