@@ -115,11 +115,14 @@ def random_lp_cloud(
 
 
 def path_metric(n: int) -> FiniteMetricSpace:
-    """Path graph on n vertices with unit edges: d(i, j) = |i - j|."""
+    """Path graph on n vertices with unit edges: d(i, j) = |i - j|, the
+    metric of the points 0, ..., n - 1 of l_1^1, whose triangle inequality
+    is proved (see ``LpPointSet``) rather than scanned."""
     if n < 2:
         raise ValueError("need at least two vertices")
-    idx = np.arange(n)
-    return validate_metric(np.abs(idx[:, None] - idx[None, :]).astype(float))
+    if n > _SIZE_CAP:
+        raise SizeCapExceeded(f"{n} vertices, cap is {_SIZE_CAP}")
+    return LpPointSet(1.0, np.arange(n, dtype=float)[:, None]).metric_space
 
 
 def star_metric(n_leaves: int) -> FiniteMetricSpace:
@@ -127,6 +130,8 @@ def star_metric(n_leaves: int) -> FiniteMetricSpace:
     if n_leaves < 1:
         raise ValueError("need at least one leaf")
     n = n_leaves + 1
+    if n > _SIZE_CAP:
+        raise SizeCapExceeded(f"{n} vertices, cap is {_SIZE_CAP}")
     d = np.full((n, n), 2.0)
     d[0, :] = 1.0
     d[:, 0] = 1.0

@@ -45,6 +45,8 @@ class UnknownFormat(ValueError):
 
 
 def _parse_exponent(value: Any) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ParseError(f'p must be a number or "inf", got {json.dumps(value)}')
     if isinstance(value, str):
         if value.lower() in ("inf", "infinity"):
             return math.inf
@@ -86,6 +88,8 @@ def parse_space(path: str | Path, fmt: str = "json") -> FiniteMetricSpace | LpPo
             raise ParseError("top-level JSON value must be an object")
         if "dist" in payload:
             labels = payload.get("points")
+            if labels is not None and not isinstance(labels, list):
+                raise ParseError(f'"points" beside "dist" must be a list, got {json.dumps(labels)}')
             return validate_metric(payload["dist"], labels)
         if "p" in payload and "points" in payload:
             pts = np.asarray(payload["points"], dtype=float)

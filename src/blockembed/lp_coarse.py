@@ -39,7 +39,7 @@ from .blocks import (
     scale_block,
 )
 from .metric import BoundsReport, FiniteMetricSpace, greedy_maximal_net, verify_bounds
-from .proper import AnnulusOutOfRange, annulus_index
+from .proper import AnnulusOutOfRange, annulus_index, shell_runs
 
 __all__ = [
     "NormBelowOne",
@@ -273,38 +273,23 @@ def _shell_distances(
     scales them.
 
     A point of shell n carries lam * theta_n * R(t) on tier n and (1 - lam)
-    * theta_(n+1) * R(t) on tier n + 1, so with the points sorted by norm the
-    carriers of tier j, the points of shells j - 1 and j, are one slice.
-    One fold (:func:`~blockembed.blocks._fold_distances`) runs over that
-    order, tiers ascending.  A carrier of blend exactly 0 (a dyadic norm)
-    keeps a zero row, which changes no distance; points of norm 0 sort
-    first, in no slice.  The result is taken back to input order in one
-    gather.
+    * theta_(n+1) * R(t) on tier n + 1: one fold (``blocks._fold_distances``)
+    over the runs of :func:`~blockembed.proper.shell_runs`, then one gather
+    back to input order.
     """
     r = _norms(np.abs(points), p)
     if np.any((r > 0) & (r < 1)):
         raise NormBelowOne(f"point norm {r[r > 0].min()} < 1; normalize the set first")
-    order = np.argsort(r, kind="stable")
-    zero = int(np.count_nonzero(r == 0))  # the points of norm 0 sort first
-    r = r[order[zero:]]
-    shell = np.frexp(r)[1] - 1
-    if len(shell) and shell[-1] >= 1023:  # as in annulus_index, 2^(n+1) is no double
-        raise AnnulusOutOfRange(f"point norm {r[-1]} lies past the last dyadic shell")
-    lam = (np.ldexp(1.0, shell + 1) - r) / np.ldexp(1.0, shell)  # annulus_index's blend
-    rt = params.diag_map(points.shape[1]) * points[order[zero:]]
-    blocks = []
-    for tier in range(int(shell[0]), int(shell[-1]) + 2) if len(shell) else ():
-        lo = int(np.searchsorted(shell, tier - 1, side="left"))
-        hi = int(np.searchsorted(shell, tier, side="right"))
-        if lo == hi:  # no point in shell tier - 1 or tier
-            continue
-        blend = np.where(shell[lo:hi] == tier, lam[lo:hi], 1.0 - lam[lo:hi])
-        x = a * ((blend * params.iso.factor(tier))[:, None] * rt[lo:hi])
-        blocks.append((slice(zero + lo, zero + hi), x))
+    if r.max(initial=0.0) >= 2.0**1023:  # as in annulus_index, 2^(n+1) is no double
+        raise AnnulusOutOfRange(f"point norm {r.max()} lies past the last dyadic shell")
+    order, runs = shell_runs(r)
+    rt = params.diag_map(points.shape[1]) * points[order]
+    blocks = [
+        (slice(lo, hi), a * ((blend * params.iso.factor(tier))[:, None] * rt[lo:hi]))
+        for tier, lo, hi, blend in runs
+    ]
     out = _fold_distances(len(points), blocks, p)
-    position = np.empty_like(order)
-    position[order] = np.arange(len(order))
-    at = position[rows]
+    at = np.argsort(order)[rows]
     return out[np.ix_(at, at)]
 
 

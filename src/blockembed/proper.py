@@ -15,11 +15,12 @@ The certified envelopes are ``separation_envelope(d)`` from below and
 ``9 * C_trunc * d`` from above, where C_trunc sums the weight series over
 the shell/level offsets actually used and never exceeds the full series
 total WEIGHT_SERIES_SUM = pi * coth(pi).  Image distances come from one
-Frechet matrix per (shell, net) group.  A pair's distance is the max over
-every block of both points, so before a group's kernel runs, each carrier
-pair's proved upper bound on the group (Frechet coordinates are 1-Lipschitz
-up to the space's triangle slack) is set against the running max, and only
-the pairs it leaves are computed, exactly; images are built when read.
+Frechet matrix per (shell, net) group, over the points sorted by norm, where
+a shell's carriers are one run (shell_runs, as for lp_coarse).  A pair's
+distance is the max over every block of both points, so a carrier pair's
+proved bound on a group (Frechet coordinates are 1-Lipschitz up to the
+space's triangle slack) is set against the running max first, and only the
+pairs it leaves are computed, exactly; images are built when read.
 """
 
 from __future__ import annotations
@@ -114,6 +115,31 @@ def annulus_index(r: float) -> tuple[int, float] | None:
     return n, lam
 
 
+def shell_runs(norms: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int, int, np.ndarray]]]:
+    """The shell layout both constructions glue: the points' stable order by
+    norm and, per tier ascending, (tier, lo, hi, blend) for its carriers of
+    non-zero blend, the norms in (2^(tier-1), 2^(tier+1)): positions lo:hi
+    of that order, blends bit for bit :func:`annulus_index`'s.  A norm of
+    2^1023 or more raises annulus_index's error for the smallest positive
+    norm if that is past, else for the first one past in input order."""
+    order = np.argsort(norms, kind="stable")
+    zero = int(np.count_nonzero(norms == 0))
+    r = norms[order[zero:]]
+    shell = np.frexp(r)[1] - 1
+    if len(r) and shell[-1] >= 1023:
+        for x in (r[0], *norms.tolist()):
+            annulus_index(float(x))
+    lam = (np.ldexp(1.0, shell + 1) - r) / np.ldexp(1.0, shell)
+    runs = []
+    for tier in range(int(shell[0]), int(shell[-1]) + 2) if len(r) else ():
+        lo = int(np.searchsorted(r, math.ldexp(1.0, tier - 1), side="right"))
+        hi = int(np.searchsorted(shell, tier, side="right"))
+        if lo < hi:
+            blend = np.where(shell[lo:hi] == tier, lam[lo:hi], 1.0 - lam[lo:hi])
+            runs.append((tier, zero + lo, zero + hi, blend))
+    return order, runs
+
+
 def log_growth(t: float | np.ndarray) -> float | np.ndarray:
     """(log2 t)^2 + 1, the growth profile in the lower envelope denominator.
 
@@ -190,9 +216,9 @@ class ProperEmbedding:
     """A built embedding: domain, constants, net hierarchy.
 
     ``images`` and ``image_distances`` are each computed on first read.  The
-    image distances come from one Frechet matrix per (shell, net) group with
-    a proved screen and an exact fallback, without building the images, and
-    equal ``pairwise_distance_matrix(images, CODOMAIN_P)`` bit for bit.
+    image distances come from the shell runs of the points sorted by norm,
+    one Frechet matrix per (shell, net) group with a proved screen, and no
+    images: ``pairwise_distance_matrix(images, CODOMAIN_P)`` bit for bit.
     """
 
     pspace: PointedSpace
@@ -216,20 +242,16 @@ def make_proper_params(
 ) -> ProperParams:
     """Derive the finite shell/level ranges for a pointed space.
 
-    n_min is the shell of the smallest positive point norm.  n_max is the
-    largest shell any point actually touches: shell n for a point with
-    blend 1, shell n + 1 otherwise, so tier lookups never leave the range.
+    n_min and n_max are the first and last tiers of :func:`shell_runs`, the
+    shells the points touch with a non-zero blend, so tier lookups never
+    leave the range.
     """
     space = pspace.space
     if space.n_points < 2:
         raise TooFewPoints("need at least two points to embed")
     norms = pspace.norms()
-    positive = norms[norms > 0]
-    n_min = annulus_index(float(positive.min()))[0]
-    n_max = n_min
-    for r in positive:
-        n, lam = annulus_index(float(r))
-        n_max = max(n_max, n if lam == 1.0 else n + 1)
+    runs = shell_runs(norms)[1]
+    n_min, n_max = runs[0][0], runs[-1][0]
     if n_max >= 1022:  # its level-1 net radius 2^(n_max + 2) is no double
         raise AnnulusOutOfRange(f"shell {n_max} lies past the last shell with a net radius")
 
@@ -297,19 +319,6 @@ def frechet_coords(t: int, net: Net, pspace: PointedSpace) -> np.ndarray:
     return space.dist[t, members] - norms[members]
 
 
-def _tiers(t: int, annulus: tuple[int, float], params: ProperParams):
-    """The shells point t touches under ``annulus``, with non-zero blends."""
-    n, lam = annulus
-    for tier, blend in ((n, lam), (n + 1, 1.0 - lam)):
-        if blend == 0.0:
-            continue
-        if not params.n_min <= tier <= params.n_max:
-            raise AnnulusOutOfRange(
-                f"point {t} needs shell {tier} outside [{params.n_min}, {params.n_max}]"
-            )
-        yield tier, blend
-
-
 def embed_point_proper(
     t: int,
     pspace: PointedSpace,
@@ -330,8 +339,15 @@ def embed_point_proper(
         if r == 0:
             return BlockVector.empty()
         annulus = annulus_index(r)
+    n, lam = annulus
     out: dict[int, np.ndarray] = {}
-    for tier, blend in _tiers(t, annulus, params):
+    for tier, blend in ((n, lam), (n + 1, 1.0 - lam)):
+        if blend == 0.0:
+            continue
+        if not params.n_min <= tier <= params.n_max:
+            raise AnnulusOutOfRange(
+                f"point {t} needs shell {tier} outside [{params.n_min}, {params.n_max}]"
+            )
         for k in range(1, params.k_max[tier] + 1):
             j = pair_index(tier, k)
             coords = frechet_coords(t, hierarchy.net(tier, k), pspace)
@@ -351,17 +367,17 @@ def embed_space_proper(
 
 def _image_distances(embedding: ProperEmbedding) -> np.ndarray:
     """``pairwise_distance_matrix(embedding.images, CODOMAIN_P)`` bit for
-    bit, from one Frechet matrix F per (shell, net) group and no images.
+    bit, from one Frechet matrix F per (shell, net) group and no images, in
+    :func:`shell_runs` order: a shell's carriers are the run lo:hi.
 
     Level j of a group gives carrier t the block a_tj * F_t, a_tj = (b_t *
-    w_j) * theta_j as in ``embed_point_proper``.  Against a non-carrier, t
-    gets max_j fl(a_tj * |F_t|_inf), its block norm, as rounding is
-    monotone.  Carrier pairs get each level's sup distance where a proved
-    upper bound (see ``_fold_group``) can exceed the running max, and
-    nowhere else: the sup fold is exact in any order, so a value at or below
-    the max cannot change it.  Shells run cheapest first, and a shell's
-    groups smallest first, so that the max is high before the big kernels.
-    A zero block counts as absent."""
+    w_j) * theta_j as in ``embed_point_proper``; t gets its block norm max_j
+    fl(a_tj * |F_t|_inf) against the points outside the run, as rounding is
+    monotone, and each level's sup distance against a carrier where a proved
+    upper bound (see ``_fold_group``) can exceed the running max: the sup
+    fold is exact in any order, so a value at or below the max cannot change
+    it.  Shells run cheapest first, and a shell's groups smallest first, so
+    that the max is high before the big kernels.  A zero block is absent."""
     pspace, params, nets = embedding.pspace, embedding.params, embedding.hierarchy
     dist, norms = pspace.space.dist, pspace.norms()
     # the guards of _fold_group: no screen when a distance or the slack is
@@ -369,20 +385,16 @@ def _image_distances(embedding: ProperEmbedding) -> np.ndarray:
     fits = -(2.0**900) <= dist.min(initial=0.0) and dist.max(initial=0.0) <= 2.0**900
     slack = pspace.space.triangle_slack
     slack = slack if fits and slack is not None and slack <= 2.0**900 else None
-    shells: dict[int, list[tuple[int, float]]] = {}
-    for t in np.flatnonzero(norms).tolist():
-        for tier, blend in _tiers(t, annulus_index(float(norms[t])), params):
-            shells.setdefault(tier, []).append((t, blend))
+    order, runs = shell_runs(norms)
     work = []
-    for shell, carried in shells.items():
+    for shell, lo, hi, blend in runs:
         groups: dict[tuple[int, ...], list[int]] = {}
         for k in range(1, params.k_max[shell] + 1):
             groups.setdefault(nets.net(shell, k).members, []).append(k)
-        work.append((len(carried) ** 2 * sum(map(len, groups)), shell, carried, groups))
-    out = np.zeros_like(dist)
-    for _, shell, carried, groups in sorted(work, key=lambda w: w[:2]):
-        # blends descending, so that b_t >= b_u on every pair t < u
-        idx, blend = map(np.array, zip(*sorted(carried, key=lambda tb: -tb[1])))
+        work.append(((hi - lo) ** 2 * sum(map(len, groups)), shell, lo, hi, blend, groups))
+    out = np.zeros_like(dist)  # in norm order until the last gather
+    for _, shell, lo, hi, blend, groups in sorted(work, key=lambda w: w[:2]):
+        idx = order[lo:hi]
         plan = []
         for members, ks in sorted(groups.items(), key=lambda g: len(g[0])):
             w = np.array([tier_weight(shell, k) for k in ks])
@@ -393,7 +405,7 @@ def _image_distances(embedding: ProperEmbedding) -> np.ndarray:
             plan.append((members, a, c, _SCREEN_K * c.max() if screened else 0.0))
         # later[i]: the largest fl(K c_j) of a screened group after the i-th
         later = np.maximum.accumulate([k for *_, k in plan][::-1])[::-1].tolist()[1:] + [0.0]
-        solo, pair = np.zeros(len(idx)), out[np.ix_(idx, idx)]
+        solo, pair = np.zeros(hi - lo), out[lo:hi, lo:hi]
         bound = _lipschitz_bound(dist, idx, blend, norms[idx], slack)
         open_ = np.triu(np.ones(pair.shape, dtype=bool), 1)  # pairs a group may still raise
         for i, (members, a, c, k_top) in enumerate(plan):
@@ -406,11 +418,11 @@ def _image_distances(embedding: ProperEmbedding) -> np.ndarray:
             else:
                 _fold_group(pair, open_, bound, f, a, c, blend * norm, later[i])
             del f  # before the next group's is built
-        # carrier columns: solo against non-carrier rows, pair against carriers
-        col = np.maximum(out[:, idx], solo)
-        col[idx] = pair
-        out[:, idx] = col
-        out[idx] = col.T
+        # solo against the points outside the run, on both sides of the diagonal
+        for side in (out[lo:hi, :lo], out[lo:hi, hi:], out[:lo, lo:hi].T, out[hi:, lo:hi].T):
+            np.maximum(side, solo[:, None], out=side)
+    at = np.argsort(order)
+    out = out[np.ix_(at, at)]
     np.fill_diagonal(out, 0.0)
     return out
 
@@ -423,9 +435,9 @@ def _levels(a: np.ndarray, c: np.ndarray) -> list[int]:
 
 def _lipschitz_bound(dist, idx, blend, radius, slack):
     """The Lipschitz bound h (see ``_fold_group``) of the carriers ``idx``,
-    blends descending and norms ``radius``, as a function of pairs (ti, ui),
-    ti < ui; inf everywhere when the triangle slack is unknown (None).  It
-    is computed once, in row blocks, into an m x m array read at t < u."""
+    blends in any order and norms ``radius``, as a function of pairs (ti,
+    ui), ti < ui; inf everywhere when the triangle slack is unknown (None).
+    It is computed once, in row blocks, into an m x m array read at t < u."""
     if slack is None:
         return lambda ti, ui: np.full(len(ti), math.inf)
     m = len(idx)
@@ -437,8 +449,10 @@ def _lipschitz_bound(dist, idx, blend, radius, slack):
         t, u = slice(r0, r0 + rows), slice(r0, m)
         h = hm[t, u]
         np.add(dist[np.ix_(idx[t], idx[u])], slack, out=h)
-        h *= blend[u]
-        h += (blend[t, None] - blend[u]) * reach[t, None]
+        h *= np.minimum(blend[t, None], blend[u])
+        # |b_t - b_u| times the reach of the larger blend: the other product is <= 0
+        g = blend[t, None] - blend[u]
+        h += np.maximum(g * reach[t, None], g * -reach[u], out=g)
         h += e[t, None] + e[u]
     return lambda ti, ui: hm[ti, ui]
 
@@ -469,11 +483,11 @@ def _fold_group(pair, open_, bound, f, a, c, bn, k_next) -> None:
     # 2^-1040 cover.  Two such H, each with 16u >= gamma_4 / (1 - u)^10:
     # * Lipschitz (_lipschitz_bound), for every group of the shell: with
     #   sigma the triangle slack, |F_ts - F_us| = |d(t,s) - d(u,s)| <= d(t,u)
-    #   + sigma and |F_ts| <= |t| + sigma.  As b_t >= b_u, b_t F_t - b_u F_u
-    #   = b_u (F_t - F_u) + (b_t - b_u) F_t, so G <= b_u (d(t,u) + sigma) +
-    #   (b_t - b_u)(|t| + sigma), and R <= b_t (|t| + sigma) + b_u (|u| +
-    #   sigma): H adds the two, the second times 16u.  Its terms stay below
-    #   2^903.
+    #   + sigma and |F_ts| <= |t| + sigma.  With t the carrier of the larger
+    #   blend, b_t F_t - b_u F_u = b_u (F_t - F_u) + (b_t - b_u) F_t, so G <=
+    #   min(b_t, b_u)(d(t,u) + sigma) + |b_t - b_u| (|t| + sigma) in either
+    #   order, and R <= b_t (|t| + sigma) + b_u (|u| + sigma): H adds the two,
+    #   the second times 16u.  Its terms stay below 2^903.
     # * From V* = V_j*: its lower side gives G <= V* / ((1 - u) C_j*) +
     #   gamma_4 R + 2^-1074 / C_j*, and C_j <= (1 + u) C_j* / (1 - u) (j* has
     #   the largest c_j) keeps the last term's share of V_j below 2^-1073,

@@ -396,6 +396,23 @@ class TestCliModes:
         assert run_cli("gen", "--kind", kind, "--out", tmp_path / "f.json") == 2
         assert capsys.readouterr().err == f"blockembed: error: {kind} requires --n\n"
 
+    def test_gen_path_digest(self, tmp_path):
+        import hashlib
+
+        out = tmp_path / "path.json"
+        assert run_cli("gen", "--kind", "path", "--n", 300, "--out", out) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "39f70c74d9e69c60303c4320a809fbf1600c10027b66c0ce74ae5804abb89e78"
+
+    @pytest.mark.parametrize("kind", ["path", "star"])
+    def test_gen_past_the_size_cap_exits_two_unallocated(self, tmp_path, capsys, monkeypatch, kind):
+        from blockembed import fixtures
+
+        monkeypatch.setattr(fixtures, "np", None)  # an allocation would fail on it
+        out = tmp_path / "big.json"
+        assert run_cli("gen", "--kind", kind, "--n", 100_000, "--out", out) == 2
+        assert "cap is" in capsys.readouterr().err and not out.exists()
+
     def test_gen_grid_fixture(self, tmp_path):
         fixture = tmp_path / "g.json"
         assert run_cli("gen", "--kind", "grid-net", "--dim", 1, "--k", 2, "--out", fixture) == 0
@@ -555,6 +572,25 @@ class TestCliModes:
         err = capsys.readouterr().err
         assert err.startswith("blockembed: error:") and err.count("\n") == 1
         assert "shell" in err and not out.exists()
+
+    @pytest.mark.parametrize(
+        "mode, space, field",
+        [
+            ("embed-lp", '{"p":null,"points":[[0,0],[3,4]]}', "p"),
+            ("embed-lp", '{"p":[2],"points":[[0,0],[3,4]]}', "p"),
+            ("embed-lp", '{"p":true,"points":[[0,0],[3,4]]}', "p"),  # not p = 1
+            ("embed-proper", '{"points":3,"dist":[[0,1],[1,0]]}', '"points"'),
+            ("embed-proper", '{"points":"ab","dist":[[0,1],[1,0]]}', '"points"'),  # not labels a, b
+        ],
+    )
+    def test_malformed_space_field_exits_two(self, tmp_path, capsys, mode, space, field):
+        fixture = tmp_path / "s.json"
+        fixture.write_text(space)
+        assert run_cli(mode, "--input", fixture) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"blockembed: error: {field} ") and err.count("\n") == 1
+        with pytest.raises(ParseError, match=field):
+            parse_space(fixture)
 
     @pytest.mark.parametrize("exponent", ["-300", "300"])
     def test_validate_l2_cloud_at_extreme_scale(self, tmp_path, exponent):
@@ -766,3 +802,22 @@ class TestDeterminism:
         out, err = capsys.readouterr()
         assert err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_every_name_the_benchmark_tracer_wraps_exists():
+    # perfbench/spans.py swaps these functions for timing wrappers (--trace
+    # 1); it is read here, not imported, so that no change to it is needed
+    import ast
+    import importlib
+    from pathlib import Path
+
+    source = (Path(__file__).parents[1] / "perfbench" / "spans.py").read_text()
+    (wrapped,) = [
+        node.value
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["WRAPPED"]
+    ]
+    for module, names in ast.literal_eval(wrapped).items():
+        layer = importlib.import_module(f"blockembed.{module}")
+        for name in names:
+            assert callable(getattr(layer, name, None)), f"blockembed.{module}.{name}"

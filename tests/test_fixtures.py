@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from blockembed import fixtures
 from blockembed.fixtures import (
     DisconnectedGraph,
     grid_net_cloud,
@@ -12,6 +13,9 @@ from blockembed.fixtures import (
     star_metric,
 )
 from blockembed.lp_coarse import SizeCapExceeded
+from blockembed.metric import validate_metric
+
+import oracles
 
 
 class TestDeterministicShapes:
@@ -19,6 +23,16 @@ class TestDeterministicShapes:
         space = path_metric(4)
         assert space.d(0, 3) == 3.0
         assert space.d(1, 2) == 1.0
+
+    @pytest.mark.parametrize("n", [2, 3, 33, 2048])
+    def test_path_is_the_proved_l1_line(self, n):
+        space = path_metric(n)
+        idx = np.arange(n)
+        assert np.array_equal(space.dist, np.abs(idx[:, None] - idx[None, :]).astype(float))
+        assert space.labels == tuple(f"p{i}" for i in range(n))
+        if n < 100:  # the oracle is cubic
+            assert 0.0 <= oracles.exact_triangle_defect(space.dist) <= space.triangle_slack
+            assert space.triangle_slack < validate_metric(space.dist).triangle_slack
 
     def test_star_leaf_to_leaf(self):
         space = star_metric(3)
@@ -68,8 +82,15 @@ class TestRandomCloud:
         assert cloud.points.min() >= 0.0
         assert cloud.points.max() <= 2.5
 
-    def test_size_caps(self):
+    def test_size_caps(self, monkeypatch):
+        # no numpy in the fixtures module: the cap must fire before any n x n
+        # allocation, which would now fail on its np attribute
+        monkeypatch.setattr(fixtures, "np", None)
         with pytest.raises(SizeCapExceeded):
             random_lp_cloud(100_000, 2, seed=0)
         with pytest.raises(SizeCapExceeded):
             random_graph_metric(100_000, seed=0)
+        with pytest.raises(SizeCapExceeded):
+            path_metric(100_000)
+        with pytest.raises(SizeCapExceeded):
+            star_metric(100_000)

@@ -1,11 +1,12 @@
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blockembed import proper
+from blockembed import lp_coarse, proper
 from blockembed.blocks import (
     BlockIsoModel,
     outer_norm,
@@ -15,7 +16,7 @@ from blockembed.blocks import (
     scale_block,
 )
 from blockembed.fixtures import path_metric, random_graph_metric, random_lp_cloud, star_metric
-from blockembed.lp_coarse import LpPointSet
+from blockembed.lp_coarse import LpParams, LpPointSet
 from blockembed.metric import (
     FiniteMetricSpace,
     Net,
@@ -86,6 +87,109 @@ class TestAnnulus:
     @settings(max_examples=81, deadline=None)
     def test_dyadic_radius_gets_blend_one(self, e):
         assert annulus_index(math.ldexp(1.0, e)) == (e, 1.0)
+
+
+TOP = float(np.nextafter(2.0**1023, 0.0))  # the largest norm of a shell
+
+
+def annulus_tiers(r):
+    """The (tier, blend) pairs of non-zero blend annulus_index gives norm r."""
+    if r == 0:
+        return []
+    n, lam = annulus_index(r)
+    return [(tier, b) for tier, b in ((n, lam), (n + 1, 1.0 - lam)) if b != 0.0]
+
+
+def first_rejected(norms):
+    """The AnnulusOutOfRange message of a point-by-point annulus_index scan of
+    the smallest positive norm and then every norm in input order, or None."""
+    positive = [r for r in norms if r > 0]
+    for r in (min(positive), *positive):
+        try:
+            annulus_index(r)
+        except AnnulusOutOfRange as err:
+            return str(err)
+    return None
+
+
+NORMS = st.lists(
+    st.one_of(
+        st.just(0.0),
+        st.integers(-1074, 1022).map(lambda e: math.ldexp(1.0, e)),  # dyadic
+        st.sampled_from([5e-324, 1e-310, 2.0**-1022, 1.0, 3.0, TOP, 2.0**1022 * 1.5]),
+        st.integers(-1074, 1022).map(lambda e: math.nextafter(math.ldexp(1.0, e), math.inf)),
+        st.floats(min_value=5e-324, max_value=TOP),
+    ),
+    max_size=40,
+)
+
+
+class TestShellRuns:
+    """proper.shell_runs, the layout of both constructions, against annulus_index."""
+
+    @given(NORMS)
+    @settings(max_examples=300, deadline=None)
+    def test_runs_are_annulus_index_point_by_point(self, norms):
+        norms = np.array(norms, dtype=float)
+        order, runs = proper.shell_runs(norms)
+        assert np.array_equal(order, np.argsort(norms, kind="stable"))
+        got: dict[int, list] = {}
+        tiers = [tier for tier, *_ in runs]
+        assert tiers == sorted(set(tiers))
+        for tier, lo, hi, blend in runs:
+            assert 0 <= lo < hi <= len(norms) and len(blend) == hi - lo
+            for t, b in zip(order[lo:hi].tolist(), blend.tolist()):
+                got.setdefault(t, []).append((tier, b))
+        for t, r in enumerate(norms.tolist()):
+            assert got.get(t, []) == annulus_tiers(r)
+
+    def test_zero_blends_are_the_prefix_left_out(self):
+        # norm 1 = 2^0 has blend 0 on tier 1 and 2 = 2^1 blend 0 on tier 2:
+        # sorted, each sits at the front of the run it would otherwise open
+        norms = np.array([3.0, 0.0, 2.0, 1.0, 6.0, 2.0, 1.5, 4.0])
+        order, runs = proper.shell_runs(norms)
+        carried = {tier: norms[order[lo:hi]].tolist() for tier, lo, hi, _ in runs}
+        assert carried == {0: [1.0, 1.5], 1: [1.5, 2.0, 2.0, 3.0], 2: [3.0, 4.0, 6.0], 3: [6.0]}
+        assert all(np.all(blend > 0) for *_, blend in runs)
+        order, runs = proper.shell_runs(np.array([0.0, 0.0]))
+        assert runs == [] and order.tolist() == [0, 1]
+
+    @pytest.mark.parametrize(
+        "norms",
+        [
+            [0.0, 1e308, 1.5e308],  # the smallest norm is past: it is named
+            [0.0, 1.5e308, 1e308],
+            [0.0, 3.0, 1.5e308, 1e308],  # else the first past in input order
+            [0.0, 2.0**1023, 5e-324],
+            [0.0, np.finfo(float).max, 2.0, 2.0**1023],
+        ],
+    )
+    def test_norm_past_the_last_shell_names_what_each_caller_named(self, norms):
+        expected = first_rejected(norms)
+        assert expected is not None
+        with pytest.raises(AnnulusOutOfRange) as err:
+            proper.shell_runs(np.array(norms))
+        assert str(err.value) == expected
+        # make_proper_params reads the norms of the basepoint's row only
+        d = np.zeros((len(norms), len(norms)))
+        d[0], d[:, 0] = norms, norms
+        space = FiniteMetricSpace(tuple(map(str, range(len(norms)))), d)
+        with pytest.raises(AnnulusOutOfRange) as err:
+            make_proper_params(PointedSpace(space, 0))
+        assert str(err.value) == expected
+        # the l_p fold, which takes norms of 1 or more, names the largest norm
+        if not any(0 < r < 1 for r in norms):
+            points = np.array(norms)[:, None]
+            with pytest.raises(AnnulusOutOfRange) as err:
+                lp_coarse._shell_distances(points, LpParams(), math.inf)
+            assert str(err.value) == f"point norm {max(norms)} lies past the last dyadic shell"
+
+    def test_top_norm_reaches_a_shell_without_a_net_radius(self):
+        order, runs = proper.shell_runs(np.array([0.0, TOP]))
+        assert [tier for tier, *_ in runs] == [1022, 1023]
+        d = np.array([[0.0, TOP], [TOP, 0.0]])
+        with pytest.raises(AnnulusOutOfRange, match="shell 1023 lies past the last shell"):
+            make_proper_params(PointedSpace(validate_metric(d), 0))
 
 
 class TestEnvelopeFunctions:
@@ -505,6 +609,10 @@ SPACES = {
     "l1": lambda n, seed: random_lp_cloud(n, 1 + seed % 4, 1.0, seed).metric_space,
     "l2": lambda n, seed: random_lp_cloud(n, 1 + seed % 4, 2.0, seed).metric_space,
     "linf": lambda n, seed: random_lp_cloud(n, 1 + seed % 4, math.inf, seed).metric_space,
+    # a grid graph (l_1 on integer points), rich in dyadic norms and so in zero blends
+    "grid": lambda n, seed: LpPointSet(
+        1.0, np.array([divmod(i, 8 + seed % 8) for i in range(n)], dtype=float)
+    ).metric_space,
 }
 
 
@@ -623,6 +731,32 @@ class TestImageDistances:
         emb = embed_space_proper(PointedSpace(space, basepoint % n), iso=ISO[theta](seed))
         assert np.array_equal(emb.image_distances, eager_distances(emb))
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_lipschitz_bound_is_order_free_and_covers_the_exact_value(self, seed):
+        # G = max_s |b_t F_ts - b_u F_us| over every point s, in exact
+        # arithmetic, for carriers given in an order and its reverse
+        rng = np.random.default_rng(seed)
+        space = SPACES[("graph", "path", "l2", "grid")[seed % 4]](40, seed)
+        space = defect_space(seed) if seed >= 6 else space
+        dist, n = space.dist, space.n_points
+        norms = dist[int(rng.integers(n))]
+        idx = rng.permutation(n)[:20]
+        blend = rng.uniform(0.0, 1.0, len(idx))
+        blend[::4], blend[1] = blend[2], 1.0  # ties and a full blend
+        exact = [[Fraction(x) for x in row] for row in dist]
+        f = [[exact[t][s] - Fraction(norms[s]) for s in range(n)] for t in idx.tolist()]
+        ti, ui = np.triu_indices(len(idx), 1)
+        seen = {}
+        for perm in (np.arange(len(idx)), np.arange(len(idx))[::-1]):
+            h = proper._lipschitz_bound(
+                dist, idx[perm], blend[perm], norms[idx[perm]], space.triangle_slack
+            )(ti, ui)
+            for a, b, bound in zip(perm[ti].tolist(), perm[ui].tolist(), h.tolist()):
+                bt, bu = Fraction(blend[a]), Fraction(blend[b])
+                g = max(abs(bt * x - bu * y) for x, y in zip(f[a], f[b]))
+                assert Fraction(bound) >= g
+                assert seen.setdefault(frozenset((a, b)), bound) == bound
+
     @pytest.mark.parametrize("seed", range(6))
     def test_triangle_defects_validated_at_a_large_tol(self, seed):
         # shrinking some distances plants defects up to 70% of them; the
@@ -692,13 +826,9 @@ class TestImageDistances:
         monkeypatch.setattr(proper, "lp_distance_matrix", counted_dense)
         for s, most in ((space, share), (FiniteMetricSpace(space.labels, space.dist), 1.0)):
             emb = embed_space_proper(PointedSpace(s, 0))
-            params, norms, full = emb.params, s.dist[0], 0
+            params, full = emb.params, 0
             for shell in range(params.n_min, params.n_max + 1):
-                m = sum(
-                    tier == shell
-                    for t in np.flatnonzero(norms)
-                    for tier, _ in proper._tiers(t, annulus_index(float(norms[t])), params)
-                )
+                m = sum(pair_index(shell, 1) in v.blocks for v in emb.images)
                 pairs = m * (m - 1) // 2
                 for k in range(1, params.k_max[shell] + 1):
                     full += pairs * len(emb.hierarchy.net(shell, k).members)
