@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from collections import deque
 
 import numpy as np
 
@@ -28,16 +27,42 @@ class DisconnectedGraph(ValueError):
     pass
 
 
-def _bfs_distances(n: int, adjacency: list[list[int]], source: int) -> list[int]:
-    dist = [-1] * n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in adjacency[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
+def _hop_distances(adj: np.ndarray) -> np.ndarray | None:
+    """Hop distances of the graph with symmetric boolean adjacency ``adj``,
+    as floats, or None when it is disconnected.
+
+    One level-synchronous BFS runs from every source at once.  Adjacency
+    rows are bit-packed into 64-bit words; a source's next frontier is the
+    OR of the packed rows of its current frontier's vertices, less what it
+    has seen.  A source drops out once it has seen every vertex; one whose
+    frontier empties first shows that the graph is disconnected.
+    """
+    n = len(adj)
+
+    def pack(bits: np.ndarray) -> np.ndarray:
+        out = np.zeros((n, -(-n // 64) * 8), np.uint8)
+        out[:, : -(-n // 8)] = np.packbits(bits, axis=1)
+        return out.view(np.uint64)
+
+    rows = pack(adj)
+    seen = pack(adj | np.eye(n, dtype=bool))
+    dist = adj.astype(float)
+    frontier = [np.flatnonzero(row) for row in adj]
+    reached = [len(f) + 1 for f in frontier]
+    active = [s for s in range(n) if reached[s] < n]
+    level = 1
+    while active:
+        level += 1
+        for s in active:
+            step = np.bitwise_or.reduce(rows[frontier[s]], axis=0)
+            step &= ~seen[s]
+            seen[s] |= step
+            frontier[s] = np.flatnonzero(np.unpackbits(step.view(np.uint8), count=n))
+            if not len(frontier[s]):
+                return None
+            dist[s, frontier[s]] = level
+            reached[s] += len(frontier[s])
+        active = [s for s in active if reached[s] < n]
     return dist
 
 
@@ -64,17 +89,11 @@ def random_graph_metric(
         raise ValueError(f"edge probability must lie in (0, 1], got {edge_prob}")
     for attempt in range(_GRAPH_DRAWS):
         rng = np.random.default_rng([seed, attempt])
-        upper = rng.random((n, n)) < edge_prob
-        adjacency: list[list[int]] = [[] for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if upper[i, j]:
-                    adjacency[i].append(j)
-                    adjacency[j].append(i)
-        rows = [_bfs_distances(n, adjacency, s) for s in range(n)]
-        if any(d < 0 for row in rows for d in row):
-            continue
-        return validate_metric(np.array(rows, dtype=float))
+        adj = np.triu(rng.random((n, n)) < edge_prob, 1)
+        adj |= adj.T
+        dist = _hop_distances(adj)
+        if dist is not None:
+            return validate_metric(dist)
     raise DisconnectedGraph(f"no connected draw in {_GRAPH_DRAWS} attempts (seed {seed})")
 
 

@@ -31,6 +31,9 @@ __all__ = [
 
 SPACE_SCHEMA = "blockembed-space/1"
 REPORT_SCHEMA = "blockembed-report/1"
+# float() of a JSON integer beyond the double range raises OverflowError,
+# where a float literal such as 1e400 reads as inf
+_TOO_LARGE = "holds an integer too large for a double"
 
 
 class ParseError(ValueError):
@@ -51,7 +54,10 @@ def _parse_exponent(value: Any) -> float:
         if value.lower() in ("inf", "infinity"):
             return math.inf
         value = float(value)
-    p = float(value)
+    try:
+        p = float(value)
+    except OverflowError as err:
+        raise ParseError(f"p {_TOO_LARGE}") from err
     if not p >= 1:
         raise ParseError(f"exponent must lie in [1, inf], got {p}")
     return p
@@ -90,9 +96,15 @@ def parse_space(path: str | Path, fmt: str = "json") -> FiniteMetricSpace | LpPo
             labels = payload.get("points")
             if labels is not None and not isinstance(labels, list):
                 raise ParseError(f'"points" beside "dist" must be a list, got {json.dumps(labels)}')
-            return validate_metric(payload["dist"], labels)
+            try:
+                return validate_metric(payload["dist"], labels)
+            except OverflowError as err:
+                raise ParseError(f'"dist" {_TOO_LARGE}') from err
         if "p" in payload and "points" in payload:
-            pts = np.asarray(payload["points"], dtype=float)
+            try:
+                pts = np.asarray(payload["points"], dtype=float)
+            except OverflowError as err:
+                raise ParseError(f'"points" {_TOO_LARGE}') from err
             if pts.ndim != 2:
                 raise ParseError("cloud points must be a list of coordinate lists")
             return LpPointSet(
@@ -128,21 +140,45 @@ def parse_space(path: str | Path, fmt: str = "json") -> FiniteMetricSpace | LpPo
 
 def space_to_payload(space: FiniteMetricSpace | LpPointSet) -> dict[str, Any]:
     if isinstance(space, FiniteMetricSpace):
-        return {
-            "schema": SPACE_SCHEMA,
-            "points": list(space.labels),
-            "dist": [list(map(float, row)) for row in space.dist],
-        }
+        return {"schema": SPACE_SCHEMA, "points": list(space.labels), "dist": space.dist}
     return {
         "schema": SPACE_SCHEMA,
         "p": "inf" if math.isinf(space.p) else space.p,
-        "points": [list(map(float, row)) for row in space.points],
+        "points": space.points,
         "basepoint": space.basepoint,
     }
 
 
 def write_space(space: FiniteMetricSpace | LpPointSet, path: str | Path) -> None:
     atomic_write_text(path, dumps_report(space_to_payload(space)) + "\n")
+
+
+def _render_float(x: float) -> str:
+    if math.isnan(x):
+        raise ValueError("NaN is not representable in reports")
+    if math.isinf(x):
+        return '"unbounded"' if x > 0 else '"-unbounded"'
+    return format(x, ".17g")
+
+
+def _render_matrix(a: np.ndarray, indent: int) -> str:
+    """A 2-D float array as its nested lists render, in one pass: each
+    distinct value (by bit pattern, so -0.0 is not 0.0) is formatted once."""
+    if not len(a):
+        return "[]"
+    pad, inner, cell = ("  " * k for k in (indent, indent + 1, indent + 2))
+    if not a.shape[1]:
+        return f"[\n{inner}" + f",\n{inner}".join(["[]"] * len(a)) + f"\n{pad}]"
+    bits = np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+    # sorted and deduplicated here: np.unique would import numpy.ma, about
+    # 1 MB of memory and 20 ms of set-up on first use
+    values = np.sort(bits, axis=None)
+    values = values[np.concatenate(([True], values[1:] != values[:-1]))]
+    texts = np.array([_render_float(x) for x in values.view(np.float64).tolist()], dtype=object)
+    sep = f",\n{cell}"
+    rows = [sep.join(texts[np.searchsorted(values, row)].tolist()) for row in bits]
+    head, tail = f"[\n{inner}[\n{cell}", f"\n{inner}]"
+    return head + f"{tail},\n{inner}[\n{cell}".join(rows) + f"{tail}\n{pad}]"
 
 
 def _render(obj: Any, indent: int) -> str:
@@ -156,6 +192,8 @@ def _render(obj: Any, indent: int) -> str:
             for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype.kind == "f":
+        return _render_matrix(obj, indent)
     if isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
         seq = list(obj)
         if not seq:
@@ -167,12 +205,7 @@ def _render(obj: Any, indent: int) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if math.isnan(x):
-            raise ValueError("NaN is not representable in reports")
-        if math.isinf(x):
-            return '"unbounded"' if x > 0 else '"-unbounded"'
-        return format(x, ".17g")
+        return _render_float(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
     if obj is None:

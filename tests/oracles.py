@@ -12,25 +12,32 @@ reduces each difference row with the library's ``blocks._norms``;
 ``validate_metric`` used before its min-plus filter;
 :func:`checked_entries`, the entry checks of ``validate_metric`` before they
 became one pass each;
-:func:`loop_verify_bounds`, the per-pair loop of ``verify_bounds``; and
+:func:`loop_verify_bounds`, the per-pair loop of ``verify_bounds``;
 :func:`two_sided_separation_envelope`, the lower envelope with both sides
-of its max taken for every argument.
+of its max taken for every argument; :func:`bfs_graph_metric`, the
+per-source BFS that ``fixtures.random_graph_metric`` ran before its
+all-sources one; and :func:`render_report`, the per-value recursive
+renderer that ``io.dumps_report`` used before it wrote float arrays whole.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
 
 from blockembed.blocks import DimensionMismatch, _norms
+from blockembed.fixtures import DisconnectedGraph
 from blockembed.metric import (
     AsymmetricMatrix,
     MetricError,
     NegativeEntry,
     NonzeroDiagonal,
     ZeroOffDiagonal,
+    validate_metric,
 )
 from blockembed.proper import log_growth
 
@@ -408,3 +415,71 @@ def weight_series_partial(terms):
     tail_lo = math.pi / 2 - math.atan(terms + 1)
     tail = (tail_hi + tail_lo) / 2.0
     return partial + 2.0 * (acc + tail), (tail_hi - tail_lo) / 2.0
+
+
+def bfs_graph_metric(n, edge_prob=None, seed=0):
+    """``fixtures.random_graph_metric`` with one queue BFS per source over
+    adjacency lists: the same draws, retries and validation."""
+    if edge_prob is None:
+        edge_prob = min(0.9, 1.8 * math.log(n) / n + 0.05)
+    for attempt in range(32):
+        rng = np.random.default_rng([seed, attempt])
+        upper = rng.random((n, n)) < edge_prob
+        adjacency = [[] for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if upper[i, j]:
+                    adjacency[i].append(j)
+                    adjacency[j].append(i)
+        rows = []
+        for source in range(n):
+            dist = [-1] * n
+            dist[source] = 0
+            queue = deque([source])
+            while queue:
+                u = queue.popleft()
+                for v in adjacency[u]:
+                    if dist[v] < 0:
+                        dist[v] = dist[u] + 1
+                        queue.append(v)
+            rows.append(dist)
+        if any(d < 0 for row in rows for d in row):
+            continue
+        return validate_metric(np.array(rows, dtype=float))
+    raise DisconnectedGraph(f"no connected draw in 32 attempts (seed {seed})")
+
+
+def render_report(obj, indent=0):
+    """Deterministic report JSON, one recursive call per value."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            f"{inner}{json.dumps(str(k))}: {render_report(v, indent + 1)}"
+            for k, v in obj.items()
+        ]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
+        seq = list(obj)
+        if not seq:
+            return "[]"
+        items = [f"{inner}{render_report(v, indent + 1)}" for v in seq]
+        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if math.isnan(x):
+            raise ValueError("NaN is not representable in reports")
+        if math.isinf(x):
+            return '"unbounded"' if x > 0 else '"-unbounded"'
+        return format(x, ".17g")
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if obj is None:
+        return "null"
+    raise TypeError(f"cannot serialize {type(obj).__name__} into a report")

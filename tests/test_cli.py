@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from blockembed import blocks, cli, lp_coarse, metric, proper
 from blockembed.cli import RunConfig, main, run_report
@@ -112,6 +114,36 @@ class TestReportSerialization:
         with pytest.raises(ValueError):
             dumps_report({"x": math.nan})
 
+    # signed zeros, the least subnormal, one third of the least normal, the
+    # largest magnitudes, infinities and integer-valued floats
+    EDGE_FLOATS = (0.0, -0.0, 5e-324, 2.0**-1022 / 3, 1e308, -1e308, math.inf, -math.inf)
+    EDGE_FLOATS += (1.0, -7.0, 2.0**53, 3e16)
+
+    @given(
+        arrays(
+            np.float64,
+            array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6),
+            elements=st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False),
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_float_arrays_render_as_the_per_value_renderer(self, a):
+        # the payloads write_space renders for a matrix and for a cloud
+        matrix = {"schema": "blockembed-space/1", "points": [f"p{i}" for i in range(len(a))]}
+        matrix["dist"] = a
+        cloud = {"schema": "blockembed-space/1", "p": 2.0, "points": a, "basepoint": 0}
+        for payload, key in ((matrix, "dist"), (cloud, "points")):
+            text = dumps_report(payload)
+            assert text == oracles.render_report(payload)
+            assert text == dumps_report({**payload, key: a.tolist()})
+
+    @pytest.mark.parametrize("where", [(0, 0), (1, 2)])
+    def test_nan_in_an_array_rejected(self, where):
+        a = np.ones((2, 3))
+        a[where] = math.nan
+        with pytest.raises(ValueError, match="NaN is not representable"):
+            dumps_report({"points": a})
+
     def test_atomic_write(self, tmp_path):
         target = tmp_path / "sub" / "report.json"
         atomic_write_text(target, "{}\n")
@@ -123,6 +155,13 @@ def run_cli(*args):
     return main([str(a) for a in args])
 
 
+# an integer past the double range in each numeric field of a space file
+HUGE = "1" + "0" * 400
+HUGE_SPACES = {
+    "p": '{"p":%s,"points":[[0,0],[3,4]]}' % HUGE,
+    "points": '{"p":2,"points":[[0,0],[3,%s]]}' % HUGE,
+    "dist": '{"dist":[[0,%s],[%s,0]]}' % (HUGE, HUGE),
+}
 ONE_POINT = {"cloud": '{"p":2,"points":[[1.5,2.0]]}', "matrix": '{"dist":[[0]]}'}
 
 
@@ -404,6 +443,45 @@ class TestCliModes:
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == "39f70c74d9e69c60303c4320a809fbf1600c10027b66c0ce74ae5804abb89e78"
 
+    # sha256 of fixture files from the per-source BFS and the per-value
+    # renderer; the edge probability 0.017 connects only the 13th draw
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            (
+                ("random-graph-metric", "--n", 300, "--seed", 0),
+                "9e6636261507a9e25532933c34a89719bb7c3680eb4efa86801ef437f83674b6",
+            ),
+            (
+                ("random-graph-metric", "--n", 300, "--seed", 7),
+                "c8d315a92c7bed83b072be01996226e1fc29310fc6d58d34eff6853c6487eb2d",
+            ),
+            (
+                ("random-graph-metric", "--n", 300, "--edge-prob", 0.017, "--seed", 0),
+                "83843a407f49ff46bc2bada0cdd6e0a27b1009fa7eaba42886efe71ecf5aeca3",
+            ),
+            (
+                ("random-lp-cloud", "--n", 300, "--p", 2, "--seed", 3),
+                "630b99e91e7b5e9398a44f9dff21e8a4c892f5f7724f8c3a201410c230bc17e7",
+            ),
+            (
+                ("random-lp-cloud", "--n", 300, "--p", "inf", "--seed", 3),
+                "b2beda2327b990a18dd9788976fcb6e219ae99a4522adf4bdf398af365be0be5",
+            ),
+            (
+                ("grid-net", "--dim", 2, "--k", 3),
+                "182614acf7cc5f64f251a4c9e28c2ab4b4b935ef12bd25014213a4c6436ad650",
+            ),
+        ],
+        ids=["graph-seed0", "graph-seed7", "graph-sparse", "cloud-l2", "cloud-linf", "grid"],
+    )
+    def test_gen_digest(self, tmp_path, args, digest):
+        import hashlib
+
+        out = tmp_path / "fixture.json"
+        assert run_cli("gen", "--kind", *args, "--out", out) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     @pytest.mark.parametrize("kind", ["path", "star"])
     def test_gen_past_the_size_cap_exits_two_unallocated(self, tmp_path, capsys, monkeypatch, kind):
         from blockembed import fixtures
@@ -581,6 +659,10 @@ class TestCliModes:
             ("embed-lp", '{"p":true,"points":[[0,0],[3,4]]}', "p"),  # not p = 1
             ("embed-proper", '{"points":3,"dist":[[0,1],[1,0]]}', '"points"'),
             ("embed-proper", '{"points":"ab","dist":[[0,1],[1,0]]}', '"points"'),  # not labels a, b
+            # integers past the double range, where float() overflows
+            pytest.param("embed-lp", HUGE_SPACES["p"], "p", id="huge-p"),
+            pytest.param("embed-lp", HUGE_SPACES["points"], '"points"', id="huge-points"),
+            pytest.param("embed-proper", HUGE_SPACES["dist"], '"dist"', id="huge-dist"),
         ],
     )
     def test_malformed_space_field_exits_two(self, tmp_path, capsys, mode, space, field):
@@ -591,6 +673,16 @@ class TestCliModes:
         assert err.startswith(f"blockembed: error: {field} ") and err.count("\n") == 1
         with pytest.raises(ParseError, match=field):
             parse_space(fixture)
+
+    @pytest.mark.parametrize("key, field", [("p", "p"), ("points", '"points"'), ("dist", '"dist"')])
+    def test_validate_reports_an_integer_past_the_double_range(self, tmp_path, key, field):
+        fixture = tmp_path / "s.json"
+        fixture.write_text(HUGE_SPACES[key])
+        report = tmp_path / "rep.json"
+        assert run_cli("validate", "--input", fixture, "--out", report) == 1
+        payload = json.loads(report.read_text())
+        assert payload["error_type"] == "ParseError"
+        assert payload["error"].startswith(f"{field} holds an integer too large")
 
     @pytest.mark.parametrize("exponent", ["-300", "300"])
     def test_validate_l2_cloud_at_extreme_scale(self, tmp_path, exponent):

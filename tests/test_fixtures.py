@@ -1,7 +1,10 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from blockembed import fixtures
 from blockembed.fixtures import (
@@ -12,6 +15,7 @@ from blockembed.fixtures import (
     random_lp_cloud,
     star_metric,
 )
+from blockembed.io import space_to_payload, write_space
 from blockembed.lp_coarse import SizeCapExceeded
 from blockembed.metric import validate_metric
 
@@ -68,6 +72,64 @@ class TestRandomGraph:
     def test_disconnected_after_retries(self):
         with pytest.raises(DisconnectedGraph):
             random_graph_metric(12, edge_prob=0.0, seed=3)
+
+
+@st.composite
+def graph_draws(draw):
+    """(n, edge_prob, seed): the default probability, a complete graph, or
+    one near the connectivity threshold ln(n) / n, where draws retry."""
+    n = draw(st.integers(2, 80))
+    sparse = st.floats(0.3, 2.0).map(lambda c: min(1.0, c * math.log(n) / n))
+    edge_prob = draw(st.one_of(st.none(), st.just(1.0), sparse))
+    return n, edge_prob, draw(st.integers(0, 2**32 - 1))
+
+
+class TestAllSourcesBfs:
+    """random_graph_metric against the per-source BFS it replaced."""
+
+    @given(graph_draws())
+    @example((50, 0.08, 4))  # connects on the 4th draw
+    @example((40, 0.03, 2))  # no connected draw in 32
+    @settings(max_examples=150, deadline=None)
+    def test_bit_for_bit_the_per_source_bfs(self, args):
+        try:
+            expected = oracles.bfs_graph_metric(*args)
+        except DisconnectedGraph as err:
+            with pytest.raises(DisconnectedGraph, match=re.escape(str(err))):
+                random_graph_metric(*args)
+            return
+        got = random_graph_metric(*args)
+        assert got.dist.dtype == expected.dist.dtype
+        assert got.dist.tobytes() == expected.dist.tobytes()
+        assert (got.labels, got.triangle_slack) == (expected.labels, expected.triangle_slack)
+
+    @pytest.mark.parametrize("args, draws", [((12, 0.1, 3), 8), ((60, 0.02, 9), 32)])
+    def test_same_draws_in_the_same_order(self, monkeypatch, args, draws):
+        seen = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda s: seen.append(s) or default_rng(s))
+        for build in (oracles.bfs_graph_metric, random_graph_metric):
+            try:
+                build(*args)
+            except DisconnectedGraph:
+                pass
+        assert seen == 2 * [[args[2], attempt] for attempt in range(draws)]
+
+    def test_peak_memory_at_most_the_per_source_bfs(self, tmp_path):
+        def peak(build, write):
+            tracemalloc.start()
+            try:
+                write(build(600, None, 3), tmp_path / "graph.json")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def write_lists(space, path):  # the payload as nested lists, rendered per value
+            payload = space_to_payload(space)
+            payload["dist"] = payload["dist"].tolist()
+            path.write_text(oracles.render_report(payload) + "\n")
+
+        assert peak(random_graph_metric, write_space) <= peak(oracles.bfs_graph_metric, write_lists)
 
 
 class TestRandomCloud:
