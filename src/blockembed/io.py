@@ -7,12 +7,13 @@ byte-identical files.  Writes go through a temp file plus rename.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 import tempfile
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -150,7 +151,8 @@ def space_to_payload(space: FiniteMetricSpace | LpPointSet) -> dict[str, Any]:
 
 
 def write_space(space: FiniteMetricSpace | LpPointSet, path: str | Path) -> None:
-    atomic_write_text(path, dumps_report(space_to_payload(space)) + "\n")
+    """Write a space file, its text streamed to disk a matrix row at a time."""
+    _write_pieces(path, itertools.chain(_chunks(space_to_payload(space), 0), ["\n"]))
 
 
 def _render_float(x: float) -> str:
@@ -161,45 +163,56 @@ def _render_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _render_matrix(a: np.ndarray, indent: int) -> str:
-    """A 2-D float array as its nested lists render, in one pass: each
+def _matrix_chunks(a: np.ndarray, indent: int) -> Iterator[str]:
+    """A 2-D float array as its nested lists render, one row at a time: each
     distinct value (by bit pattern, so -0.0 is not 0.0) is formatted once."""
     if not len(a):
-        return "[]"
+        yield "[]"
+        return
     pad, inner, cell = ("  " * k for k in (indent, indent + 1, indent + 2))
     if not a.shape[1]:
-        return f"[\n{inner}" + f",\n{inner}".join(["[]"] * len(a)) + f"\n{pad}]"
+        yield f"[\n{inner}" + f",\n{inner}".join(["[]"] * len(a)) + f"\n{pad}]"
+        return
     bits = np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
     # sorted and deduplicated here: np.unique would import numpy.ma, about
     # 1 MB of memory and 20 ms of set-up on first use
     values = np.sort(bits, axis=None)
     values = values[np.concatenate(([True], values[1:] != values[:-1]))]
     texts = np.array([_render_float(x) for x in values.view(np.float64).tolist()], dtype=object)
-    sep = f",\n{cell}"
-    rows = [sep.join(texts[np.searchsorted(values, row)].tolist()) for row in bits]
-    head, tail = f"[\n{inner}[\n{cell}", f"\n{inner}]"
-    return head + f"{tail},\n{inner}[\n{cell}".join(rows) + f"{tail}\n{pad}]"
+    sep, head = f",\n{cell}", f"[\n{inner}[\n{cell}"
+    for row in bits:
+        yield head + sep.join(texts[np.searchsorted(values, row)].tolist())
+        head = f"\n{inner}],\n{inner}[\n{cell}"
+    yield f"\n{inner}]\n{pad}]"
 
 
-def _render(obj: Any, indent: int) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f"{inner}{json.dumps(str(k))}: {_render(v, indent + 1)}"
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+def _chunks(obj: Any, indent: int) -> Iterator[str]:
+    """The report text of ``obj`` in order, a float matrix a row at a time."""
     if isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype.kind == "f":
-        return _render_matrix(obj, indent)
-    if isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        items = [f"{inner}{_render(v, indent + 1)}" for v in seq]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+        yield from _matrix_chunks(obj, indent)
+        return
+    if isinstance(obj, dict):
+        brackets, items = "{}", [(f"{json.dumps(str(k))}: ", v) for k, v in obj.items()]
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        brackets, items = "[]", [("", v) for v in obj]
+    else:
+        yield _render_scalar(obj)
+        return
+    if not items:
+        yield brackets
+        return
+    head, inner = brackets[0] + "\n", "  " * (indent + 1)
+    for key, v in items:
+        if isinstance(v, (dict, list, tuple, np.ndarray)):
+            yield f"{head}{inner}{key}"
+            yield from _chunks(v, indent + 1)
+        else:  # a scalar, without a generator of its own
+            yield f"{head}{inner}{key}{_render_scalar(v)}"
+        head = ",\n"
+    yield f"\n{'  ' * indent}{brackets[1]}"
+
+
+def _render_scalar(obj: Any) -> str:
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
@@ -215,16 +228,22 @@ def _render(obj: Any, indent: int) -> str:
 
 def dumps_report(obj: Any) -> str:
     """Deterministic JSON: 17-significant-digit floats, inf -> "unbounded"."""
-    return _render(obj, 0)
+    return "".join(_chunks(obj, 0))
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
+    _write_pieces(path, [text])
+
+
+def _write_pieces(path: str | Path, pieces: Iterable[str]) -> None:
+    """Write the pieces in order to a temp file beside ``path``, then rename
+    it over ``path``, so that no reader sees a partial file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         try:

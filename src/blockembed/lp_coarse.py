@@ -256,8 +256,10 @@ class CoarseConstants:
     eps: float
 
     def __post_init__(self):
-        if self.c_d <= 0 or self.c_a <= 0:
-            raise ValueError("coarse constants must be positive")
+        if not (0 < self.c_d < math.inf and 0 < self.c_a < math.inf):
+            raise ValueError(
+                f"coarse constants must be positive and finite, got c_d={self.c_d}, c_a={self.c_a}"
+            )
 
 
 def _shell_distances(

@@ -380,8 +380,8 @@ def _image_distances(embedding: ProperEmbedding) -> np.ndarray:
     that the max is high before the big kernels.  A zero block is absent."""
     pspace, params, nets = embedding.pspace, embedding.params, embedding.hierarchy
     dist, norms = pspace.space.dist, pspace.norms()
-    # the guards of _fold_group: no screen when a distance or the slack is
-    # past 2^900 (or NaN), no Lipschitz screen when the slack is unknown
+    # the guard of _fold_group: no screen when a distance or the slack is
+    # past 2^900 (or NaN), or the slack is unknown
     fits = -(2.0**900) <= dist.min(initial=0.0) and dist.max(initial=0.0) <= 2.0**900
     slack = pspace.space.triangle_slack
     slack = slack if fits and slack is not None and slack <= 2.0**900 else None
@@ -400,14 +400,16 @@ def _image_distances(embedding: ProperEmbedding) -> np.ndarray:
             w = np.array([tier_weight(shell, k) for k in ks])
             theta = np.array([params.iso.factor(pair_index(shell, k)) for k in ks])
             a, c = blend[:, None] * w * theta, w * theta
-            screened = fits and len(members) > _DENSE_MEMBERS
+            screened = slack is not None and len(members) > _DENSE_MEMBERS
             screened = screened and 2.0**-1000 <= a.min() <= a.max() <= 1
             plan.append((members, a, c, _SCREEN_K * c.max() if screened else 0.0))
+        tops = [k for *_, k in plan]
         # later[i]: the largest fl(K c_j) of a screened group after the i-th
-        later = np.maximum.accumulate([k for *_, k in plan][::-1])[::-1].tolist()[1:] + [0.0]
+        later = np.maximum.accumulate(tops[::-1])[::-1].tolist()[1:] + [0.0]
         solo, pair = np.zeros(hi - lo), out[lo:hi, lo:hi]
-        bound = _lipschitz_bound(dist, idx, blend, norms[idx], slack)
-        open_ = np.triu(np.ones(pair.shape, dtype=bool), 1)  # pairs a group may still raise
+        if max(tops):
+            bound = _lipschitz_bound(dist, idx, blend, norms[idx], slack)
+            open_ = np.triu(np.ones(pair.shape, dtype=bool), 1)  # pairs a group may still raise
         for i, (members, a, c, k_top) in enumerate(plan):
             f = dist[np.ix_(idx, members)] - norms[list(members)]
             norm = np.abs(f).max(axis=1)
@@ -416,7 +418,7 @@ def _image_distances(embedding: ProperEmbedding) -> np.ndarray:
                 for j in _levels(a, c):
                     np.maximum(pair, lp_distance_matrix(a[:, j, None] * f, math.inf), out=pair)
             else:
-                _fold_group(pair, open_, bound, f, a, c, blend * norm, later[i])
+                _fold_group(pair, open_, bound, f, a, c, later[i])
             del f  # before the next group's is built
         # solo against the points outside the run, on both sides of the diagonal
         for side in (out[lo:hi, :lo], out[lo:hi, hi:], out[:lo, lo:hi].T, out[hi:, lo:hi].T):
@@ -433,13 +435,10 @@ def _levels(a: np.ndarray, c: np.ndarray) -> list[int]:
     return [top] + [j for j in range(len(c)) if j != top and not np.array_equal(a[:, j], a[:, top])]
 
 
-def _lipschitz_bound(dist, idx, blend, radius, slack):
+def _lipschitz_bound(dist, idx, blend, radius, slack) -> np.ndarray:
     """The Lipschitz bound h (see ``_fold_group``) of the carriers ``idx``,
-    blends in any order and norms ``radius``, as a function of pairs (ti,
-    ui), ti < ui; inf everywhere when the triangle slack is unknown (None).
-    It is computed once, in row blocks, into an m x m array read at t < u."""
-    if slack is None:
-        return lambda ti, ui: np.full(len(ti), math.inf)
+    blends in any order, norms ``radius`` and triangle slack ``slack``: an
+    m x m array, computed in row blocks, whose entries at t < u hold it."""
     m = len(idx)
     reach = radius + slack
     e = 2.0**-49 * (blend * reach)
@@ -454,18 +453,18 @@ def _lipschitz_bound(dist, idx, blend, radius, slack):
         g = blend[t, None] - blend[u]
         h += np.maximum(g * reach[t, None], g * -reach[u], out=g)
         h += e[t, None] + e[u]
-    return lambda ti, ui: hm[ti, ui]
+    return hm
 
 
-def _fold_group(pair, open_, bound, f, a, c, bn, k_next) -> None:
+def _fold_group(pair, open_, bound, f, a, c, k_next) -> None:
     """Raise ``pair``, the running max over the carrier pairs, to each
     level's sup distance max_s |a_tj F_ts - a_uj F_us| wherever that may
-    exceed it: the level j* of largest c_j = fl(w_j theta_j) on the pairs of
-    ``open_`` (the pairs t < u a group may still raise) whose Lipschitz bound
-    ``bound(ti, ui)`` clears the max, then every other level on the pairs
-    where j*'s value leaves room.  ``bn`` holds b_t |f_t|_inf.  Of the pairs
-    j* leaves alone, keeps in ``open_`` those a level of fl(K c_j) at most
-    k_next, in a later group, may still raise."""
+    exceed it: in row blocks of ``open_`` (the pairs t < u a group may still
+    raise), each level with a distinct block, largest c_j = fl(w_j theta_j)
+    first, on the pairs whose Lipschitz bound ``bound[t, u]`` times fl(K
+    c_j) clears the max.  Then, unless k_next is 0 (no later group is
+    screened), keeps in ``open_`` only the pairs a level of fl(K c_j) at
+    most k_next may still raise."""
     # Write u = 2^-53 and gamma_k = k u / (1 - k u) (Higham ch. 3); C_j = w_j
     # theta_j exactly; over the group's members, G = |b_t F_t - b_u F_u|_inf
     # and R = b_t |F_t|_inf + b_u |F_u|_inf.  A rounding errs by at most u
@@ -474,71 +473,38 @@ def _fold_group(pair, open_, bound, f, a, c, bn, k_next) -> None:
     # + gamma_2-bounded), and the distances within 2^900, so |F| <= 2^901 and
     # no difference overflows; each coordinate fl(a_tj fl(F_ts)) is b_t C_j
     # F_ts (1 + gamma_4-bounded) plus at most 2^-1075.  So the computed V_j obeys
-    #     (1 - u) (C_j (G - gamma_4 R) - 2^-1074) <= V_j <= (1 + u) C_j H + 3 * 2^-1075
+    #     V_j <= (1 + u) C_j H + 3 * 2^-1075
     # for any H >= G + gamma_4 R, and it cannot raise the max once fl(fl(h
     # fl(c_j K)) + 2^-1040) is at most the max, K = 1 + 2^-45 (_SCREEN_K), for
     # h an evaluation of H from non-negative terms in at most 8 roundings:
     # with the 4 of c_j, c_j K, the product and the sum, each loses a factor
     # of at most 1 - u or 2^-1075, which K (1 - u)^12 >= 1 + u and the
-    # 2^-1040 cover.  Two such H, each with 16u >= gamma_4 / (1 - u)^10:
-    # * Lipschitz (_lipschitz_bound), for every group of the shell: with
-    #   sigma the triangle slack, |F_ts - F_us| = |d(t,s) - d(u,s)| <= d(t,u)
-    #   + sigma and |F_ts| <= |t| + sigma.  With t the carrier of the larger
-    #   blend, b_t F_t - b_u F_u = b_u (F_t - F_u) + (b_t - b_u) F_t, so G <=
-    #   min(b_t, b_u)(d(t,u) + sigma) + |b_t - b_u| (|t| + sigma) in either
-    #   order, and R <= b_t (|t| + sigma) + b_u (|u| + sigma): H adds the two,
-    #   the second times 16u.  Its terms stay below 2^903.
-    # * From V* = V_j*: its lower side gives G <= V* / ((1 - u) C_j*) +
-    #   gamma_4 R + 2^-1074 / C_j*, and C_j <= (1 + u) C_j* / (1 - u) (j* has
-    #   the largest c_j) keeps the last term's share of V_j below 2^-1073,
-    #   which the 2^-1040 covers too.  So H = V* / c_j* + 32u (b_t |f_t|_inf
-    #   + b_u |f_u|_inf) serves, as c_j* <= (1 + u) C_j* and |f_t|_inf >= (1
-    #   - u) |F_t|_inf.  Where it overflows, h = inf clears nothing.
+    # 2^-1040 cover.  The Lipschitz bound (_lipschitz_bound) is such an H,
+    # as 16u >= gamma_4 / (1 - u)^10: with sigma the triangle slack, |F_ts -
+    # F_us| = |d(t,s) - d(u,s)| <= d(t,u) + sigma and |F_ts| <= |t| + sigma.
+    # With t the carrier of the larger blend, b_t F_t - b_u F_u = b_u (F_t -
+    # F_u) + (b_t - b_u) F_t, so G <= min(b_t, b_u)(d(t,u) + sigma) + |b_t -
+    # b_u| (|t| + sigma) in either order, and R <= b_t (|t| + sigma) + b_u
+    # (|u| + sigma): h adds the two, the second times 16u.  Its terms stay
+    # below 2^903.  The max only grows, so a pair a level of fl(K c_j) <=
+    # k_next cannot raise now cannot be raised by it later either.
     levels = _levels(a, c)
     top, k = levels[0], _SCREEN_K * c
-    m = len(pair)
-    rows = max(1, _CHUNK_ELEMS // m)
-    hit = np.zeros_like(open_)  # the open pairs j* may raise
-
-    def screen(r0):  # a function, so that its arrays are gone before the kernels run
+    x = a[:, top, None] * f
+    rows = max(1, _CHUNK_ELEMS // len(pair))
+    for r0 in range(0, len(pair), rows):
         ti, ui = np.nonzero(open_[r0 : r0 + rows])
         ti += r0
-        h, low = bound(ti, ui), pair[ti, ui]
-        s = h * k[top] + 2.0**-1040 > low
-        hit[ti[s], ui[s]] = True
-        if k_next:  # the max of a pair j* leaves alone is final for this group
-            open_[ti, ui] = s | (h * k_next + 2.0**-1040 > low)
-
-    blocks = [r0 for r0 in range(0, m, rows) if open_[r0 : r0 + rows].any()]
-    for r0 in blocks:
-        screen(r0)
-    x = a[:, top, None] * f
-    dense = 4 * np.count_nonzero(hit) > m * (m - 1)  # over half the pairs
-    if dense:
-        q = lp_distance_matrix(x, math.inf)
-        np.maximum(pair, q, out=pair)
-        if len(levels) == 1:
-            return
-    for r0 in blocks:
-        ts, us = np.nonzero(hit[r0 : r0 + rows])
-        ts += r0
-        v = q[ts, us] if dense else _sup_pairs(x, ts, us)
-        if not dense:
-            _raise(pair, ts, us, v)
-        if len(levels) > 1:
-            with np.errstate(over="ignore"):
-                h_top = v / c[top] + 2.0**-48 * (bn[ts] + bn[us])
-            for j in levels[1:]:
-                r = h_top * k[j] + 2.0**-1040 > pair[ts, us]
-                if r.any():
-                    _raise(pair, ts[r], us[r], _sup_pairs(f, ts[r], us[r], a[:, j]))
-
-
-def _raise(pair: np.ndarray, ti: np.ndarray, ui: np.ndarray, v: np.ndarray) -> None:
-    """pair[t, u] = pair[u, t] = max(pair[t, u], v) at the pairs (ti, ui)."""
-    v = np.maximum(pair[ti, ui], v)
-    pair[ti, ui] = v
-    pair[ui, ti] = v
+        h = bound[ti, ui]
+        for j in levels:
+            low = pair[ti, ui]
+            s = h * k[j] + 2.0**-1040 > low
+            if s.any():
+                ts, us = ti[s], ui[s]
+                v = _sup_pairs(x, ts, us) if j == top else _sup_pairs(f, ts, us, a[:, j])
+                pair[ts, us] = pair[us, ts] = np.maximum(low[s], v)
+        if k_next:
+            open_[ti, ui] = h * k_next + 2.0**-1040 > pair[ti, ui]
 
 
 def _sup_pairs(

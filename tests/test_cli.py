@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,8 +16,10 @@ from blockembed.io import (
     atomic_write_text,
     dumps_report,
     parse_space,
+    space_to_payload,
     write_space,
 )
+from blockembed.fixtures import path_metric
 from blockembed.lp_coarse import LpPointSet
 from blockembed.metric import FiniteMetricSpace, PointedSpace, TooFewPoints, TriangleViolation
 
@@ -149,6 +152,20 @@ class TestReportSerialization:
         atomic_write_text(target, "{}\n")
         assert target.read_text() == "{}\n"
         assert list(target.parent.iterdir()) == [target]
+
+    def test_space_file_written_a_row_at_a_time(self, tmp_path):
+        # no whole copy of the text is held: rendering it whole and then
+        # writing it took about three times the file's size
+        space, target = path_metric(600), tmp_path / "path.json"
+        tracemalloc.start()
+        try:
+            write_space(space, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert target.read_text() == dumps_report(space_to_payload(space)) + "\n"
+        assert list(target.parent.iterdir()) == [target]
+        assert peak < 2 * target.stat().st_size
 
 
 def run_cli(*args):
@@ -614,6 +631,7 @@ class TestCliModes:
             ("embed-proper", "--tolerance", "inf"),
             ("net", "--epsilon", "inf"),
             ("coarse", "--epsilon", "inf"),
+            ("coarse", "--epsilon", "1e308"),  # finite, but C_a = 9 eps is not
         ],
     )
     def test_bad_parameter_exits_two(self, tmp_path, capsys, argv):

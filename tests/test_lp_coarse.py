@@ -396,8 +396,9 @@ class TestCoarseEmbed:
         assert rep.passed
 
     def test_constants_validated(self):
-        with pytest.raises(ValueError):
-            CoarseConstants(c_d=0.0, c_a=1.0, eps=1.0)
+        for c_d, c_a in ((0.0, 1.0), (9.0, math.inf), (math.inf, 1.0), (9.0, math.nan)):
+            with pytest.raises(ValueError):
+                CoarseConstants(c_d=c_d, c_a=c_a, eps=1.0)
 
 
 @st.composite

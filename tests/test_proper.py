@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from blockembed import lp_coarse, proper
 from blockembed.blocks import (
     BlockIsoModel,
+    lp_distance_matrix,
     outer_norm,
     pair_index,
     pairwise_distance_matrix,
@@ -750,12 +751,32 @@ class TestImageDistances:
         for perm in (np.arange(len(idx)), np.arange(len(idx))[::-1]):
             h = proper._lipschitz_bound(
                 dist, idx[perm], blend[perm], norms[idx[perm]], space.triangle_slack
-            )(ti, ui)
+            )[ti, ui]
             for a, b, bound in zip(perm[ti].tolist(), perm[ui].tolist(), h.tolist()):
                 bt, bu = Fraction(blend[a]), Fraction(blend[b])
                 g = max(abs(bt * x - bu * y) for x, y in zip(f[a], f[b]))
                 assert Fraction(bound) >= g
                 assert seen.setdefault(frozenset((a, b)), bound) == bound
+
+    @given(
+        m=st.integers(1, 150),
+        dim=st.integers(1, 40),
+        n_pairs=st.integers(0, 12_000),
+        scaled=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @example(m=150, dim=40, n_pairs=12_000, scaled=True, seed=0)  # 15 chunks of pairs
+    @example(m=150, dim=40, n_pairs=12_000, scaled=False, seed=1)
+    @settings(max_examples=60, deadline=None)
+    def test_sup_pairs_is_the_dense_kernel_at_the_pairs(self, m, dim, n_pairs, scaled, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(m, dim)) * 2.0 ** rng.integers(-60, 60, size=(m, 1))
+        x[rng.random((m, dim)) < 0.2] = 0.0  # ties and equal coordinates
+        scale = rng.uniform(2.0**-20, 1.0, m) if scaled else None
+        ti, ui = rng.integers(0, m, n_pairs), rng.integers(0, m, n_pairs)
+        y = x if scale is None else scale[:, None] * x
+        expected = lp_distance_matrix(y, math.inf)[ti, ui]
+        assert np.array_equal(proper._sup_pairs(x, ti, ui, scale), expected)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_triangle_defects_validated_at_a_large_tol(self, seed):
@@ -798,19 +819,35 @@ class TestImageDistances:
             below = np.where(level < eager, np.maximum(below, level), below)
         assert (eager == np.nextafter(below, math.inf)).any()
 
+    def test_only_small_groups_take_the_dense_kernel(self, monkeypatch):
+        # on a validated space every group of more than _DENSE_MEMBERS
+        # members is screened pair by pair, whatever share of pairs it leaves
+        widths = []
+        dense = proper.lp_distance_matrix
+
+        def recorded(x, p):
+            widths.append(x.shape[1])
+            return dense(x, p)
+
+        monkeypatch.setattr(proper, "lp_distance_matrix", recorded)
+        emb = embed_space_proper(PointedSpace(random_graph_metric(128, None, 0), 0))
+        assert np.array_equal(emb.image_distances, eager_distances(emb))
+        assert widths and max(widths) <= proper._DENSE_MEMBERS
+
     @pytest.mark.parametrize(
         "space, share",
         [
             (random_lp_cloud(200, 3, 2.0, 7).metric_space, 0.02),
             (path_metric(200), 0.1),
+            (random_graph_metric(128, None, 0), 0.06),
         ],
-        ids=["l2-cloud", "path"],
+        ids=["l2-cloud", "path", "graph"],
     )
     def test_screen_skips_most_kernel_work(self, space, share, monkeypatch):
         # kernel work is carrier pairs times net members, summed over the
         # kernels run; every level of every group would take `full`, and a
-        # space of unknown slack, screened by the levels only, takes over a
-        # fifth of it
+        # space of unknown slack takes every level of every group with a
+        # distinct block, over a fifth of it
         work = [0]
         sup_pairs, dense = proper._sup_pairs, proper.lp_distance_matrix
 
