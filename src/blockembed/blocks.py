@@ -213,8 +213,11 @@ def _needs_redo(out: np.ndarray, p: float) -> np.ndarray:
     return ~(out >= _L2_REDO_BELOW ** (2.0 / p)) | np.isinf(out)
 
 
-def lp_distance_matrix(points: np.ndarray, p: float) -> np.ndarray:
-    """Pairwise l_p distances of the rows of an (m, dim) array, p in [1, inf].
+def lp_distance_matrix(
+    points: np.ndarray, p: float, *, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Pairwise l_p distances of the rows of an (m, dim) array, p in [1, inf],
+    written into ``out`` (an (m, m) float array) when one is given.
 
     Each chunk of rows [lo, hi) is formed against the columns lo: only and
     copied, transposed, into the rows below it.  That is exact: fl(a - b) =
@@ -226,11 +229,11 @@ def lp_distance_matrix(points: np.ndarray, p: float) -> np.ndarray:
     it; numpy sums fewer than 8 terms along a last axis left to right, so
     this is :func:`_norms` of the difference rows to the bit.  Wider rows
     are differenced ``_CHUNK_ELEMS`` elements (or one row) at a time into
-    :func:`_norms`.  Either way temporaries stay at O(m^2 + chunk).
+    :func:`_norms`.  Either way temporaries stay at O(chunk).
     """
     x = np.asarray(points, dtype=float)
     m, dim = x.shape
-    out = np.empty((m, m))
+    out = np.empty((m, m)) if out is None else out
     if not 1 <= dim < 8:
         step = max(1, _CHUNK_ELEMS // max(1, m * dim))
         buf = np.empty(min(step, m) * m * dim)
@@ -341,19 +344,24 @@ def _fold(
     carrier whose row is zero is charged as a non-carrier would be, to the
     bit, so a caller may keep such rows to make its carriers one slice.
     The diagonal is left as it comes.  An entry that overflows comes out
-    inf.
+    inf.  Each block's n x c columns are formed in one buffer, sized for
+    the widest block and reused by every block.
     """
     sup = math.isinf(p)
     out = np.zeros((n, n))
+    buf = np.empty(n * max((len(x) for _, x in blocks), default=0))
     for idx, x in blocks:
         if shift:
             x = np.ldexp(x, -shift)
         # column b of the carriers: N_b against non-carrier rows, the exact
         # block distance against carrier rows
-        col = np.empty((n, len(x)))
+        col = buf[: n * len(x)].reshape(n, len(x))
         with np.errstate(over="ignore"):  # an overflowed entry is computed again, scaled
             col[:] = _norms(np.abs(x), p)
-            col[idx] = lp_distance_matrix(x, p)
+            if isinstance(idx, slice):  # the carrier rows, a view, are formed in place
+                lp_distance_matrix(x, p, out=col[idx])
+            else:
+                col[idx] = lp_distance_matrix(x, p)
             if sup:
                 np.maximum(out[:, idx], col, out=col)
             elif p == 1:

@@ -104,6 +104,7 @@ def _load(config: RunConfig) -> FiniteMetricSpace | LpPointSet:
         if config.basepoint is not None and config.basepoint != space.basepoint:
             space = LpPointSet(space.p, space.points, config.basepoint)
             space.metric_space = metric  # the basepoint leaves the metric unchanged
+            space.distance_matrix = metric.dist  # the very matrix, not a second one
     return space
 
 

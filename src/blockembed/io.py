@@ -11,7 +11,6 @@ import itertools
 import json
 import math
 import os
-import tempfile
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
@@ -237,10 +236,13 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 def _write_pieces(path: str | Path, pieces: Iterable[str]) -> None:
     """Write the pieces in order to a temp file beside ``path``, then rename
-    it over ``path``, so that no reader sees a partial file."""
+    it over ``path``, so that no reader sees a partial file.  The temp file is
+    created with mode 0o666 less the umask, as a plain ``open`` creates one."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = os.path.join(path.parent, f".{path.name}.{os.urandom(8).hex()}.tmp")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp, flags, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.writelines(pieces)

@@ -86,7 +86,8 @@ class LpPointSet:
     """Finite subset of l_p^dim with a distinguished basepoint.
 
     The induced metric must validate; consumers reach it through
-    :meth:`metric_space`, which caches the validated distance matrix.  For
+    :meth:`metric_space`, which wraps :meth:`distance_matrix` itself,
+    read-only, so the set holds one n x n matrix.  For
     p in {1, 2, inf} and dim up to 1024 (for p = 2, with every positive
     distance in [2^-480, 2^480]) the triangle inequality is proved from
     rounding bounds and only the O(n^2) entry checks run; otherwise the
@@ -159,10 +160,12 @@ class LpPointSet:
                 and d.min(initial=np.inf, where=d > 0) >= _L2_REDO_BELOW
             )
         )
-        if proved:
+        if proved:  # the fresh matrix itself is checked and wrapped, not a copy
             slack = np.nextafter(4 * (self.dim + 2) * 2.0**-53 * d.max(initial=0.0), np.inf)
-            return _labelled(_checked_entries(d), self.labels, float(slack))
-        return validate_metric(d, self.labels)
+            return _labelled(_checked_entries(d, copy=False), self.labels, float(slack))
+        space = validate_metric(d, self.labels)  # on a copy, which the set then keeps
+        self.distance_matrix = space.dist
+        return space
 
 
 def normalize_pointed(s: LpPointSet) -> tuple[LpPointSet, np.ndarray, float]:

@@ -340,12 +340,13 @@ def _first_flagged_row(b: np.ndarray, bound: float) -> int | None:
         np.fill_diagonal(b, 0.0)
 
 
-def _checked_entries(matrix: Any) -> np.ndarray:
+def _checked_entries(matrix: Any, *, copy: bool = True) -> np.ndarray:
     """The matrix as a new float array, after every check of
-    :func:`validate_metric` but the triangle inequality, in its order.  Each
-    check is one pass; only a failed one looks for its first entry."""
+    :func:`validate_metric` but the triangle inequality, in its order.  With
+    ``copy=False`` a float64 array comes back itself, not copied.  Each check
+    is one pass; only a failed one looks for its first entry."""
     try:
-        a = np.array(matrix, dtype=float)
+        a = (np.array if copy else np.asarray)(matrix, dtype=float)
     except (TypeError, ValueError) as err:
         raise MetricError(f"matrix entries must be numbers: {err}") from err
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -481,6 +482,12 @@ def moduli_profile(
     over distinct pairs with d >= t and expansion the supremum over pairs
     with d <= t.  An empty infimum is reported as ``math.inf`` (the
     "unbounded" marker), an empty supremum as 0.0.
+
+    Each pair goes into the buckets #(grid <= d) and #(grid < d) of the
+    sorted thresholds plus inf, looked up in :func:`_bucket_table`; a grid
+    too dense for a table, and a row block the table cannot bucket (see
+    :func:`_buckets`), take a binary search instead.  The counts are exact
+    either way.
     """
     ts = [float(t) for t in thresholds]
     if not all(t >= 0 for t in ts):
@@ -491,13 +498,70 @@ def moduli_profile(
     grid, at = np.unique([*ts, math.inf], return_inverse=True)  # inf: above every d
     low = np.full(len(grid) + 1, math.inf)  # low[k]: min over pairs with k of grid <= d
     high = np.zeros(len(grid) + 1)  # high[k]: max over pairs with k of grid < d
+    table = _bucket_table(grid) if domain.dist.dtype == np.float64 else None
     for d, v in _upper_chunks(domain.dist, m):
-        k = np.searchsorted(grid, d, "right")
+        k, below = _buckets(grid, table, d)
         np.minimum.at(low, k, v)
-        np.maximum.at(high, k - (grid[k - 1] == d), v)  # grid[-1] = inf > d at k = 0
+        np.maximum.at(high, below, v)
     compression = np.minimum.accumulate(low[::-1])[::-1][at[:-1] + 1]
     expansion = np.maximum.accumulate(high)[at[:-1]]
     return ModuliProfile(tuple(ts), tuple(compression.tolist()), tuple(expansion.tolist()))
+
+
+def _bucket_table(grid: np.ndarray) -> tuple[int, int, np.ndarray, np.ndarray] | None:
+    """The table of :func:`_buckets` for a sorted grid of distinct
+    non-negative doubles ending in inf: (shift, first cell, counts,
+    thresholds), or None when it would hold more entries than a row block
+    holds pairs.
+
+    Positive finite doubles order like their IEEE-754 bit patterns read as
+    integers, so the top bits of a pattern, its cell, place d against every
+    grid value in another cell.  The shift is the largest at which no cell
+    holds two of the positive finite grid values; the table spans their
+    cells.  Entry c holds the number of grid values in lower cells and the
+    one grid value in cell c (inf when there is none).
+    """
+    zero = int(grid[0] == 0)
+    inner = grid[zero:-1]  # the positive finite grid values
+    bits = inner.view(np.int64)
+    shift = 63  # the highest bit where two neighbours first differ
+    if len(bits) > 1:
+        shift = int((bits[1:] ^ bits[:-1]).min()).bit_length() - 1
+    first = int(bits[0]) >> shift if len(bits) else 0
+    size = (int(bits[-1]) >> shift) - first + 1 if len(bits) else 1
+    if size > _BLOCK_PAIRS:
+        return None
+    cells = (bits >> shift) - first
+    counts = (np.searchsorted(cells, np.arange(size)) + zero).astype(np.min_scalar_type(len(grid)))
+    values = np.full(size, math.inf)
+    values[cells] = inner
+    return shift, first, counts, values
+
+
+def _buckets(
+    grid: np.ndarray, table: tuple[int, int, np.ndarray, np.ndarray] | None, d: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The counts #(grid <= d) and #(grid < d) of every pair distance d.
+
+    With a table (see :func:`_bucket_table`), d's cell gives the count of
+    the lower cells, and one compare against the cell's grid value finishes
+    each count.  A cell outside the table is clipped to its first or last
+    cell, whose grid value lies above or below d, so the compare still
+    counts right.  Without a table, or for a block holding a distance that
+    is not positive and finite (only a directly built space holds one), the
+    binary search of ``np.searchsorted`` does.
+    """
+    if table is not None and d.min() > 0 and d.max() < math.inf:
+        shift, first, counts, values = table
+        cell = d.view(np.int64) >> shift
+        cell -= first
+        np.minimum(cell, len(counts) - 1, out=cell)  # np.clip costs more on small blocks
+        np.maximum(cell, 0, out=cell)
+        t = values.take(cell)
+        c = counts.take(cell)
+        return c + (t <= d), c + (t < d)
+    k = np.searchsorted(grid, d, "right")
+    return k, k - (grid[k - 1] == d)  # grid[-1] = inf > d at k = 0
 
 
 def distortion(domain: FiniteMetricSpace, *, image_distances: np.ndarray) -> float:

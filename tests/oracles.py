@@ -13,6 +13,8 @@ reduces each difference row with the library's ``blocks._norms``;
 :func:`checked_entries`, the entry checks of ``validate_metric`` before they
 became one pass each;
 :func:`loop_verify_bounds`, the per-pair loop of ``verify_bounds``;
+:func:`searchsorted_buckets`, the binary search ``moduli_profile`` bucketed
+every pair by before its lookup table;
 :func:`two_sided_separation_envelope`, the lower envelope with both sides
 of its max taken for every argument; :func:`bfs_graph_metric`, the
 per-source BFS that ``fixtures.random_graph_metric`` ran before its
@@ -373,6 +375,14 @@ def brute_moduli(dmat, imat, thresholds):
         below = [img for d, img in pairs if d <= t]
         expansion.append(max(below) if below else 0.0)
     return compression, expansion
+
+
+def searchsorted_buckets(grid, d):
+    """The counts #(grid <= d) and #(grid < d) of each distance d, for a
+    sorted grid of distinct values ending in inf: ``moduli_profile``'s
+    former bucketing, verbatim."""
+    k = np.searchsorted(grid, d, "right")
+    return k, k - (grid[k - 1] == d)  # grid[-1] = inf > d at k = 0
 
 
 def brute_distortion(dmat, imat):

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 import sys
 import tracemalloc
 
@@ -152,6 +154,21 @@ class TestReportSerialization:
         atomic_write_text(target, "{}\n")
         assert target.read_text() == "{}\n"
         assert list(target.parent.iterdir()) == [target]
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+    def test_written_files_take_the_umask(self, tmp_path):
+        # as a plain open() would create them: 0o666 less the umask
+        for umask in (0o022, 0o077):
+            space, report = tmp_path / f"p{umask}.json", tmp_path / f"r{umask}.json"
+            old = os.umask(umask)
+            try:
+                assert run_cli("gen", "--kind", "path", "--n", 5, "--out", space) == 0
+                assert run_cli("embed-proper", "--input", space, "--out", report) == 0
+                atomic_write_text(report, "{}\n")  # over an existing file as well
+            finally:
+                os.umask(old)
+            for path in (space, report):
+                assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
 
     def test_space_file_written_a_row_at_a_time(self, tmp_path):
         # no whole copy of the text is held: rendering it whole and then
@@ -317,6 +334,27 @@ class TestCliModes:
         monkeypatch.setattr(metric, "_checked_entries", counting)
         assert run_cli(mode, "--input", fixture, *flags, "--out", tmp_path / "rep.json") == 0
         assert len(calls) == expected
+
+    @pytest.mark.parametrize("flags", [("--basepoint", 2), ("--p", 3, "--basepoint", 2)])
+    def test_cloud_distances_formed_once_after_a_basepoint_override(
+        self, tmp_path, monkeypatch, flags
+    ):
+        fixture = tmp_path / "c.json"
+        code = run_cli("gen", "--kind", "random-lp-cloud", "--n", 12, "--seed", 3, "--out", fixture)
+        assert code == 0
+        original = lp_coarse.lp_distance_matrix
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[0]))
+            return original(*args, **kwargs)
+
+        # LpPointSet.distance_matrix is the one caller under this name; coarse
+        # reads it for the rounding deviation after the basepoint is moved
+        monkeypatch.setattr(lp_coarse, "lp_distance_matrix", counting)
+        args = ("coarse", "--input", fixture, "--epsilon", 1, *flags)
+        assert run_cli(*args, "--out", tmp_path / "rep.json") == 0
+        assert calls == [12]
 
     @pytest.mark.parametrize("mode", ["embed-lp", "coarse", "moduli"])
     @pytest.mark.parametrize(

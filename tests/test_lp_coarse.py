@@ -185,6 +185,44 @@ class TestMetricSpace:
         assert calls == ([1] if scanned else [])
 
 
+    def test_one_distance_matrix_per_cloud(self):
+        import tracemalloc
+
+        from blockembed.fixtures import random_lp_cloud
+
+        cloud = LpPointSet(2.0, random_lp_cloud(512, 3, 2.0, seed=1).points)
+        n = cloud.n_points
+        tracemalloc.start()
+        try:
+            space = cloud.metric_space
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(space.dist, cloud.distance_matrix)
+        assert not space.dist.flags.writeable
+        assert peak < 1.5 * n * n * 8  # the matrix, not it and a copy
+        # validate_metric still copies a caller's array and leaves it writable
+        arr = cloud.distance_matrix.copy()
+        checked = validate_metric(arr)
+        assert not np.shares_memory(checked.dist, arr)
+        assert arr.flags.writeable and np.array_equal(checked.dist, arr)
+
+        class Holder:  # an array-like whose __array__ hands out its own buffer
+            def __array__(self, dtype=None, copy=None):
+                return arr.copy() if copy else arr
+
+        checked = validate_metric(Holder())
+        assert not np.shares_memory(checked.dist, arr) and arr.flags.writeable
+
+    def test_scanned_cloud_keeps_the_checked_copy_only(self):
+        pts = np.random.default_rng(5).uniform(-1, 1, (20, 3))
+        cloud = LpPointSet(3.0, pts)  # no rounding bound for p = 3: scanned
+        first = cloud.distance_matrix
+        space = cloud.metric_space
+        assert cloud.distance_matrix is space.dist
+        assert np.array_equal(first, space.dist)
+
+
 class TestLpParams:
     def test_frozen_and_diagonal_is_a_fresh_keyed_draw(self):
         params = LpParams(lambda_sim=2.0, seed=6)
@@ -505,6 +543,32 @@ class TestShellSortedDistances:
         assert shifts[0] == 0 and shifts[1] > 0  # the plain fold overflowed
         assert np.isfinite(distances).all()
         assert_factored_equals_images(emb)
+
+    def test_fold_peak_memory(self, monkeypatch):
+        import tracemalloc
+
+        from blockembed.fixtures import random_lp_cloud
+
+        peaks = []
+        fold = blocks._fold
+
+        def measured(n, blocks_, p, shift):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = fold(n, blocks_, p, shift)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            return out
+
+        monkeypatch.setattr(blocks, "_fold", measured)
+        cloud = normalize_pointed(random_lp_cloud(512, 3, 2.0, seed=1))[0]
+        tracemalloc.start()
+        try:
+            embed_set_lp(cloud, LpParams(lambda_sim=2.0)).image_distances
+        finally:
+            tracemalloc.stop()
+        # the n x n result and one column buffer as wide as the largest shell
+        # (429 points here); each shell's carrier rows are formed in place
+        assert len(peaks) == 1 and peaks[0] < 2.5 * 512 * 512 * 8
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
     def test_many_points_round_to_one_member(self, p):

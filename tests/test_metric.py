@@ -651,6 +651,127 @@ class TestModuliExactly:
         assert prof.expansion[-1] == m.max()
         assert peak < 4 * 2**20
 
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_float_spaces_over_many_row_blocks(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n = data.draw(st.integers(2, 12))
+        p = data.draw(st.sampled_from([1.0, 2.0, math.inf]))
+        space = LpPointSet(p, rng.uniform(-1, 1, (n, 2)) * 10.0 ** rng.integers(-3, 4)).metric_space
+        imat = np.abs(rng.normal(size=(n, n)))
+        imat = np.triu(imat, 1) + np.triu(imat, 1).T
+        dists = space.dist[np.triu_indices(n, 1)].tolist()
+        near = [math.nextafter(d, x) for d in dists for x in (0.0, math.inf)]
+        ts = data.draw(
+            st.lists(
+                st.sampled_from(dists + near + [0.0, math.inf]) | st.floats(0.0, 100.0),
+                max_size=12,
+            )
+        )
+        prof = self._profile_in_small_blocks(space, ts, imat, data.draw(st.integers(1, 8)))
+        comp, expa = oracles.brute_moduli(space.dist.tolist(), imat.tolist(), sorted(ts))
+        assert (prof.compression, prof.expansion) == (tuple(comp), tuple(expa))
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_directly_built_spaces_with_zero_negative_or_infinite_entries(self, data):
+        # no check runs on direct construction, so the table's blocks fall back
+        n = data.draw(st.integers(2, 7))
+        values = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0, math.inf])
+        upper = np.array(data.draw(st.lists(values, min_size=n * n, max_size=n * n)))
+        dist = np.triu(upper.reshape(n, n), 1)
+        dist += dist.T
+        space = metric.FiniteMetricSpace(tuple(map(str, range(n))), dist)
+        imat = np.arange(n * n, dtype=float).reshape(n, n)
+        ts = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, math.inf]), max_size=6))
+        prof = self._profile_in_small_blocks(space, ts, imat, data.draw(st.integers(1, 4)))
+        comp, expa = oracles.brute_moduli(dist.tolist(), imat.tolist(), sorted(ts))
+        assert (prof.compression, prof.expansion) == (tuple(comp), tuple(expa))
+
+    @staticmethod
+    def _profile_in_small_blocks(space, ts, imat, block):
+        """moduli_profile over row blocks of ``block`` pairs, with the bucket
+        table a full-sized row block allows (a tiny block allows none)."""
+        table = metric._bucket_table(np.unique([*map(float, ts), math.inf]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metric, "_BLOCK_PAIRS", block)
+            mp.setattr(metric, "_bucket_table", lambda grid: table)
+            return moduli_profile(space, ts, image_distances=imat)
+
+
+# every octave of the positive doubles, the subnormals, and the top octave
+POSITIVE = st.floats(5e-324, 1.7976931348623157e308)
+SUBNORMAL = st.floats(5e-324, 2.0**-1022, exclude_max=True)
+TOP = st.floats(2.0**1022, 1.7976931348623157e308)
+
+
+@st.composite
+def bucket_cases(draw):
+    """(grid, distances): sorted distinct thresholds ending in inf, sometimes
+    with 0.0 and a run of neighbouring doubles, and positive finite
+    distances on, beside and between them."""
+    some = POSITIVE | SUBNORMAL | TOP
+    ts = draw(st.lists(some | st.sampled_from([0.0, math.inf]), max_size=30))
+    if draw(st.booleans()):  # a run denser than any cell: consecutive doubles
+        t = draw(some)
+        for _ in range(draw(st.integers(1, 12))):
+            ts.append(t := math.nextafter(t, math.inf))
+    grid = np.unique([*ts, math.inf])
+    inner = grid[(grid > 0) & (grid < math.inf)].tolist()
+    near = [math.nextafter(t, x) for t in inner for x in (0.0, math.inf)]
+    on = st.sampled_from(inner + near) if inner else some
+    d = draw(st.lists(some | on, min_size=1, max_size=40))
+    d = [x for x in d if 0 < x < math.inf] or [1.0]
+    return grid, np.array(d)
+
+
+class TestModuliBuckets:
+    """The bucket table against the binary search it replaced."""
+
+    @given(bucket_cases(), st.sampled_from([3, 5, 64, _BLOCK_PAIRS]))
+    @settings(max_examples=300, deadline=None)
+    def test_table_equals_the_binary_search(self, case, cells):
+        grid, d = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metric, "_BLOCK_PAIRS", cells)  # a dense grid needs more cells
+            table = metric._bucket_table(grid)
+        full = metric._bucket_table(grid)
+        if table is None:  # the binary search buckets every distance
+            assert full is None or len(full[2]) > cells
+        else:
+            assert len(table[2]) <= cells
+            assert all(np.array_equal(a, b) for a, b in zip(table, full))
+        expected = oracles.searchsorted_buckets(grid, d)
+        got = metric._buckets(grid, table, d)
+        assert [a.tolist() for a in got] == [a.tolist() for a in expected]
+        for i in range(len(d)):  # one distance a block: a cell of one threshold uses the table
+            got = metric._buckets(grid, table, d[i : i + 1])
+            assert [a.tolist() for a in got] == [a[i : i + 1].tolist() for a in expected]
+
+    def test_geometric_grid_takes_the_table_alone(self):
+        # the CLI's grid: 32 geometric thresholds, here over 1e-3 .. 1e3
+        grid = np.unique([*np.geomspace(1e-3, 1e3, 32).tolist(), math.inf])
+        shift, first, counts, values = metric._bucket_table(grid)
+        assert np.isfinite(values).sum() == len(grid) - 1  # a cell for each threshold
+        assert len(counts) < 4 * len(grid)
+
+    @pytest.mark.parametrize("size", [300, 70_000])
+    def test_counts_hold_a_long_grid(self, size):
+        grid = np.arange(1.0, size + 2.0)
+        grid[-1] = math.inf
+        table = metric._bucket_table(grid)
+        if size < _BLOCK_PAIRS:
+            assert table is not None and table[2].dtype == np.uint16
+        else:  # more thresholds than a table has cells: the binary search
+            assert table is None
+        d = np.array([256.5, 299.0, 299.5, 300.5, 1e6, 1e300])
+        d = np.concatenate([d, np.nextafter(d, 0.0), np.nextafter(d, math.inf)])
+        got = metric._buckets(grid, table, d)
+        assert [a.tolist() for a in got] == [
+            a.tolist() for a in oracles.searchsorted_buckets(grid, d)
+        ]
+        assert max(got[0]) == size
+
 
 class TestDistortion:
     def test_identity(self):
