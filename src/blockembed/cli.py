@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any
 
@@ -64,7 +64,7 @@ class UsageError(ValueError):
 
 @dataclass
 class RunConfig:
-    """Everything one run needs; doubles as the report's config echo."""
+    """Every setting of one run, its defaults the CLI's; doubles as the report's config echo."""
 
     mode: str
     input: str | None = None
@@ -89,8 +89,7 @@ class RunConfig:
     box: float = 8.0
 
     def echo(self) -> dict[str, Any]:
-        raw = asdict(self)
-        return {key: raw[key] for key in sorted(raw)}
+        return dict(sorted(vars(self).items()))
 
 
 def _load(config: RunConfig) -> FiniteMetricSpace | LpPointSet:
@@ -188,20 +187,24 @@ def _run_validate(config: RunConfig) -> tuple[dict[str, Any], bool]:
     return body, True
 
 
+def _rounding(space: Any, beta: Any, epsilon: float) -> dict[str, Any]:
+    deviation = max_rounding_deviation(space, beta)
+    return {"max_deviation": deviation, "bound": epsilon, "pass": deviation <= epsilon + 1e-12}
+
+
 def _run_net(config: RunConfig) -> tuple[dict[str, Any], bool]:
     space, basepoint = _pointed(_load(config), config)
     members, beta = net_round(space, config.epsilon, basepoint)
-    deviation = max_rounding_deviation(space, beta)
-    ok = deviation <= config.epsilon + 1e-12
+    rounding = _rounding(space, beta, config.epsilon)
     body = {
         "epsilon": config.epsilon,
         "net_radius": config.epsilon / 2.0,
         "net_size": len(members),
         "members": list(members),
         "beta": list(beta),
-        "rounding": {"max_deviation": deviation, "bound": config.epsilon, "pass": ok},
+        "rounding": rounding,
     }
-    return body, ok
+    return body, rounding["pass"]
 
 
 def _embed_proper(space: Any, config: RunConfig) -> ProperEmbedding:
@@ -243,20 +246,15 @@ def _run_coarse(config: RunConfig) -> tuple[dict[str, Any], bool]:
     cloud = _require_cloud(_load_embeddable(config), config.mode)
     emb = coarse_embed(cloud, config.epsilon, _lp_params(config))
     report = verify_coarse(emb, tolerance=config.tolerance)
-    deviation = max_rounding_deviation(cloud, emb.beta)
-    rounding_ok = deviation <= config.epsilon + 1e-12
+    rounding = _rounding(cloud, emb.beta, config.epsilon)
     body = {
         "constants": dict(report.constants),
         "net_size": len(emb.members),
-        "rounding": {
-            "max_deviation": deviation,
-            "bound": config.epsilon,
-            "pass": rounding_ok,
-        },
+        "rounding": rounding,
         "checks": report.summary(),
         "moduli": _moduli_body(cloud.metric_space, emb.image_distances, config.moduli_points),
     }
-    return body, report.passed and rounding_ok
+    return body, report.passed and rounding["pass"]
 
 
 def _run_moduli(config: RunConfig) -> tuple[dict[str, Any], bool]:
@@ -267,17 +265,10 @@ def _run_moduli(config: RunConfig) -> tuple[dict[str, Any], bool]:
     else:
         emb = _embed_proper(space, config)
         domain, dmat, map_kind = emb.pspace.space, emb.image_distances, "proper"
-    body = {
-        "map": map_kind,
-        "moduli": _moduli_body(domain, dmat, config.moduli_points),
-    }
-    profile = body["moduli"]
+    profile = _moduli_body(domain, dmat, config.moduli_points)
     finite = [c for c in profile["compression"] if not math.isinf(c)]
-    mono = all(a <= b for a, b in zip(finite, finite[1:])) and all(
-        a <= b for a, b in zip(profile["expansion"], profile["expansion"][1:])
-    )
-    body["monotone"] = mono
-    return body, mono
+    mono = all(a <= b for s in (finite, profile["expansion"]) for a, b in zip(s, s[1:]))
+    return {"map": map_kind, "moduli": profile, "monotone": mono}, mono
 
 
 def _run_gen(config: RunConfig) -> tuple[dict[str, Any], bool]:
@@ -300,8 +291,7 @@ def _run_gen(config: RunConfig) -> tuple[dict[str, Any], bool]:
     else:
         raise UsageError(f"unknown fixture kind {kind!r}")
     write_space(space, config.out)
-    n_points = space.n_points
-    return {"written": config.out, "kind": kind, "n_points": n_points}, True
+    return {"written": config.out, "kind": kind, "n_points": space.n_points}, True
 
 
 _RUNNERS = {
@@ -324,20 +314,21 @@ def run_report(config: RunConfig) -> tuple[dict[str, Any], bool]:
     runner = _RUNNERS.get(config.mode)
     if runner is None:
         raise UsageError(f"unknown mode {config.mode!r}")
-    for name, value in config.echo().items():
+    echo = config.echo()
+    for name, value in echo.items():
         if isinstance(value, float) and math.isnan(value):
             raise UsageError(f"{name} must be a number, got nan")
     if not math.isfinite(config.tolerance):
         raise UsageError(f"tolerance must be finite, got {config.tolerance}")
     body, passed = runner(config)
-    report: dict[str, Any] = {
+    report = {
         "schema": REPORT_SCHEMA,
         "mode": config.mode,
-        "config": config.echo(),
+        "config": echo,
+        **body,
+        "pass": passed,
+        "provenance": {"package": "blockembed", "version": __version__},
     }
-    report.update(body)
-    report["pass"] = passed
-    report["provenance"] = {"package": "blockembed", "version": __version__}
     return report, passed
 
 
@@ -354,48 +345,48 @@ def _exponent(text: str) -> float:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blockembed",
+        argument_default=argparse.SUPPRESS,
         description="Metric embeddings into block-decomposed sequence spaces, "
         "with per-pair certification of the distance envelopes.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="mode", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--input", help="space file (distance matrix or point cloud)")
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--basepoint", type=int, default=None)
-    common.add_argument("--p", type=_exponent, default=None, help="l_p exponent (or 'inf')")
-    common.add_argument("--lambda-sim", type=float, default=1.0, dest="lambda_sim")
-    common.add_argument("--delta", type=float, default=0.01)
-    common.add_argument("--theta", choices=("exact", "random"), default="exact")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--epsilon", type=float, default=1.0)
-    common.add_argument("--k-max-slack", type=int, default=4, dest="k_max_slack")
-    common.add_argument("--tolerance", type=float, default=1e-9)
-    common.add_argument("--moduli-points", type=int, default=32, dest="moduli_points")
-    common.add_argument("--size-cap", type=int, default=200_000, dest="size_cap")
+    common.add_argument("--format", choices=("json", "csv"))
+    common.add_argument("--basepoint", type=int)
+    common.add_argument("--p", type=_exponent, help="l_p exponent (or 'inf')")
+    common.add_argument("--lambda-sim", type=float, dest="lambda_sim")
+    common.add_argument("--delta", type=float)
+    common.add_argument("--theta", choices=("exact", "random"))
+    common.add_argument("--seed", type=int)
+    common.add_argument("--epsilon", type=float)
+    common.add_argument("--k-max-slack", type=int, dest="k_max_slack")
+    common.add_argument("--tolerance", type=float)
+    common.add_argument("--moduli-points", type=int, dest="moduli_points")
+    common.add_argument("--size-cap", type=int, dest="size_cap")
     common.add_argument("--out", help="report destination (stdout when omitted)")
 
     for mode in ("validate", "net", "embed-proper", "embed-lp", "coarse", "moduli"):
         sub.add_parser(mode, parents=[common])
 
-    gen = sub.add_parser("gen", parents=[common])
+    gen = sub.add_parser("gen", parents=[common], argument_default=argparse.SUPPRESS)
     gen.add_argument(
         "--kind",
         required=True,
         choices=("random-graph-metric", "random-lp-cloud", "grid-net", "path", "star"),
     )
-    gen.add_argument("--n", type=int, default=None)
-    gen.add_argument("--dim", type=int, default=3)
-    gen.add_argument("--k", type=int, default=1)
-    gen.add_argument("--edge-prob", type=float, default=None, dest="edge_prob")
-    gen.add_argument("--box", type=float, default=8.0)
+    gen.add_argument("--n", type=int)
+    gen.add_argument("--dim", type=int)
+    gen.add_argument("--k", type=int)
+    gen.add_argument("--edge-prob", type=float, dest="edge_prob")
+    gen.add_argument("--box", type=float)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    config = RunConfig(**vars(args))
+    config = RunConfig(**vars(_build_parser().parse_args(argv)))
     try:
         report, passed = run_report(config)
     except (UsageError, ParseError, UnknownFormat, MetricError, ValueError, OSError) as err:

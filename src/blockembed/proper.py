@@ -244,38 +244,45 @@ def make_proper_params(
 
     n_min and n_max are the first and last tiers of :func:`shell_runs`, the
     shells the points touch with a non-zero blend, so tier lookups never
-    leave the range.
+    leave the range.  The balls B_n are nested, so each is a prefix of that
+    norm order, and dmin(B_n) reads only the rows and columns B_n adds.
     """
     space = pspace.space
     if space.n_points < 2:
         raise TooFewPoints("need at least two points to embed")
     norms = pspace.norms()
-    runs = shell_runs(norms)[1]
+    order, runs = shell_runs(norms)
     n_min, n_max = runs[0][0], runs[-1][0]
     if n_max >= 1022:  # its level-1 net radius 2^(n_max + 2) is no double
         raise AnnulusOutOfRange(f"shell {n_max} lies past the last shell with a net radius")
 
     k_max: dict[int, int] = {}
     used: set[int] = set()
+    lows: list[float] = []  # the least positive distance of each row block read
+    hi, step = 0, _CHUNK_ELEMS // len(norms) + 1
     for n in range(n_min, n_max + 1):
-        ball = np.flatnonzero(norms <= math.ldexp(1.0, n + 1))
-        sub = space.dist[np.ix_(ball, ball)]
-        pos = sub[sub > 0]
-        # n >= n_min guarantees the ball holds the basepoint plus the
-        # closest point, so pos is never empty.
-        dmin = float(pos.min())
+        radius = math.ldexp(1.0, n + 1)
+        ball = norms <= radius
+        lo, hi = hi, int(np.count_nonzero(ball))  # B_n is order[:hi]
+        new = ball & (norms > radius / 2)
+        # rows new to B_n against B_n, and the rows of B_(n-1) against the new points
+        for rows, cols in ((order[lo:hi], ball), (order[:lo], new)) if lo < hi else ():
+            for r0 in range(0, len(rows), step):
+                blk = space.dist[rows[r0 : r0 + step]]
+                if (ok := (blk > 0) & cols).any():  # initial: an admitted entry, in its dtype
+                    lows.append(blk.min(where=ok, initial=blk.flat[ok.argmax()]))
+        dmin = float(min(lows) if lows else np.min(lows))  # np.min([]): numpy's ValueError
         cap = max(1, math.ceil(n + 3 - math.log2(dmin))) + k_slack
         k_max[n] = cap
         used.update(n - k for k in range(1, cap + 1))
 
-    c_trunc = sum(1.0 / (m * m + 1.0) for m in sorted(used))
     return ProperParams(
         n_min=n_min,
         n_max=n_max,
         k_max=k_max,
         iso=iso if iso is not None else BlockIsoModel.exact(),
         k_slack=k_slack,
-        c_trunc=c_trunc,
+        c_trunc=sum(1.0 / (m * m + 1.0) for m in sorted(used)),
     )
 
 

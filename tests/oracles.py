@@ -13,6 +13,8 @@ reduces each difference row with the library's ``blocks._norms``;
 :func:`checked_entries`, the entry checks of ``validate_metric`` before they
 became one pass each;
 :func:`loop_verify_bounds`, the per-pair loop of ``verify_bounds``;
+:func:`ball_proper_params`, ``make_proper_params`` as it was when it copied
+every shell's ball out of the distance matrix;
 :func:`searchsorted_buckets`, the binary search ``moduli_profile`` bucketed
 every pair by before its lookup table;
 :func:`two_sided_separation_envelope`, the lower envelope with both sides
@@ -31,17 +33,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from blockembed.blocks import DimensionMismatch, _norms
+from blockembed.blocks import BlockIsoModel, DimensionMismatch, _norms
 from blockembed.fixtures import DisconnectedGraph
 from blockembed.metric import (
     AsymmetricMatrix,
     MetricError,
     NegativeEntry,
     NonzeroDiagonal,
+    TooFewPoints,
     ZeroOffDiagonal,
     validate_metric,
 )
-from blockembed.proper import log_growth
+from blockembed.proper import AnnulusOutOfRange, ProperParams, log_growth, shell_runs
 
 
 def brute_inner(values, p):
@@ -292,6 +295,30 @@ def brute_net_check(matrix, members, center, ball_radius, radius, seed):
         if not any(matrix[i][m] < radius for m in members):
             maximal = False
     return seeded, separated, maximal
+
+
+def ball_proper_params(pspace, iso=None, k_slack=4):
+    """``proper.make_proper_params`` reading dmin(B_n) from a copy of each
+    shell's whole ball: the same values, errors and messages on any space."""
+    space = pspace.space
+    if space.n_points < 2:
+        raise TooFewPoints("need at least two points to embed")
+    norms = pspace.norms()
+    runs = shell_runs(norms)[1]
+    n_min, n_max = runs[0][0], runs[-1][0]
+    if n_max >= 1022:
+        raise AnnulusOutOfRange(f"shell {n_max} lies past the last shell with a net radius")
+    k_max, used = {}, set()
+    for n in range(n_min, n_max + 1):
+        ball = np.flatnonzero(norms <= math.ldexp(1.0, n + 1))
+        sub = space.dist[np.ix_(ball, ball)]
+        dmin = float(sub[sub > 0].min())
+        cap = max(1, math.ceil(n + 3 - math.log2(dmin))) + k_slack
+        k_max[n] = cap
+        used.update(n - k for k in range(1, cap + 1))
+    c_trunc = sum(1.0 / (m * m + 1.0) for m in sorted(used))
+    iso = iso if iso is not None else BlockIsoModel.exact()
+    return ProperParams(n_min, n_max, k_max, iso, k_slack, c_trunc)
 
 
 def brute_greedy_net(matrix, center, ball_radius, radius, seed):

@@ -636,6 +636,67 @@ def defect_space(seed):
     return validate_metric(d, tol=float(d.max()))
 
 
+# entries of directly built spaces: zero, negative, infinite, NaN, dyadic and
+# far apart.  The subnormal and top shells, some 2,000 shells apart, are
+# explicit examples, as every shell of the range costs time.
+DIRECT_ENTRIES = [0.0, -0.0, -1.0, 0.25, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0, 2.0**-40, 2.0**40]
+DIRECT_ENTRIES += [math.inf, -math.inf, math.nan]
+
+
+def assert_params_match_the_oracle(pspace, k_slack):
+    """make_proper_params gives the whole-ball oracle's params, or its error."""
+
+    def outcome(make):
+        try:
+            return make(pspace, k_slack=k_slack)
+        except Exception as err:
+            return type(err), str(err)
+
+    assert outcome(make_proper_params) == outcome(oracles.ball_proper_params)
+
+
+class TestParamsOracle:
+    """make_proper_params against the per-shell whole-ball computation."""
+
+    @given(
+        kind=st.sampled_from(sorted(SPACES)),
+        n=st.integers(2, 40),
+        seed=st.integers(0, 2**16),
+        scale=st.sampled_from([1e-300, 1e-9, 1.0, 1e9, 1e300]),
+        k_slack=st.integers(0, 4),
+        basepoint=st.integers(0, 39),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_fixture_spaces_match(self, kind, n, seed, scale, k_slack, basepoint):
+        space = validate_metric(SPACES[kind](n, seed).dist * scale)
+        assert_params_match_the_oracle(PointedSpace(space, basepoint % space.n_points), k_slack)
+
+    @given(
+        rows=st.integers(1, 9).flatmap(
+            lambda n: st.lists(
+                st.lists(st.sampled_from(DIRECT_ENTRIES), min_size=n, max_size=n),
+                min_size=n,
+                max_size=n,
+            )
+        ),
+        basepoint=st.integers(0, 8),
+        k_slack=st.integers(0, 4),
+    )
+    # the least distance of B_1 runs from a point of B_0 to the new point, or back
+    @example(rows=[[0, 1, 3], [1, 0, 0.25], [3, 5, 0]], basepoint=0, k_slack=4)
+    @example(rows=[[0, 1, 3], [1, 0, 5], [3, 0.25, 0]], basepoint=0, k_slack=4)
+    # B_0 is {1}, without the basepoint: no positive distance, or only an infinite one
+    @example(rows=[[5, 1], [0, 0]], basepoint=0, k_slack=4)
+    @example(rows=[[5, 1], [0, math.inf]], basepoint=0, k_slack=4)
+    # the subnormal and the top shells
+    @example(rows=[[0, 5e-324, 1e300], [5e-324, 0, 3], [5e-324, 1e300, 0]], basepoint=0, k_slack=0)
+    @example(rows=[[0, 5e-324, TOP / 4], [5e-324, 0, TOP], [TOP, TOP, 0]], basepoint=0, k_slack=4)
+    @settings(max_examples=200, deadline=None)
+    def test_direct_spaces_match(self, rows, basepoint, k_slack):
+        space = FiniteMetricSpace(tuple(map(str, range(len(rows)))), np.array(rows, dtype=float))
+        assert_params_match_the_oracle(PointedSpace(space, basepoint % space.n_points), k_slack)
+
+
 class TestImageDistances:
     """One Frechet matrix per (shell, net) against the per-point images."""
 
