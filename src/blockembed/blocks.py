@@ -191,20 +191,20 @@ def _norms(diff: np.ndarray, p: float) -> np.ndarray:
     near its largest entry, its root multiplied back; every other row keeps
     the same bits.
     """
-    if math.isinf(p):
-        return diff.max(axis=-1)
-    if p == 1:
-        return diff.sum(axis=-1)
-    powers = np.square if p == 2 else (lambda x: np.power(x, p))
-    root = np.sqrt if p == 2 else (lambda x: x ** (1.0 / p))
-    with np.errstate(over="ignore"):  # an overflowed row is redone below
+    with np.errstate(over="ignore", invalid="ignore"):  # redone below, or left to the checks
+        if math.isinf(p):
+            return diff.max(axis=-1)
+        if p == 1:
+            return diff.sum(axis=-1)
+        powers = np.square if p == 2 else (lambda x: np.power(x, p))
+        root = np.sqrt if p == 2 else (lambda x: x ** (1.0 / p))
         out = root(powers(diff).sum(axis=-1))
-    redo = _needs_redo(out, p)
-    if redo.any():
-        rows = diff[redo]
-        e = np.frexp(rows.max(axis=-1))[1]
-        rows = np.ldexp(rows, -e[:, None])
-        out[redo] = np.ldexp(root(powers(rows).sum(axis=-1)), e)
+        redo = _needs_redo(out, p)
+        if redo.any():
+            rows = diff[redo]
+            e = np.frexp(rows.max(axis=-1))[1]
+            rows = np.ldexp(rows, -e[:, None])
+            out[redo] = np.ldexp(root(powers(rows).sum(axis=-1)), e)
     return out
 
 
@@ -237,14 +237,14 @@ def lp_distance_matrix(
     if not 1 <= dim < 8:
         step = max(1, _CHUNK_ELEMS // max(1, m * dim))
         buf = np.empty(min(step, m) * m * dim)
-        for lo in range(0, m, step):
-            hi = min(lo + step, m)
-            diff = buf[: (hi - lo) * (m - lo) * dim].reshape(hi - lo, m - lo, dim)
-            with np.errstate(over="ignore"):  # an overflow stays inf; metric checks reject it
+        with np.errstate(over="ignore", invalid="ignore"):  # inf, NaN left to the checks
+            for lo in range(0, m, step):
+                hi = min(lo + step, m)
+                diff = buf[: (hi - lo) * (m - lo) * dim].reshape(hi - lo, m - lo, dim)
                 np.subtract(x[lo:hi, None, :], x[None, lo:, :], out=diff)
-            rows = _norms(np.abs(diff, out=diff), p)
-            out[lo:hi, lo:] = rows
-            out[hi:, lo:hi] = rows[:, hi - lo :].T
+                rows = _norms(np.abs(diff, out=diff), p)
+                out[lo:hi, lo:] = rows
+                out[hi:, lo:hi] = rows[:, hi - lo :].T
         return out
     sup, powered = math.isinf(p), not math.isinf(p) and p != 1
     cols = x.T.copy()  # one contiguous row per coordinate
@@ -256,7 +256,7 @@ def lp_distance_matrix(
     half = m * m if whole else max(_CHUNK_ELEMS // 2, m)
     buf = np.empty(half if whole else 2 * half)
     lo = 0
-    with np.errstate(over="ignore"):  # an overflow stays inf, or is redone below
+    with np.errstate(over="ignore", invalid="ignore"):  # redone below, or left to the checks
         while lo < m:
             hi = min(m, lo + max(1, half // (m - lo)))
             size, shape = (hi - lo) * (m - lo), (hi - lo, m - lo)

@@ -93,17 +93,16 @@ class RunConfig:
 
 
 def _load(config: RunConfig) -> FiniteMetricSpace | LpPointSet:
+    """The input space.  A cloud, with --p and --basepoint applied, comes back
+    unchecked: validate, net, coarse and embed-proper check its metric as they
+    read it; embed-lp and moduli check only the normalized cloud they certify."""
     if not config.input:
         raise UsageError(f"mode {config.mode} requires --input")
     space = parse_space(config.input, config.format)
     if isinstance(space, LpPointSet):
-        if config.p is not None and config.p != space.p:
-            space = LpPointSet(config.p, space.points, space.basepoint)
-        metric = space.metric_space  # the one validation, after the exponent override
-        if config.basepoint is not None and config.basepoint != space.basepoint:
-            space = LpPointSet(space.p, space.points, config.basepoint)
-            space.metric_space = metric  # the basepoint leaves the metric unchanged
-            space.distance_matrix = metric.dist  # the very matrix, not a second one
+        p = space.p if config.p is None else config.p
+        basepoint = space.basepoint if config.basepoint is None else config.basepoint
+        space = LpPointSet(p, space.points, basepoint)
     return space
 
 

@@ -77,12 +77,13 @@ def parse_space(path: str | Path, fmt: str = "json") -> FiniteMetricSpace | LpPo
 
     JSON matrices look like {"points": [labels], "dist": [[...]]}; clouds
     like {"p": 2, "points": [[...]], "basepoint": 0}.  CSV holds a plain
-    distance matrix.  Matrix inputs are validated; cloud inputs carry their
-    exponent and induce the l_p metric, which is validated lazily, on the
-    first read of ``LpPointSet.metric_space``.  There the triangle
-    inequality of an l_1, l_2 or l_inf cloud of dim up to 1024 (for l_2,
-    with every positive distance in [2^-480, 2^480]) is proved by a rounding
-    bound rather than scanned; other clouds go through ``validate_metric``.
+    distance matrix.  Matrix inputs are validated; a cloud comes back with
+    its exponent, unchecked: its l_p metric is built and validated on the
+    first read of ``LpPointSet.metric_space`` (``distance_matrix`` is its
+    ``dist``), by the modes that read it.  The triangle inequality of an
+    l_1, l_2 or l_inf cloud of dim up to 1024 (for l_2, with every positive
+    distance in [2^-480, 2^480]) is proved by a rounding bound rather than
+    scanned; other clouds go through ``validate_metric``.
     """
     path = Path(path)
     if fmt == "json":

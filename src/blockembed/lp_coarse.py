@@ -85,10 +85,10 @@ class DomainMismatch(ValueError):
 class LpPointSet:
     """Finite subset of l_p^dim with a distinguished basepoint.
 
-    The induced metric must validate; consumers reach it through
-    :meth:`metric_space`, which wraps :meth:`distance_matrix` itself,
-    read-only, so the set holds one n x n matrix.  For
-    p in {1, 2, inf} and dim up to 1024 (for p = 2, with every positive
+    The induced metric is built and validated once, on the first read of
+    :meth:`metric_space`; :meth:`distance_matrix` is its ``dist``, read-only,
+    so the set holds one n x n matrix and an invalid set raises on either.
+    For p in {1, 2, inf} and dim up to 1024 (for p = 2, with every positive
     distance in [2^-480, 2^480]) the triangle inequality is proved from
     rounding bounds and only the O(n^2) entry checks run; otherwise the
     matrix goes through :func:`~blockembed.metric.validate_metric`.  Either
@@ -118,15 +118,15 @@ class LpPointSet:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    @cached_property
+    @property
     def distance_matrix(self) -> np.ndarray:
-        return lp_distance_matrix(self.points, self.p)
+        return self.metric_space.dist
 
     @cached_property
     def metric_space(self) -> FiniteMetricSpace:
         from .metric import _checked_entries, _labelled, validate_metric
 
-        d = self.distance_matrix
+        d = lp_distance_matrix(self.points, self.p)
         # The triangle scan of validate_metric cannot fire on an l_1, l_2 or
         # l_inf cloud of dim <= _PROVED_DIM_CAP.  Write u = 2^-53, a for the
         # exact distances of the stored points, a^ for the computed ones and
@@ -163,9 +163,7 @@ class LpPointSet:
         if proved:  # the fresh matrix itself is checked and wrapped, not a copy
             slack = np.nextafter(4 * (self.dim + 2) * 2.0**-53 * d.max(initial=0.0), np.inf)
             return _labelled(_checked_entries(d, copy=False), self.labels, float(slack))
-        space = validate_metric(d, self.labels)  # on a copy, which the set then keeps
-        self.distance_matrix = space.dist
-        return space
+        return validate_metric(d, self.labels)  # on a copy, which the set then keeps
 
 
 def normalize_pointed(s: LpPointSet) -> tuple[LpPointSet, np.ndarray, float]:
@@ -173,25 +171,27 @@ def normalize_pointed(s: LpPointSet) -> tuple[LpPointSet, np.ndarray, float]:
 
     When the smallest positive norm m falls below 1, every point is scaled
     by 1/m (nudged up by ulps if rounding leaves the minimum marginally
-    under 1); a norm is, bit for bit, the point's ``distance_matrix`` entry
-    against the basepoint.  Returns the normalized set plus the affine
-    record (translation, scale) so results can be restated in input units.
+    under 1; a ``ValueError`` if 1/m overflows); a norm is, bit for bit, the
+    point's ``distance_matrix`` entry against the basepoint.  Returns the
+    normalized set plus the affine record (translation, scale) so results
+    can be restated in input units.
     """
     origin = s.points[s.basepoint].copy()
-    pts = s.points - origin
-    norms = _norms(np.abs(pts), s.p)
-    positive = norms > 0
-    scale = 1.0
-    if positive.any() and norms[positive].min() < 1.0:
-        scale = 1.0 / float(norms[positive].min())
-        bump = 1.0 + 2.0**-48
-        for _ in range(64):
-            if _norms(np.abs(pts[positive] * scale), s.p).min() >= 1.0:
-                break
-            scale *= bump
-        else:  # pragma: no cover - a few ulps always suffice
-            raise ArithmeticError("normalization failed to reach unit separation")
-        pts = pts * scale
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, NaN stay; metric checks reject them
+        pts = s.points - origin
+        norms = _norms(np.abs(pts), s.p)
+        positive = norms > 0
+        scale = 1.0
+        if positive.any() and (least := float(norms[positive].min())) < 1.0:
+            scale = 1.0 / least
+            if math.isinf(scale):
+                raise ValueError(f"the least positive norm {least} has no finite reciprocal")
+            bump = 1.0 + 2.0**-48
+            for _ in range(64):  # a few ulps suffice; a norm left below 1 raises NormBelowOne
+                if _norms(np.abs(pts[positive] * scale), s.p).min() >= 1.0:
+                    break
+                scale *= bump
+            pts = pts * scale
     out = LpPointSet(s.p, pts, s.basepoint, s.labels)
     return out, origin, scale
 

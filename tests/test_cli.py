@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from blockembed import blocks, cli, lp_coarse, metric, proper
@@ -189,6 +191,13 @@ def run_cli(*args):
     return main([str(a) for a in args])
 
 
+CLOUD_MODES = ("validate", "net", "embed-proper", "embed-lp", "coarse", "moduli")
+
+# zeros, a subnormal, tiny, unit, huge and overflowing magnitudes, NaN and inf
+CONTRACT_COORDS = (0.0, 1e-320, -1e-320, 1e-300, 1.0, -1.0, 3.5, 1e150, -1e150, 1e300)
+CONTRACT_COORDS += (1.7e308, -1.7e308, math.nan, math.inf)
+
+
 # an integer past the double range in each numeric field of a space file
 HUGE = "1" + "0" * 400
 HUGE_SPACES = {
@@ -312,8 +321,10 @@ class TestCliModes:
             ("embed-proper", ("--basepoint", 2), 1),
             ("embed-proper", ("--p", 1), 1),
             ("net", ("--p", "inf", "--basepoint", 3), 1),
-            # embed-lp also validates the normalized copy it certifies
-            ("embed-lp", ("--p", 1), 2),
+            # embed-lp and moduli check only the normalized copy they certify
+            ("embed-lp", ("--p", 1), 1),
+            ("moduli", ("--p", 1, "--basepoint", 2), 1),
+            ("coarse", ("--basepoint", 2), 1),
         ],
     )
     def test_cloud_validated_once_after_overrides(
@@ -349,12 +360,15 @@ class TestCliModes:
             calls.append(len(args[0]))
             return original(*args, **kwargs)
 
-        # LpPointSet.distance_matrix is the one caller under this name; coarse
-        # reads it for the rounding deviation after the basepoint is moved
+        # LpPointSet.metric_space is the one caller under this name: each mode
+        # reads the input cloud's metric or, for embed-lp and moduli, only the
+        # normalized cloud's (coarse also reads it for the rounding deviation)
         monkeypatch.setattr(lp_coarse, "lp_distance_matrix", counting)
-        args = ("coarse", "--input", fixture, "--epsilon", 1, *flags)
-        assert run_cli(*args, "--out", tmp_path / "rep.json") == 0
-        assert calls == [12]
+        for mode in CLOUD_MODES:
+            calls.clear()
+            args = (mode, "--input", fixture, "--epsilon", 1, *flags)
+            assert run_cli(*args, "--out", tmp_path / "rep.json") == 0
+            assert calls == [12], mode
 
     @pytest.mark.parametrize("mode", ["embed-lp", "coarse", "moduli"])
     @pytest.mark.parametrize(
@@ -368,12 +382,16 @@ class TestCliModes:
             (2.0, 1025, 1.0, True),  # above the dim cap
             (1.0, 1025, 1.0, True),
             (2.0, 3, 1e300, True),  # l_2 entries above 2^480
-            (2.0, 3, 1e-300, True),  # l_2 entries below 2^-480
+            # l_2 entries below 2^-480, scanned by coarse only: embed-lp and
+            # moduli certify only the normalized cloud, whose entries lie in range
+            (2.0, 3, 1e-300, "coarse"),
         ],
     )
     def test_triangle_scan_runs_only_where_unproved(
         self, tmp_path, monkeypatch, mode, p, dim, scale, scanned
     ):
+        if isinstance(scanned, str):
+            scanned = mode == scanned
         rng = np.random.default_rng(dim)
         fixture = tmp_path / "c.json"
         write_space(LpPointSet(p, rng.uniform(0.0, 8.0, size=(12, dim)) * scale), fixture)
@@ -779,15 +797,80 @@ class TestCliModes:
         checks = json.loads(report.read_text())["checks"]
         assert checks["pairs_passed"] == checks["pairs_total"] == 3
 
-    @pytest.mark.parametrize("mode", ["embed-lp", "coarse"])
+    @pytest.mark.parametrize("mode", ["embed-lp", "coarse", "moduli"])
     def test_overflowing_coordinate_differences_exit_two(self, tmp_path, capsys, mode):
-        # 1.7e308 - (-1.7e308) overflows, so the cloud's distances are not finite
+        clouds = [
+            # 1.7e308 - (-1.7e308) overflows, so the cloud's distances are not finite
+            '{"p":2,"points":[[-1.7e308,0],[1.7e308,0],[0,1]]}',
+            # normalizing by 1/1e-300 overflows the far point
+            '{"p":2,"points":[[0],[1e-300],[1e10]]}',
+            # the least norm, 1e-320, has no finite reciprocal to normalize by
+            '{"p":2,"points":[[0,0],[1,0],[1e-320,0]]}',
+        ]
         fixture = tmp_path / "c.json"
-        fixture.write_text('{"p":2,"points":[[-1.7e308,0],[1.7e308,0],[0,1]]}')
-        assert run_cli(mode, "--input", fixture) == 2
+        for cloud in clouds:
+            fixture.write_text(cloud)
+            # coarse's net keeps every point at this epsilon
+            assert run_cli(mode, "--input", fixture, "--epsilon", "1e-323") == 2
+            err = capsys.readouterr().err
+            assert err.startswith("blockembed: error:")
+            assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("mode", CLOUD_MODES)
+    @pytest.mark.parametrize(
+        "cloud",
+        [
+            # finite, but the l_1 sum of a row of eight overflows
+            '{"p":1,"points":[[1e308,1e308,1e308,1e308,1e308,1e308,1e308,1e308],[0,0,0,0,0,0,0,0]]}',
+            # a NaN row that also overflows when squared
+            '{"p":2,"points":[[1.7e308,NaN,0,0,0,0,0,0],[0,0,0,0,0,0,0,0]]}',
+            # inf - inf on the coordinate-plane path
+            '{"p":3,"points":[[Infinity],[0]]}',
+        ],
+    )
+    def test_non_finite_distances_fail_without_a_warning(self, tmp_path, capsys, mode, cloud):
+        fixture = tmp_path / "c.json"
+        fixture.write_text(cloud)
+        assert run_cli(mode, "--input", fixture, "--out", tmp_path / "rep.json") == (
+            1 if mode == "validate" else 2
+        )
         err = capsys.readouterr().err
-        assert err.startswith("blockembed: error:")
-        assert "Traceback" not in err
+        assert "Warning" not in err
+        if mode == "validate":
+            assert err == ""
+            assert json.loads((tmp_path / "rep.json").read_text())["valid"] is False
+        else:
+            assert err == "blockembed: error: matrix entries must be finite\n"
+
+    @given(
+        st.sampled_from([1.0, 2.0, 3.0, math.inf]),
+        st.sampled_from([1, 2, 8, 9]).flatmap(
+            lambda dim: st.lists(
+                st.lists(st.sampled_from(CONTRACT_COORDS), min_size=dim, max_size=dim),
+                min_size=2,
+                max_size=5,
+            )
+        ),
+    )
+    @settings(
+        max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_cloud_modes_keep_the_error_contract(self, tmp_path, p, points):
+        fixture = tmp_path / "c.json"
+        fixture.write_text(json.dumps({"p": "inf" if math.isinf(p) else p, "points": points}))
+        # embed-proper is left out: some of these clouds take it tens of seconds
+        for mode in (m for m in CLOUD_MODES if m != "embed-proper"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run_cli(mode, "--input", fixture)
+            if code == 2:
+                assert out.getvalue() == ""
+                assert err.getvalue().startswith("blockembed: error:")
+                assert err.getvalue().count("\n") == 1
+            else:
+                assert code in (0, 1)
+                assert err.getvalue() == ""
+                assert json.loads(out.getvalue())["mode"] == mode
 
     def test_overflowing_upper_envelope_stays_silent(self, tmp_path, monkeypatch, capsys):
         # c_d * d overflows to inf, silently as in float arithmetic: the report
