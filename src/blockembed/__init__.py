@@ -22,14 +22,8 @@ from .blocks import (
     BlockVector,
     DimensionMismatch,
     NonpositiveK,
-    axpy,
-    inner_norm,
-    outer_norm,
     pair_index,
     pairwise_distance_matrix,
-    project_block,
-    scale_block,
-    unpair_index,
 )
 from .metric import (
     AsymmetricMatrix,
@@ -55,21 +49,17 @@ from .metric import (
 from .lp_coarse import (
     CoarseConstants,
     CoarseEmbedding,
-    DomainMismatch,
     LpEmbedding,
     LpParams,
     LpPointSet,
     NormBelowOne,
     SizeCapExceeded,
     coarse_embed,
-    embed_point_lp,
     embed_set_lp,
     grid_net,
     max_rounding_deviation,
     net_round,
     normalize_pointed,
-    psi_round,
-    rescaled_restriction,
     verify_coarse,
     verify_lp,
 )

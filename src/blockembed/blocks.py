@@ -1,12 +1,15 @@
-"""Sparse block vectors and the block-sum sequence space they live in.
+"""The block-sum sequence space the embeddings map into, and its distance kernels.
 
-The embedding codomain is modeled concretely: a direct sum of
-finite-dimensional blocks with one exponent p in [1, inf] inside and
-outside the blocks, either a sup-sum of sup-normed blocks (the c0-style
-model) or an l_p sum of l_p blocks.  The norm of a block vector is then the
-flat l_p norm of its concatenated coordinates.  Coordinate projections onto
-a single block have norm one, strictly inside the hypotheses the distance
-envelopes were derived under, so every certified bound must hold a fortiori.
+The embedding codomain is a direct sum of finite-dimensional blocks with one
+exponent p in [1, inf] inside and outside the blocks, either a sup-sum of
+sup-normed blocks (the c0-style model) or an l_p sum of l_p blocks.  The
+distance of two images is then the flat l_p norm of the difference of their
+concatenated coordinates.  Coordinate projections onto a single block have
+norm one, strictly inside the hypotheses the distance envelopes were derived
+under, so every certified bound must hold a fortiori.  The embeddings
+compute their pairwise image distances from their factors with
+:func:`lp_distance_matrix` and the block fold; :func:`pairwise_distance_matrix`
+computes them from explicit :class:`BlockVector` images.
 
 Block isomorphism slack is modeled by per-block scale factors theta_j in a
 configurable interval of (0, 1]; the seeded mode derives theta_j from a
@@ -29,12 +32,6 @@ __all__ = [
     "BlockVector",
     "BlockIsoModel",
     "pair_index",
-    "unpair_index",
-    "inner_norm",
-    "outer_norm",
-    "project_block",
-    "axpy",
-    "scale_block",
     "lp_distance_matrix",
     "pairwise_distance_matrix",
 ]
@@ -69,17 +66,6 @@ def pair_index(n: int, k: int) -> int:
     z = 2 * n if n >= 0 else -2 * n - 1
     s = z + k - 1
     return s * (s + 1) // 2 + (k - 1)
-
-
-def unpair_index(j: int) -> tuple[int, int]:
-    """Inverse of :func:`pair_index`."""
-    if j < 0:
-        raise ValueError(f"block id must be non-negative, got {j}")
-    w = (math.isqrt(8 * j + 1) - 1) // 2
-    km1 = j - w * (w + 1) // 2
-    z = w - km1
-    n = z // 2 if z % 2 == 0 else -(z + 1) // 2
-    return n, km1 + 1
 
 
 class BlockVector:
@@ -138,48 +124,6 @@ class BlockVector:
     def __repr__(self) -> str:
         inner = ", ".join(f"{j}: dim {len(v)}" for j, v in self.blocks.items())
         return f"BlockVector({{{inner}}})"
-
-
-def inner_norm(x: np.ndarray, p: float) -> float:
-    """l_p norm of a plain vector, p in [1, inf]: :func:`_norms` of one row."""
-    if not p >= 1:
-        raise ValueError(f"norm exponent must lie in [1, inf], got {p}")
-    x = np.abs(np.asarray(x, dtype=float)).reshape(1, -1)
-    return float(_norms(x, p)[0]) if x.size else 0.0
-
-
-def outer_norm(v: BlockVector, p: float) -> float:
-    """Norm of a block vector: the l_p norm of its concatenated coordinates."""
-    coords = list(v.blocks.values())
-    return inner_norm(np.concatenate(coords), p) if coords else 0.0
-
-
-def project_block(v: BlockVector, j: int) -> BlockVector:
-    """Coordinate projection onto block ``j`` (empty when absent); idempotent."""
-    x = v.blocks.get(j)
-    return BlockVector({j: x}) if x is not None else BlockVector.empty()
-
-
-def axpy(a: float, v: BlockVector, b: float, w: BlockVector) -> BlockVector:
-    """Pointwise a*v + b*w with canonical sparsity restored."""
-    out: dict[int, np.ndarray] = {}
-    for j in sorted(v.blocks.keys() | w.blocks.keys()):
-        x = v.blocks.get(j)
-        y = w.blocks.get(j)
-        if x is not None and y is not None:
-            if len(x) != len(y):
-                raise DimensionMismatch(j, len(x), len(y))
-            out[j] = a * x + b * y
-        elif x is not None:
-            out[j] = a * x
-        else:
-            out[j] = b * y
-    return BlockVector(out)
-
-
-def scale_block(a: float, v: BlockVector) -> BlockVector:
-    """a * v, canonically sparse."""
-    return axpy(a, v, 0.0, BlockVector.empty())
 
 
 def _norms(diff: np.ndarray, p: float) -> np.ndarray:
@@ -286,7 +230,7 @@ def lp_distance_matrix(
 def pairwise_distance_matrix(images: Sequence[BlockVector], p: float) -> np.ndarray:
     """All pairwise image distances in the block sum with exponent p.
 
-    Equivalent to ``outer_norm(axpy(1, u, -1, v), p)`` on every pair.  The
+    Each entry is the l_p norm of the concatenated coordinates of u - v.  The
     diagonal is exactly zero and the matrix is exactly symmetric.
 
     Each block j only touches the c_j points that carry it, gathered once

@@ -13,9 +13,8 @@ d / C_d - C_a <= image distance <= C_d * d + C_a with
 C_d = max(9, 20 lambda^2 (1 + delta)^2) and C_a = 9 eps, stated in the
 units of the input set.
 
-Grid-net utilities provide the lattice fixtures (1/k) Z^n intersected with
-the sup ball of radius k, the rescaling Theta(k x)/k, and the sup-distance
-rounding onto the unit-ball grid.
+``grid_net`` provides the lattice fixtures (1/k) Z^n intersected with the
+sup ball of radius k.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Any, Mapping
 
 import numpy as np
 
@@ -34,24 +32,20 @@ from .blocks import (
     BlockVector,
     _fold_distances,
     _norms,
-    inner_norm,
     lp_distance_matrix,
-    scale_block,
 )
 from .metric import BoundsReport, FiniteMetricSpace, greedy_maximal_net, verify_bounds
-from .proper import AnnulusOutOfRange, annulus_index, shell_runs
+from .proper import AnnulusOutOfRange, shell_runs
 
 __all__ = [
     "NormBelowOne",
     "SizeCapExceeded",
-    "DomainMismatch",
     "LpPointSet",
     "LpParams",
     "CoarseConstants",
     "LpEmbedding",
     "CoarseEmbedding",
     "normalize_pointed",
-    "embed_point_lp",
     "embed_set_lp",
     "verify_lp",
     "net_round",
@@ -59,8 +53,6 @@ __all__ = [
     "verify_coarse",
     "max_rounding_deviation",
     "grid_net",
-    "psi_round",
-    "rescaled_restriction",
 ]
 
 _DIAG_TAG = 211  # stream tag for the diagonal map, disjoint from theta draws
@@ -74,10 +66,6 @@ class NormBelowOne(ValueError):
 
 
 class SizeCapExceeded(ValueError):
-    pass
-
-
-class DomainMismatch(ValueError):
     pass
 
 
@@ -273,9 +261,8 @@ def _shell_distances(
     rows: np.ndarray | slice = slice(None),
 ) -> np.ndarray:
     """Image distances, each image scaled by ``a``, between the normalized
-    points ``points[rows]``: bit for bit those of the images
-    ``embed_point_lp`` builds, scaled as :func:`~blockembed.blocks.scale_block`
-    scales them.
+    points ``points[rows]``: bit for bit those of :attr:`LpEmbedding.images`
+    with every coordinate multiplied by ``a``.
 
     A point of shell n carries lam * theta_n * R(t) on tier n and (1 - lam)
     * theta_(n+1) * R(t) on tier n + 1: one fold (``blocks._fold_distances``)
@@ -304,8 +291,10 @@ class LpEmbedding:
 
     The embedding holds its factors, not its images: ``image_distances``,
     the images' pairwise l_p block-sum distances, is computed on first read
-    by one fold over the points sorted by shell (see ``_shell_distances``),
-    and ``images``, the block vectors themselves, are built only when read.
+    by one fold over the points sorted by shell (see ``_shell_distances``).
+    ``images``, the block vectors themselves, are built from the same shell
+    runs only when read; no mode reads them (``perfbench/sweep.py`` reads
+    their block sizes).
     """
 
     pointset: LpPointSet  # normalized
@@ -315,8 +304,14 @@ class LpEmbedding:
 
     @cached_property
     def images(self) -> tuple[BlockVector, ...]:
-        p = self.pointset.p
-        return tuple(embed_point_lp(row, self.params, p) for row in self.pointset.points)
+        points, params = self.pointset.points, self.params
+        order, runs = shell_runs(_norms(np.abs(points), self.pointset.p))
+        rt = params.diag_map(points.shape[1]) * points
+        blocks: list[dict[int, np.ndarray]] = [{} for _ in points]
+        for tier, lo, hi, blend in runs:
+            for t, b in zip(order[lo:hi], blend * params.iso.factor(tier)):
+                blocks[t][tier] = b * rt[t]
+        return tuple(map(BlockVector, blocks))
 
     @cached_property
     def image_distances(self) -> np.ndarray:
@@ -331,7 +326,7 @@ class CoarseEmbedding:
     that of member beta(t), scaled by 1 / ``net.scale``.
     ``image_distances``, the images' pairwise l_p block-sum distances, is
     computed on first read from one fold over the members only, then
-    indexed by beta; ``images`` are built only when read.
+    indexed by beta.
     """
 
     pointset: LpPointSet  # original, un-normalized
@@ -349,46 +344,10 @@ class CoarseEmbedding:
         return position[list(self.beta)]
 
     @cached_property
-    def images(self) -> tuple[BlockVector, ...]:
-        inv = 1.0 / self.net.scale
-        member_images = [scale_block(inv, v) for v in self.net.images]
-        return tuple(member_images[k] for k in self._member_rows())
-
-    @cached_property
     def image_distances(self) -> np.ndarray:
         net = self.net
         points, p = net.pointset.points, net.pointset.p
         return _shell_distances(points, self.params, p, 1.0 / net.scale, self._member_rows())
-
-
-def embed_point_lp(
-    t: np.ndarray,
-    params: LpParams,
-    p: float,
-    annulus: tuple[int, float] | None = None,
-) -> BlockVector:
-    """Image of one normalized point: two shell blocks holding blend * theta * R(t).
-
-    The origin maps to the empty vector; any other point must have norm at
-    least 1 so both shells are non-negative.  Zero-blend tiers are dropped,
-    which makes exactly dyadic norms land on a single block and keeps the
-    two shell assignments of a boundary point identical; ``annulus``
-    overrides the shell assignment for checking exactly that.
-    """
-    t = np.asarray(t, dtype=float)
-    r = inner_norm(t, p)
-    if r == 0:
-        return BlockVector.empty()
-    if r < 1:
-        raise NormBelowOne(f"point norm {r} < 1; normalize the set first")
-    n, lam = annulus_index(r) if annulus is None else annulus
-    rt = params.diag_map(len(t)) * t
-    out: dict[int, np.ndarray] = {}
-    for tier, blend in ((n, lam), (n + 1, 1.0 - lam)):
-        if blend == 0.0:
-            continue
-        out[tier] = blend * params.iso.factor(tier) * rt
-    return BlockVector(out)
 
 
 def embed_set_lp(s: LpPointSet, params: LpParams | None = None) -> LpEmbedding:
@@ -520,60 +479,3 @@ def grid_net(n_dim: int, k: int, size_cap: int = 200_000) -> np.ndarray:
         raise SizeCapExceeded(f"grid would hold {count} points, cap is {size_cap}")
     axis = [i / k for i in range(-k * k, k * k + 1)]
     return np.array(list(itertools.product(axis, repeat=n_dim)), dtype=float)
-
-
-def psi_round(x: Any, k: int) -> np.ndarray:
-    """Round a unit-ball point to the nearest (1/k)-grid point in sup distance.
-
-    Ties break coordinatewise toward -inf; the output stays inside the sup
-    unit ball and |x - psi(x)|_inf <= 1/k for any |x|_inf <= 1.
-    """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    x = np.asarray(x, dtype=float)
-    q = np.ceil(x * k - 0.5)
-    q = np.clip(q, -k, k)
-    return q / k
-
-
-def _scale_image(image: Any, a: float) -> Any:
-    if isinstance(image, BlockVector):
-        return scale_block(a, image)
-    return a * np.asarray(image, dtype=float)
-
-
-def _image_is_zero(image: Any) -> bool:
-    if isinstance(image, BlockVector):
-        return image.is_zero
-    return not np.any(np.asarray(image, dtype=float))
-
-
-def rescaled_restriction(
-    theta: Mapping[tuple[float, ...], Any], k: int
-) -> dict[tuple[float, ...], Any]:
-    """Rescale a grid-net map: x -> theta(k x) / k on the shrunk grid.
-
-    ``theta`` must be defined on exactly the points of grid_net(n_dim, k)
-    (as coordinate tuples) and map the origin to zero.  When theta
-    satisfies a coarse envelope with constants (C_d, C_a), the returned map
-    satisfies it with (C_d, C_a / k); images may be block vectors or plain
-    arrays.
-    """
-    if not theta:
-        raise DomainMismatch("empty mapping")
-    n_dim = len(next(iter(theta)))
-    expected = grid_net(n_dim, k, size_cap=max(200_000, len(theta)))
-    expected_keys = {tuple(row) for row in expected}
-    if set(theta.keys()) != expected_keys:
-        raise DomainMismatch(
-            f"mapping domain is not the (1/{k})-grid of the sup ball of radius {k}"
-        )
-    origin = (0.0,) * n_dim
-    if not _image_is_zero(theta[origin]):
-        raise DomainMismatch("mapping must send the origin to zero")
-    inv = 1.0 / k
-    out: dict[tuple[float, ...], Any] = {}
-    for row in expected:
-        key = tuple(row)
-        out[tuple(c / k for c in key)] = _scale_image(theta[key], inv)
-    return out

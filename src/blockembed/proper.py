@@ -20,7 +20,7 @@ a shell's carriers are one run (shell_runs, as for lp_coarse).  A pair's
 distance is the max over every block of both points, so a carrier pair's
 proved bound on a group (Frechet coordinates are 1-Lipschitz up to the
 space's triangle slack) is set against the running max first, and only the
-pairs it leaves are computed, exactly; images are built when read.
+pairs it leaves are computed, exactly; no image vector is built.
 """
 
 from __future__ import annotations
@@ -215,20 +215,16 @@ class NetHierarchy:
 class ProperEmbedding:
     """A built embedding: domain, constants, net hierarchy.
 
-    ``images`` and ``image_distances`` are each computed on first read.  The
-    image distances come from the shell runs of the points sorted by norm,
-    one Frechet matrix per (shell, net) group with a proved screen, and no
-    images: ``pairwise_distance_matrix(images, CODOMAIN_P)`` bit for bit.
+    ``image_distances`` is computed on first read, from the shell runs of
+    the points sorted by norm, one Frechet matrix per (shell, net) group
+    with a proved screen, and no images: bit for bit
+    ``pairwise_distance_matrix`` of the :func:`embed_point_proper` images
+    under CODOMAIN_P.
     """
 
     pspace: PointedSpace
     params: ProperParams
     hierarchy: NetHierarchy
-
-    @cached_property
-    def images(self) -> tuple[BlockVector, ...]:
-        pspace, n = self.pspace, self.pspace.space.n_points
-        return tuple(embed_point_proper(t, pspace, self.params, self.hierarchy) for t in range(n))
 
     @cached_property
     def image_distances(self) -> np.ndarray:
@@ -367,15 +363,16 @@ def embed_space_proper(
     iso: BlockIsoModel | None = None,
     k_slack: int = 4,
 ) -> ProperEmbedding:
-    """Build parameters and hierarchy; the images are built on first read."""
+    """Build parameters and hierarchy; the image distances are computed on first read."""
     params = make_proper_params(pspace, iso=iso, k_slack=k_slack)
     return ProperEmbedding(pspace, params, build_hierarchy(pspace, params))
 
 
 def _image_distances(embedding: ProperEmbedding) -> np.ndarray:
-    """``pairwise_distance_matrix(embedding.images, CODOMAIN_P)`` bit for
-    bit, from one Frechet matrix F per (shell, net) group and no images, in
-    :func:`shell_runs` order: a shell's carriers are the run lo:hi.
+    """``pairwise_distance_matrix`` of the :func:`embed_point_proper` images
+    under CODOMAIN_P bit for bit, from one Frechet matrix F per (shell, net)
+    group and no images, in :func:`shell_runs` order: a shell's carriers are
+    the run lo:hi.
 
     Level j of a group gives carrier t the block a_tj * F_t, a_tj = (b_t *
     w_j) * theta_j as in ``embed_point_proper``; t gets its block norm max_j

@@ -20,8 +20,16 @@ every pair by before its lookup table;
 :func:`two_sided_separation_envelope`, the lower envelope with both sides
 of its max taken for every argument; :func:`bfs_graph_metric`, the
 per-source BFS that ``fixtures.random_graph_metric`` ran before its
-all-sources one; and :func:`render_report`, the per-value recursive
-renderer that ``io.dumps_report`` used before it wrote float arrays whole.
+all-sources one; :func:`render_report`, the per-value recursive
+renderer that ``io.dumps_report`` used before it wrote float arrays whole;
+and the explicit block-vector image model the library held before every
+embedding computed its image distances from its factors: the block algebra
+(:func:`unpair_index`, :func:`inner_norm`, :func:`outer_norm`,
+:func:`project_block`, :func:`axpy`, :func:`scale_block`), the per-point
+l_p image :func:`embed_point_lp`, the images of whole embeddings
+(:func:`lp_images`, :func:`coarse_images`, :func:`proper_images`), and the
+grid rescaling x -> Theta(k x)/k (:func:`rescaled_restriction`, with the
+sup-distance rounding :func:`psi_round`).
 """
 
 from __future__ import annotations
@@ -30,11 +38,13 @@ import json
 import math
 from collections import deque
 from fractions import Fraction
+from typing import Any, Mapping
 
 import numpy as np
 
-from blockembed.blocks import BlockIsoModel, DimensionMismatch, _norms
+from blockembed.blocks import BlockIsoModel, BlockVector, DimensionMismatch, _norms
 from blockembed.fixtures import DisconnectedGraph
+from blockembed.lp_coarse import LpParams, NormBelowOne, grid_net
 from blockembed.metric import (
     AsymmetricMatrix,
     MetricError,
@@ -44,7 +54,14 @@ from blockembed.metric import (
     ZeroOffDiagonal,
     validate_metric,
 )
-from blockembed.proper import AnnulusOutOfRange, ProperParams, log_growth, shell_runs
+from blockembed.proper import (
+    AnnulusOutOfRange,
+    ProperParams,
+    annulus_index,
+    embed_point_proper,
+    log_growth,
+    shell_runs,
+)
 
 
 def brute_inner(values, p):
@@ -520,3 +537,176 @@ def render_report(obj, indent=0):
     if obj is None:
         return "null"
     raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
+
+
+# The explicit block-vector image model.  The embeddings compute their image
+# distances from their factors and build no image vectors; the functions
+# below build the images one point at a time, as the library once did, so
+# that ``pairwise_distance_matrix`` of them is the reference every
+# ``image_distances`` is compared against bit for bit.
+
+
+class DomainMismatch(ValueError):
+    pass
+
+
+def unpair_index(j: int) -> tuple[int, int]:
+    """Inverse of :func:`blockembed.blocks.pair_index`."""
+    if j < 0:
+        raise ValueError(f"block id must be non-negative, got {j}")
+    w = (math.isqrt(8 * j + 1) - 1) // 2
+    km1 = j - w * (w + 1) // 2
+    z = w - km1
+    n = z // 2 if z % 2 == 0 else -(z + 1) // 2
+    return n, km1 + 1
+
+
+def inner_norm(x: np.ndarray, p: float) -> float:
+    """l_p norm of a plain vector, p in [1, inf]: ``blocks._norms`` of one row."""
+    if not p >= 1:
+        raise ValueError(f"norm exponent must lie in [1, inf], got {p}")
+    x = np.abs(np.asarray(x, dtype=float)).reshape(1, -1)
+    return float(_norms(x, p)[0]) if x.size else 0.0
+
+
+def outer_norm(v: BlockVector, p: float) -> float:
+    """Norm of a block vector: the l_p norm of its concatenated coordinates."""
+    coords = list(v.blocks.values())
+    return inner_norm(np.concatenate(coords), p) if coords else 0.0
+
+
+def project_block(v: BlockVector, j: int) -> BlockVector:
+    """Coordinate projection onto block ``j`` (empty when absent); idempotent."""
+    x = v.blocks.get(j)
+    return BlockVector({j: x}) if x is not None else BlockVector.empty()
+
+
+def axpy(a: float, v: BlockVector, b: float, w: BlockVector) -> BlockVector:
+    """Pointwise a*v + b*w with canonical sparsity restored."""
+    out: dict[int, np.ndarray] = {}
+    for j in sorted(v.blocks.keys() | w.blocks.keys()):
+        x = v.blocks.get(j)
+        y = w.blocks.get(j)
+        if x is not None and y is not None:
+            if len(x) != len(y):
+                raise DimensionMismatch(j, len(x), len(y))
+            out[j] = a * x + b * y
+        elif x is not None:
+            out[j] = a * x
+        else:
+            out[j] = b * y
+    return BlockVector(out)
+
+
+def scale_block(a: float, v: BlockVector) -> BlockVector:
+    """a * v, canonically sparse."""
+    return axpy(a, v, 0.0, BlockVector.empty())
+
+
+def embed_point_lp(
+    t: np.ndarray,
+    params: LpParams,
+    p: float,
+    annulus: tuple[int, float] | None = None,
+) -> BlockVector:
+    """Image of one normalized point: two shell blocks holding blend * theta * R(t).
+
+    The origin maps to the empty vector; any other point must have norm at
+    least 1 so both shells are non-negative.  Zero-blend tiers are dropped,
+    which makes exactly dyadic norms land on a single block and keeps the
+    two shell assignments of a boundary point identical; ``annulus``
+    overrides the shell assignment for checking exactly that.
+    """
+    t = np.asarray(t, dtype=float)
+    r = inner_norm(t, p)
+    if r == 0:
+        return BlockVector.empty()
+    if r < 1:
+        raise NormBelowOne(f"point norm {r} < 1; normalize the set first")
+    n, lam = annulus_index(r) if annulus is None else annulus
+    rt = params.diag_map(len(t)) * t
+    out: dict[int, np.ndarray] = {}
+    for tier, blend in ((n, lam), (n + 1, 1.0 - lam)):
+        if blend == 0.0:
+            continue
+        out[tier] = blend * params.iso.factor(tier) * rt
+    return BlockVector(out)
+
+
+def lp_images(embedding) -> tuple[BlockVector, ...]:
+    """The images of an ``LpEmbedding``, one :func:`embed_point_lp` per point."""
+    p, params = embedding.pointset.p, embedding.params
+    return tuple(embed_point_lp(row, params, p) for row in embedding.pointset.points)
+
+
+def coarse_images(embedding) -> tuple[BlockVector, ...]:
+    """The images of a ``CoarseEmbedding``: member beta(t)'s image, scaled by
+    1 / the net's normalization scale."""
+    inv = 1.0 / embedding.net.scale
+    member_images = [scale_block(inv, v) for v in lp_images(embedding.net)]
+    return tuple(member_images[k] for k in embedding._member_rows())
+
+
+def proper_images(embedding) -> tuple[BlockVector, ...]:
+    """The images of a ``ProperEmbedding``, one ``embed_point_proper`` per point."""
+    pspace, params, hierarchy = embedding.pspace, embedding.params, embedding.hierarchy
+    return tuple(
+        embed_point_proper(t, pspace, params, hierarchy) for t in range(pspace.space.n_points)
+    )
+
+
+def psi_round(x: Any, k: int) -> np.ndarray:
+    """Round a unit-ball point to the nearest (1/k)-grid point in sup distance.
+
+    Ties break coordinatewise toward -inf; the output stays inside the sup
+    unit ball and |x - psi(x)|_inf <= 1/k for any |x|_inf <= 1.
+    """
+    if k < 1:
+        raise ValueError("k must be a positive integer")
+    x = np.asarray(x, dtype=float)
+    q = np.ceil(x * k - 0.5)
+    q = np.clip(q, -k, k)
+    return q / k
+
+
+def _scale_image(image: Any, a: float) -> Any:
+    if isinstance(image, BlockVector):
+        return scale_block(a, image)
+    return a * np.asarray(image, dtype=float)
+
+
+def _image_is_zero(image: Any) -> bool:
+    if isinstance(image, BlockVector):
+        return image.is_zero
+    return not np.any(np.asarray(image, dtype=float))
+
+
+def rescaled_restriction(
+    theta: Mapping[tuple[float, ...], Any], k: int
+) -> dict[tuple[float, ...], Any]:
+    """Rescale a grid-net map: x -> theta(k x) / k on the shrunk grid.
+
+    ``theta`` must be defined on exactly the points of grid_net(n_dim, k)
+    (as coordinate tuples) and map the origin to zero.  When theta
+    satisfies a coarse envelope with constants (C_d, C_a), the returned map
+    satisfies it with (C_d, C_a / k); images may be block vectors or plain
+    arrays.
+    """
+    if not theta:
+        raise DomainMismatch("empty mapping")
+    n_dim = len(next(iter(theta)))
+    expected = grid_net(n_dim, k, size_cap=max(200_000, len(theta)))
+    expected_keys = {tuple(row) for row in expected}
+    if set(theta.keys()) != expected_keys:
+        raise DomainMismatch(
+            f"mapping domain is not the (1/{k})-grid of the sup ball of radius {k}"
+        )
+    origin = (0.0,) * n_dim
+    if not _image_is_zero(theta[origin]):
+        raise DomainMismatch("mapping must send the origin to zero")
+    inv = 1.0 / k
+    out: dict[tuple[float, ...], Any] = {}
+    for row in expected:
+        key = tuple(row)
+        out[tuple(c / k for c in key)] = _scale_image(theta[key], inv)
+    return out

@@ -19,14 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from blockembed.blocks import (
-    BlockIsoModel,
-    pair_index,
-    pairwise_distance_matrix,
-    project_block,
-    scale_block,
-    unpair_index,
-)
+from blockembed.blocks import BlockIsoModel, pair_index, pairwise_distance_matrix
 from blockembed.cli import main as cli_main
 from blockembed.fixtures import (
     grid_net_cloud,
@@ -64,6 +57,7 @@ from blockembed.proper import (
 )
 
 import oracles
+from oracles import lp_images, project_block, proper_images, scale_block, unpair_index
 
 TOL = 1e-9
 
@@ -100,7 +94,7 @@ def test_criterion_1_proper_bound_suite():
             rep = verify_proper(emb, tolerance=TOL)
             assert rep.passed, (name, iso.mode, rep.worst_lower_slack, rep.worst_upper_slack)
             # the stated inequality, asserted directly on every pair
-            images = pairwise_distance_matrix(emb.images, CODOMAIN_P)
+            images = pairwise_distance_matrix(proper_images(emb), CODOMAIN_P)
             for i, j in zip(*np.triu_indices(space.n_points, k=1)):
                 d, v = space.d(i, j), float(images[i, j])
                 assert separation_envelope(d) - TOL <= v <= 9.0 * emb.params.c_trunc * d + TOL
@@ -143,7 +137,7 @@ def test_criterion_2_lp_bound_suite():
             assert rep.passed, (p, lam, delta, i)
             # relative reading of the tolerance, per envelope value
             space = emb.pointset.metric_space
-            images = pairwise_distance_matrix(emb.images, p)
+            images = pairwise_distance_matrix(lp_images(emb), p)
             denom = params.lower_denominator()
             for i, j in zip(*np.triu_indices(space.n_points, k=1)):
                 d, v = space.d(i, j), float(images[i, j])
@@ -235,8 +229,9 @@ def test_criterion_4_oracle_equivalence():
         # proper embedding distances, moduli, distortion, report extremes
         pspace = PointedSpace(space, 0)
         emb = embed_space_proper(pspace)
-        dmat = pairwise_distance_matrix(emb.images, CODOMAIN_P)
-        brute = oracles.brute_pair_distances(emb.images, CODOMAIN_P, CODOMAIN_P)
+        images = proper_images(emb)
+        dmat = pairwise_distance_matrix(images, CODOMAIN_P)
+        brute = oracles.brute_pair_distances(images, CODOMAIN_P, CODOMAIN_P)
         assert np.allclose(dmat, np.array(brute), atol=1e-12, rtol=1e-12)
 
         thresholds = [float(t) for t in np.geomspace(0.25, 2 * space.diameter(), 8)]
@@ -270,7 +265,7 @@ def test_criterion_4_oracle_equivalence():
             params = LpParams(delta=0.01, lambda_sim=2.0, seed=5300)
             lp_emb = embed_set_lp(cloud, params)
             lp_rep = verify_lp(lp_emb, tolerance=TOL)
-            lp_brute = oracles.brute_pair_distances(lp_emb.images, cloud.p, cloud.p)
+            lp_brute = oracles.brute_pair_distances(lp_images(lp_emb), cloud.p, cloud.p)
             denom = params.lower_denominator()
             lo, hi = oracles.brute_worst_slacks(
                 lp_emb.pointset.distance_matrix.tolist(),
@@ -322,7 +317,7 @@ def test_criterion_5_structural_invariants():
         d = space.dist
         for iso in (BlockIsoModel.exact(), BlockIsoModel.seeded(0.5, 1.0, 6002)):
             emb = embed_space_proper(pspace, iso=iso)
-            params, hierarchy = emb.params, emb.hierarchy
+            params, hierarchy, images = emb.params, emb.hierarchy, proper_images(emb)
 
             # basepoint coordinates vanish; coordinates are 1-Lipschitz
             for (n, k), net in hierarchy.nets.items():
@@ -338,7 +333,7 @@ def test_criterion_5_structural_invariants():
             norms = pspace.norms()
             for t in range(1, space.n_points):
                 n, lam = annulus_index(float(norms[t]))
-                image = emb.images[t]
+                image = images[t]
 
                 # dyadic boundary: both shell assignments give the same image
                 if lam == 1.0:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+import blockembed
 from blockembed import blocks, cli, lp_coarse, metric, proper
 from blockembed.cli import RunConfig, main, run_report
 from blockembed.io import (
@@ -23,7 +24,7 @@ from blockembed.io import (
     space_to_payload,
     write_space,
 )
-from blockembed.fixtures import path_metric
+from blockembed.fixtures import path_metric, random_graph_metric, random_lp_cloud
 from blockembed.lp_coarse import LpPointSet
 from blockembed.metric import FiniteMetricSpace, PointedSpace, TooFewPoints, TriangleViolation
 
@@ -426,12 +427,26 @@ class TestCliModes:
         # embedding computes its image distances from its factors
         fixture = tmp_path / "f.json"
         assert run_cli("gen", "--kind", kind, "--n", 16, "--seed", 5, "--out", fixture) == 0
+        # the per-point l_p image and the coarse and proper images are gone
+        # from the package; LpEmbedding.images stays (perfbench/sweep.py
+        # reads it), and no mode reads it
+        assert not hasattr(lp_coarse, "embed_point_lp")
+        assert not hasattr(blockembed, "embed_point_lp")
+        assert not hasattr(lp_coarse.CoarseEmbedding, "images")
+        assert not hasattr(proper.ProperEmbedding, "images")
         originals = {
             "embed_point_proper": proper.embed_point_proper,
-            "embed_point_lp": lp_coarse.embed_point_lp,
             "pairwise_distance_matrix": blocks.pairwise_distance_matrix,
         }
         calls = dict.fromkeys(originals, 0)
+        images = lp_coarse.LpEmbedding.images
+        calls["LpEmbedding.images"] = 0
+
+        def counting_images(emb):
+            calls["LpEmbedding.images"] += 1
+            return images.__get__(emb, type(emb))
+
+        monkeypatch.setattr(lp_coarse.LpEmbedding, "images", property(counting_images))
         for name, original in originals.items():
 
             def counting(*args, _name=name, _original=original, **kwargs):
@@ -449,7 +464,7 @@ class TestCliModes:
             assert proper.verify_proper(emb).passed
         else:
             assert run_cli(mode, "--input", fixture, "--out", tmp_path / "rep.json") == 0
-        assert calls == dict.fromkeys(originals, 0)
+        assert calls == dict.fromkeys([*originals, "LpEmbedding.images"], 0)
 
     @pytest.mark.parametrize("flags", [(), ("--p", 1), ("--basepoint", 1)])
     def test_validate_invalid_cloud_reports_invalid(self, tmp_path, flags):
@@ -1011,12 +1026,7 @@ class TestDeterminism:
     def test_golden_report_digests(self, name, argv, digest, tmp_path, monkeypatch, capsys):
         import hashlib
 
-        from blockembed.fixtures import (
-            path_metric,
-            random_graph_metric,
-            random_lp_cloud,
-            star_metric,
-        )
+        from blockembed.fixtures import star_metric
 
         monkeypatch.chdir(tmp_path)  # the report echoes the input path
         space = {
@@ -1035,20 +1045,34 @@ class TestDeterminism:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_every_name_the_benchmark_tracer_wraps_exists():
-    # perfbench/spans.py swaps these functions for timing wrappers (--trace
-    # 1); it is read here, not imported, so that no change to it is needed
-    import ast
-    import importlib
+def _perfbench_module(name):
+    """perfbench/<name>.py, loaded by path and left out of sys.modules."""
+    import importlib.util
     from pathlib import Path
 
-    source = (Path(__file__).parents[1] / "perfbench" / "spans.py").read_text()
-    (wrapped,) = [
-        node.value
-        for node in ast.parse(source).body
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["WRAPPED"]
-    ]
-    for module, names in ast.literal_eval(wrapped).items():
+    path = Path(__file__).parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_name_the_benchmark_tracer_wraps_exists():
+    # perfbench/spans.py swaps these functions for timing wrappers (--trace
+    # 1), looked up by name in each blockembed.<layer>
+    import importlib
+
+    wrapped = _perfbench_module("spans").WRAPPED
+    assert sum(map(len, wrapped.values())) > 0
+    for module, names in wrapped.items():
         layer = importlib.import_module(f"blockembed.{module}")
         for name in names:
             assert callable(getattr(layer, name, None)), f"blockembed.{module}.{name}"
+
+
+@pytest.mark.parametrize("fixture", ["l2-cloud", "random-graph"])
+def test_the_scale_sweep_predicts_block_sizes(fixture):
+    # perfbench/sweep.py reads the block sizes of LpEmbedding.images
+    space = random_lp_cloud(16, 3, 2.0, 1) if fixture == "l2-cloud" else random_graph_metric(16)
+    predicted = _perfbench_module("sweep").predict(fixture, space)
+    assert predicted["blocks"] > 0 and predicted["pairwise_bytes_computed"] > 0

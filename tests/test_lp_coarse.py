@@ -10,35 +10,37 @@ from blockembed.blocks import (
     BlockIsoModel,
     BlockVector,
     _norms,
-    axpy,
-    inner_norm,
     lp_distance_matrix,
-    outer_norm,
     pairwise_distance_matrix,
 )
 from blockembed.lp_coarse import (
     CoarseConstants,
-    DomainMismatch,
     LpEmbedding,
     LpParams,
     LpPointSet,
     NormBelowOne,
     SizeCapExceeded,
     coarse_embed,
-    embed_point_lp,
     embed_set_lp,
     grid_net,
     max_rounding_deviation,
     net_round,
     normalize_pointed,
-    psi_round,
-    rescaled_restriction,
     verify_coarse,
     verify_lp,
 )
 from blockembed.metric import MetricError, ZeroOffDiagonal, validate_metric
 
 import oracles
+from oracles import (
+    DomainMismatch,
+    axpy,
+    embed_point_lp,
+    inner_norm,
+    outer_norm,
+    psi_round,
+    rescaled_restriction,
+)
 
 
 def cloud_1d(coords, basepoint=0, p=2.0):
@@ -315,14 +317,16 @@ class TestVerifyLp:
         )
         # the matrix the verifier read is the embedding's own, computed once
         assert emb.image_distances is emb.image_distances
-        assert np.array_equal(emb.image_distances, pairwise_distance_matrix(emb.images, p))
+        assert np.array_equal(
+            emb.image_distances, pairwise_distance_matrix(oracles.lp_images(emb), p)
+        )
 
     def test_one_dimensional_ratios_inside_envelope(self):
         params = LpParams(delta=0.01, lambda_sim=1.0, theta_mode="exact")
         emb = embed_set_lp(cloud_1d([0.0, 4.0]), params)
         rep = verify_lp(emb)
         assert rep.passed
-        ratio = pairwise_distance_matrix(emb.images, 2.0)[0, 1] / 4.0
+        ratio = pairwise_distance_matrix(oracles.lp_images(emb), 2.0)[0, 1] / 4.0
         assert ratio == 1.0
         assert 1 / 20.402 <= ratio <= 9.0
 
@@ -346,7 +350,7 @@ class TestVerifyLp:
         params = LpParams(delta=0.01, lambda_sim=2.0, seed=13)
         emb = embed_set_lp(cloud, params)
         rep = verify_lp(emb)
-        imat = oracles.brute_pair_distances(emb.images, 2.0, 2.0)
+        imat = oracles.brute_pair_distances(oracles.lp_images(emb), 2.0, 2.0)
         dmat = emb.pointset.distance_matrix.tolist()
         denom = params.lower_denominator()
         lo, hi = oracles.brute_worst_slacks(
@@ -422,7 +426,8 @@ class TestCoarseEmbed:
         assert rep.passed
         assert max_rounding_deviation(cloud, ce.beta) <= 0.5
         assert ce.image_distances is ce.image_distances
-        assert np.array_equal(ce.image_distances, pairwise_distance_matrix(ce.images, math.inf))
+        images = oracles.coarse_images(ce)
+        assert np.array_equal(ce.image_distances, pairwise_distance_matrix(images, math.inf))
 
     def test_inequality_holds_in_input_units_after_rescaling(self):
         # a set tighter than the unit ball forces a normalization scale > 1;
@@ -470,7 +475,9 @@ def assert_bit_equal(a, b):
 
 
 def assert_factored_equals_images(emb):
-    assert_bit_equal(emb.image_distances, pairwise_distance_matrix(emb.images, emb.pointset.p))
+    lp = isinstance(emb, LpEmbedding)
+    images = oracles.lp_images(emb) if lp else oracles.coarse_images(emb)
+    assert_bit_equal(emb.image_distances, pairwise_distance_matrix(images, emb.pointset.p))
 
 
 class TestShellSortedDistances:
@@ -481,7 +488,10 @@ class TestShellSortedDistances:
     @settings(max_examples=150, deadline=None)
     def test_equal_to_the_images_distances(self, case):
         cloud, params, eps = case
-        assert_factored_equals_images(embed_set_lp(cloud, params))
+        emb = embed_set_lp(cloud, params)
+        assert_factored_equals_images(emb)
+        # the images the embedding builds from its shell runs are the model's
+        assert emb.images == oracles.lp_images(emb)
         assert_factored_equals_images(coarse_embed(cloud, eps, params))
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
@@ -490,7 +500,7 @@ class TestShellSortedDistances:
         params = LpParams(delta=0.01, lambda_sim=2.0, seed=3)
         emb = embed_set_lp(cloud, params)
         # some points sit exactly on a shell boundary: one block, blend 1
-        assert any(len(v.block_ids) == 1 for v in emb.images[1:])
+        assert any(len(v.block_ids) == 1 for v in oracles.lp_images(emb)[1:])
         assert_factored_equals_images(emb)
         assert_factored_equals_images(coarse_embed(cloud, 0.6, params))
 
@@ -499,8 +509,9 @@ class TestShellSortedDistances:
         rng = np.random.default_rng(5)
         cloud = LpPointSet(p, rng.uniform(0, 8, size=(12, 3)), basepoint=7)
         emb = embed_set_lp(cloud, LpParams(seed=2))
-        assert emb.images[7].is_zero
-        norms = [0.0 if v.is_zero else outer_norm(v, p) for v in emb.images]
+        images = oracles.lp_images(emb)
+        assert images[7].is_zero
+        norms = [0.0 if v.is_zero else outer_norm(v, p) for v in images]
         # the fold sums block by block, outer_norm over the concatenation
         np.testing.assert_allclose(emb.image_distances[7], norms, rtol=1e-14)
         assert_factored_equals_images(emb)
@@ -514,7 +525,7 @@ class TestShellSortedDistances:
         cloud = LpPointSet(p, np.vstack([np.zeros(4), directions * radii]))
         emb = embed_set_lp(cloud, LpParams(seed=4, lambda_sim=1.5))
         assert emb.scale == 1.0
-        assert {v.block_ids for v in emb.images[1:]} == {(0, 1)}
+        assert {v.block_ids for v in oracles.lp_images(emb)[1:]} == {(0, 1)}
         assert_factored_equals_images(emb)
 
     @pytest.mark.parametrize("unit", [1e-3, 2.0**-600])
@@ -588,6 +599,8 @@ class TestShellSortedDistances:
         with pytest.raises(NormBelowOne):
             emb.image_distances
         with pytest.raises(NormBelowOne):
+            oracles.lp_images(emb)
+        with pytest.raises(ValueError, match="non-negative"):  # a point below shell 0
             emb.images
 
 
@@ -665,7 +678,7 @@ class TestRescaledRestriction:
         cloud = LpPointSet(math.inf, grid, basepoint=origin)
         params = LpParams(delta=0.01, seed=8)
         ce = coarse_embed(cloud, 1.0, params)
-        theta = {tuple(pt): img for pt, img in zip(grid, ce.images)}
+        theta = {tuple(pt): img for pt, img in zip(grid, oracles.coarse_images(ce))}
         c = ce.constants
         phi = rescaled_restriction(theta, k)
         keys = list(phi)

@@ -10,11 +10,8 @@ from blockembed import lp_coarse, proper
 from blockembed.blocks import (
     BlockIsoModel,
     lp_distance_matrix,
-    outer_norm,
     pair_index,
     pairwise_distance_matrix,
-    project_block,
-    scale_block,
 )
 from blockembed.fixtures import path_metric, random_graph_metric, random_lp_cloud, star_metric
 from blockembed.lp_coarse import LpParams, LpPointSet
@@ -45,6 +42,7 @@ from blockembed.proper import (
 )
 
 import oracles
+from oracles import outer_norm, project_block, proper_images, scale_block
 
 
 def two_point_space(d=4.0):
@@ -436,7 +434,7 @@ class TestFrechetCoords:
 class TestEmbedPoint:
     def test_two_point_block_values(self):
         emb = embed_space_proper(two_point_space())
-        image = emb.images[1]
+        image = proper_images(emb)[1]
         expected_sups = {1: 2.0, 2: 4.0, 3: 2.0, 4: 0.8}
         for k, sup in expected_sups.items():
             blk = image.get(pair_index(2, k))
@@ -448,7 +446,7 @@ class TestEmbedPoint:
 
     def test_basepoint_maps_to_empty(self):
         emb = embed_space_proper(path_space(5))
-        assert emb.images[0].is_zero
+        assert proper_images(emb)[0].is_zero
 
     def test_dyadic_boundary_consistency(self):
         # point 2 of the unit path has norm exactly 2 = 2^1
@@ -463,7 +461,7 @@ class TestEmbedPoint:
     def test_tiers_never_collide(self):
         pspace = path_space(4)
         emb = embed_space_proper(pspace)
-        image = emb.images[3]  # norm 3: blend strictly inside (0, 1)
+        image = proper_images(emb)[3]  # norm 3: blend strictly inside (0, 1)
         n, lam = annulus_index(3.0)
         assert 0 < lam < 1
         tier_n = {pair_index(n, k) for k in range(1, emb.params.k_max[n] + 1)}
@@ -484,10 +482,10 @@ class TestEmbedPoint:
         pspace = path_space(6)
         emb = embed_space_proper(pspace, iso=iso)
         params, h = emb.params, emb.hierarchy
-        norms = pspace.norms()
+        norms, images = pspace.norms(), proper_images(emb)
         for t in range(1, 6):
             n, lam = annulus_index(float(norms[t]))
-            image = emb.images[t]
+            image = images[t]
             for tier, blend in ((n, lam), (n + 1, 1.0 - lam)):
                 if blend == 0.0:
                     continue
@@ -580,11 +578,7 @@ class TestVerifyProper:
 
 def eager_distances(emb):
     """Image distances the long way: every point's block vector, then the kernel."""
-    images = [
-        embed_point_proper(t, emb.pspace, emb.params, emb.hierarchy)
-        for t in range(emb.pspace.space.n_points)
-    ]
-    return pairwise_distance_matrix(images, CODOMAIN_P)
+    return pairwise_distance_matrix(proper_images(emb), CODOMAIN_P)
 
 
 @dataclass(frozen=True)
@@ -752,8 +746,10 @@ class TestImageDistances:
         emb = embed_space_proper(pspace, TwoLevels(shell=shell, thetas=thetas, scale=scale))
         assert emb.hierarchy.net(shell, 1).members == emb.hierarchy.net(shell, 2).members == (0,)
 
+        images = proper_images(emb)
+
         def level(k):
-            blocks = [project_block(v, pair_index(shell, k)) for v in emb.images]
+            blocks = [project_block(v, pair_index(shell, k)) for v in images]
             return pairwise_distance_matrix(blocks, CODOMAIN_P)
 
         # the smaller or equal constant still sets some distances, through rounding
@@ -875,8 +871,9 @@ class TestImageDistances:
         eager = eager_distances(emb)
         assert np.array_equal(emb.image_distances, eager)
         below = np.zeros_like(eager)  # the largest block value under the distance
-        for j in {j for v in emb.images for j in v.blocks}:
-            level = pairwise_distance_matrix([project_block(v, j) for v in emb.images], CODOMAIN_P)
+        images = proper_images(emb)
+        for j in {j for v in images for j in v.blocks}:
+            level = pairwise_distance_matrix([project_block(v, j) for v in images], CODOMAIN_P)
             below = np.where(level < eager, np.maximum(below, level), below)
         assert (eager == np.nextafter(below, math.inf)).any()
 
@@ -924,9 +921,9 @@ class TestImageDistances:
         monkeypatch.setattr(proper, "lp_distance_matrix", counted_dense)
         for s, most in ((space, share), (FiniteMetricSpace(space.labels, space.dist), 1.0)):
             emb = embed_space_proper(PointedSpace(s, 0))
-            params, full = emb.params, 0
+            params, full, images = emb.params, 0, proper_images(emb)
             for shell in range(params.n_min, params.n_max + 1):
-                m = sum(pair_index(shell, 1) in v.blocks for v in emb.images)
+                m = sum(pair_index(shell, 1) in v.blocks for v in images)
                 pairs = m * (m - 1) // 2
                 for k in range(1, params.k_max[shell] + 1):
                     full += pairs * len(emb.hierarchy.net(shell, k).members)
@@ -936,13 +933,8 @@ class TestImageDistances:
             if most == 1.0:
                 assert work[0] > 0.2 * full
 
-    def test_images_are_built_on_first_read(self):
+    def test_embedding_holds_no_images(self):
         pspace = PointedSpace(random_graph_metric(30, None, 4), 2)
         emb = embed_space_proper(pspace, iso=BlockIsoModel.seeded(0.5, 1.0, 4))
         assert verify_proper(emb).passed
-        assert "images" not in vars(emb)
-        eager = tuple(
-            embed_point_proper(t, pspace, emb.params, emb.hierarchy) for t in range(30)
-        )
-        assert emb.images == eager
-        assert emb.images is emb.images
+        assert not hasattr(emb, "images")
