@@ -149,7 +149,7 @@ def _proper_iso(config: RunConfig) -> BlockIsoModel:
 def _thresholds(space: FiniteMetricSpace, count: int) -> list[float]:
     if space.n_points < 2 or count < 1:
         return []
-    lo = min_positive_distance(space) / 2.0
+    lo = max(min_positive_distance(space) / 2.0, 2.0**-1074)  # half of 2^-1074 rounds to 0
     hi = 2.0 * space.diameter()
     return [float(t) for t in np.geomspace(lo, hi, count)]
 
@@ -186,7 +186,7 @@ def _run_validate(config: RunConfig) -> tuple[dict[str, Any], bool]:
     return body, True
 
 
-def _rounding(space: Any, beta: Any, epsilon: float) -> dict[str, Any]:
+def _rounding(space: FiniteMetricSpace, beta: Any, epsilon: float) -> dict[str, Any]:
     deviation = max_rounding_deviation(space, beta)
     return {"max_deviation": deviation, "bound": epsilon, "pass": deviation <= epsilon + 1e-12}
 
@@ -245,7 +245,7 @@ def _run_coarse(config: RunConfig) -> tuple[dict[str, Any], bool]:
     cloud = _require_cloud(_load_embeddable(config), config.mode)
     emb = coarse_embed(cloud, config.epsilon, _lp_params(config))
     report = verify_coarse(emb, tolerance=config.tolerance)
-    rounding = _rounding(cloud, emb.beta, config.epsilon)
+    rounding = _rounding(cloud.metric_space, emb.beta, config.epsilon)
     body = {
         "constants": dict(report.constants),
         "net_size": len(emb.members),

@@ -79,11 +79,11 @@ def parse_space(path: str | Path, fmt: str = "json") -> FiniteMetricSpace | LpPo
     like {"p": 2, "points": [[...]], "basepoint": 0}.  CSV holds a plain
     distance matrix.  Matrix inputs are validated; a cloud comes back with
     its exponent, unchecked: its l_p metric is built and validated on the
-    first read of ``LpPointSet.metric_space`` (``distance_matrix`` is its
-    ``dist``), by the modes that read it.  The triangle inequality of an
-    l_1, l_2 or l_inf cloud of dim up to 1024 (for l_2, with every positive
-    distance in [2^-480, 2^480]) is proved by a rounding bound rather than
-    scanned; other clouds go through ``validate_metric``.
+    first read of ``LpPointSet.metric_space``, by the modes that read it.
+    The triangle inequality of an l_1, l_2 or l_inf cloud of dim up to 1024
+    (for l_2, with every positive distance in [2^-480, 2^480]) is proved by
+    a rounding bound rather than scanned; other clouds go through
+    ``validate_metric``.
     """
     path = Path(path)
     if fmt == "json":

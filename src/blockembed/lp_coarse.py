@@ -71,11 +71,12 @@ class SizeCapExceeded(ValueError):
 
 @dataclass
 class LpPointSet:
-    """Finite subset of l_p^dim with a distinguished basepoint.
+    """Finite subset of l_p^dim with a distinguished basepoint: a plain
+    cloud, whose points are named p0, p1, ... in its metric space.
 
     The induced metric is built and validated once, on the first read of
-    :meth:`metric_space`; :meth:`distance_matrix` is its ``dist``, read-only,
-    so the set holds one n x n matrix and an invalid set raises on either.
+    :meth:`metric_space`, so the set holds one n x n matrix, read-only, and
+    an invalid set raises there.
     For p in {1, 2, inf} and dim up to 1024 (for p = 2, with every positive
     distance in [2^-480, 2^480]) the triangle inequality is proved from
     rounding bounds and only the O(n^2) entry checks run; otherwise the
@@ -87,7 +88,6 @@ class LpPointSet:
     p: float
     points: np.ndarray
     basepoint: int = 0
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
@@ -105,10 +105,6 @@ class LpPointSet:
     @property
     def dim(self) -> int:
         return self.points.shape[1]
-
-    @property
-    def distance_matrix(self) -> np.ndarray:
-        return self.metric_space.dist
 
     @cached_property
     def metric_space(self) -> FiniteMetricSpace:
@@ -150,8 +146,8 @@ class LpPointSet:
         )
         if proved:  # the fresh matrix itself is checked and wrapped, not a copy
             slack = np.nextafter(4 * (self.dim + 2) * 2.0**-53 * d.max(initial=0.0), np.inf)
-            return _labelled(_checked_entries(d, copy=False), self.labels, float(slack))
-        return validate_metric(d, self.labels)  # on a copy, which the set then keeps
+            return _labelled(_checked_entries(d, copy=False), None, float(slack))
+        return validate_metric(d)  # on a copy, which the set then keeps
 
 
 def normalize_pointed(s: LpPointSet) -> tuple[LpPointSet, np.ndarray, float]:
@@ -160,7 +156,7 @@ def normalize_pointed(s: LpPointSet) -> tuple[LpPointSet, np.ndarray, float]:
     When the smallest positive norm m falls below 1, every point is scaled
     by 1/m (nudged up by ulps if rounding leaves the minimum marginally
     under 1; a ``ValueError`` if 1/m overflows); a norm is, bit for bit, the
-    point's ``distance_matrix`` entry against the basepoint.  Returns the
+    point's ``metric_space`` distance to the basepoint.  Returns the
     normalized set plus the affine record (translation, scale) so results
     can be restated in input units.
     """
@@ -180,7 +176,7 @@ def normalize_pointed(s: LpPointSet) -> tuple[LpPointSet, np.ndarray, float]:
                     break
                 scale *= bump
             pts = pts * scale
-    out = LpPointSet(s.p, pts, s.basepoint, s.labels)
+    out = LpPointSet(s.p, pts, s.basepoint)
     return out, origin, scale
 
 
@@ -384,12 +380,11 @@ def verify_lp(embedding: LpEmbedding, tolerance: float = 1e-9) -> BoundsReport:
 
 
 def net_round(
-    s: LpPointSet | FiniteMetricSpace, eps: float, basepoint: int | None = None
+    space: FiniteMetricSpace, eps: float, basepoint: int = 0
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Greedy eps/2-net of the whole set plus the rounding map beta.
+    """Greedy eps/2-net of the whole space plus the rounding map beta.
 
-    The net is seeded at ``basepoint`` (by default the cloud's basepoint,
-    or point 0 of a metric space), the center of an unbounded ball, and
+    The net is seeded at ``basepoint``, the center of an unbounded ball, and
     scanned in index order; beta(t) is the first net member strictly within
     eps/2 of t, so net members are fixed and |d(beta a, beta b) - d(a, b)|
     < eps for every pair.  ``eps`` must be positive and finite.  Returns
@@ -397,9 +392,6 @@ def net_round(
     """
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
-    space = s.metric_space if isinstance(s, LpPointSet) else s
-    if basepoint is None:
-        basepoint = s.basepoint if isinstance(s, LpPointSet) else 0
     r = eps / 2.0
     net = greedy_maximal_net(space, (basepoint, math.inf), r)
     members = np.array(net.members)
@@ -419,7 +411,7 @@ def coarse_embed(
     (1+delta)^2) and C_a = 9 eps.
     """
     params = params if params is not None else LpParams()
-    members, beta = net_round(s, eps)
+    members, beta = net_round(s.metric_space, eps, s.basepoint)
     sub = LpPointSet(s.p, s.points[list(members)], basepoint=0)
     net = embed_set_lp(sub, params)
     constants = CoarseConstants(
@@ -454,9 +446,9 @@ def verify_coarse(embedding: CoarseEmbedding, tolerance: float = 0.0) -> BoundsR
     )
 
 
-def max_rounding_deviation(s: LpPointSet | FiniteMetricSpace, beta: tuple[int, ...]) -> float:
+def max_rounding_deviation(space: FiniteMetricSpace, beta: tuple[int, ...]) -> float:
     """max over pairs of | d(beta a, beta b) - d(a, b) |."""
-    d = s.distance_matrix if isinstance(s, LpPointSet) else s.dist
+    d = space.dist
     if not len(d):
         return 0.0
     b = np.asarray(beta, dtype=int)

@@ -3,8 +3,9 @@
 The construction layers three ingredients:
 
 * a hierarchy of greedy maximal nets, one family per dyadic shell
-  B_n = {t : |t| <= 2^(n+1)} with net radii 2^(n+3-k) halving in the level
-  k, every net seeded at the basepoint;
+  B_n = {t : |t| <= 2^(n+1)} that some point carries with a non-zero
+  blend, with net radii 2^(n+3-k) halving in the level k, every net
+  seeded at the basepoint;
 * Frechet coordinates t -> (d(t,s) - |s|)_s over each net, mapped into the
   block with id pair_index(n, k) and weighted by 1/((n-k)^2 + 1);
 * convex gluing across adjacent shells: a point with 2^n <= |t| <= 2^(n+1)
@@ -157,11 +158,14 @@ def separation_envelope(t: float | np.ndarray) -> float | np.ndarray:
     of a float or elementwise of an array, like :func:`log_growth`."""
     # In exact arithmetic log_growth(t) - log_growth(t / 128) = 14 log2 t - 49:
     # at least 21 for t >= 32 and at most -7 for t <= 8, where a subnormal
-    # t / 128 moves its log2 by less than 1.  Rounding moves neither side by
-    # a whole unit, so only 8 < t < 32 takes both sides.  A t <= 0 is passed
-    # on as it is, so that the error names it.
+    # t / 128 moves its log2 by less than 1 unless it rounds to 0.  Rounding
+    # moves neither side by a whole unit, so only 8 < t < 32 takes both
+    # sides.  For t <= 2^-1068, t / 128 rounds to 0 and 2^-1074 stands in:
+    # g is then above 2^20 either way, so t / (24 g) rounds to 0 as the
+    # exact envelope does.  A t <= 0 is passed on as it is, so that the
+    # error names it.
     a = np.asarray(t, dtype=float).ravel()
-    g = log_growth(np.where((a >= 32.0) | (a <= 0.0), a, a / 128.0))
+    g = log_growth(np.where((a >= 32.0) | (a <= 0.0), a, np.maximum(a / 128.0, 2.0**-1074)))
     band = (a > 8.0) & (a < 32.0)
     g[band] = np.maximum(g[band], log_growth(a[band]))
     out = t / (24.0 * g.reshape(np.shape(t)))
@@ -176,25 +180,24 @@ def tier_weight(n: int, k: int) -> float:
 
 @dataclass(frozen=True)
 class ProperParams:
-    """Construction constants: shell range, level caps, slack model.
+    """Construction constants: level caps per shell, slack model.
 
-    ``k_max[n]`` caps the net levels of shell n at
-    max(1, ceil(n + 3 - log2(dmin(B_n)))) + k_slack, which covers every
-    level the lower-envelope argument ever consults; extra tail levels only
-    shrink the Lipschitz constant.  ``c_trunc`` sums the weight series over
-    the offsets n - k realized by the caps.
+    ``k_max`` maps each carrier tier of :func:`shell_runs`, ascending, to
+    its level cap max(1, ceil(n + 3 - log2(dmin(B_n)))) + k_slack, which
+    covers every level the lower-envelope argument ever consults; extra tail
+    levels only shrink the Lipschitz constant.  A shell no point carries
+    has no entry; the first and last keys are the report's n_min and n_max.  ``c_trunc`` sums the weight series over the offsets n - k
+    realized by the caps.
     """
 
-    n_min: int
-    n_max: int
     k_max: Mapping[int, int]
     iso: BlockIsoModel
     k_slack: int
     c_trunc: float
 
     def __post_init__(self):
-        if self.n_min > self.n_max:
-            raise ValueError("empty shell range")
+        if not self.k_max:
+            raise ValueError("no shell carries a point")
         if any(v < 1 for v in self.k_max.values()):
             raise ValueError("level caps must be >= 1")
         if not (self.c_trunc <= WEIGHT_SERIES_SUM + 1e-12):
@@ -236,32 +239,36 @@ def make_proper_params(
     iso: BlockIsoModel | None = None,
     k_slack: int = 4,
 ) -> ProperParams:
-    """Derive the finite shell/level ranges for a pointed space.
+    """Derive the level caps of the shells the points carry.
 
-    n_min and n_max are the first and last tiers of :func:`shell_runs`, the
-    shells the points touch with a non-zero blend, so tier lookups never
-    leave the range.  The balls B_n are nested, so each is a prefix of that
-    norm order, and dmin(B_n) reads only the rows and columns B_n adds.
+    The shells are the tiers of :func:`shell_runs`, those a point touches
+    with a non-zero blend, in ascending order; no image reads any other.
+    The balls B_n are nested, so each is a prefix of that norm order, and
+    dmin(B_n) reads only the rows and columns B_n adds to the last ball
+    read.  On a metric space dmin(B_n) <= 2^(n+1), so a cap exceeds an
+    earlier shell's by at least the number of shells between them: each
+    shell's offsets n - k hold every earlier shell's, and a shell no point
+    carries would add none to ``c_trunc``.
     """
     space = pspace.space
     if space.n_points < 2:
         raise TooFewPoints("need at least two points to embed")
     norms = pspace.norms()
     order, runs = shell_runs(norms)
-    n_min, n_max = runs[0][0], runs[-1][0]
-    if n_max >= 1022:  # its level-1 net radius 2^(n_max + 2) is no double
-        raise AnnulusOutOfRange(f"shell {n_max} lies past the last shell with a net radius")
+    if runs[-1][0] >= 1022:  # its level-1 net radius 2^(n + 2) is no double
+        raise AnnulusOutOfRange(f"shell {runs[-1][0]} lies past the last shell with a net radius")
 
     k_max: dict[int, int] = {}
     used: set[int] = set()
     lows: list[float] = []  # the least positive distance of each row block read
-    hi, step = 0, _CHUNK_ELEMS // len(norms) + 1
-    for n in range(n_min, n_max + 1):
+    hi, step, radius = 0, _CHUNK_ELEMS // len(norms) + 1, 0.0
+    for n, *_ in runs:
+        new = norms > radius  # outside the last ball read
         radius = math.ldexp(1.0, n + 1)
         ball = norms <= radius
         lo, hi = hi, int(np.count_nonzero(ball))  # B_n is order[:hi]
-        new = ball & (norms > radius / 2)
-        # rows new to B_n against B_n, and the rows of B_(n-1) against the new points
+        new &= ball
+        # rows new to B_n against B_n, and the rows of the last ball against the new points
         for rows, cols in ((order[lo:hi], ball), (order[:lo], new)) if lo < hi else ():
             for r0 in range(0, len(rows), step):
                 blk = space.dist[rows[r0 : r0 + step]]
@@ -273,8 +280,6 @@ def make_proper_params(
         used.update(n - k for k in range(1, cap + 1))
 
     return ProperParams(
-        n_min=n_min,
-        n_max=n_max,
         k_max=k_max,
         iso=iso if iso is not None else BlockIsoModel.exact(),
         k_slack=k_slack,
@@ -283,22 +288,23 @@ def make_proper_params(
 
 
 def build_hierarchy(pspace: PointedSpace, params: ProperParams) -> NetHierarchy:
-    """Greedy maximal nets of every shell ball at every level.
+    """Greedy maximal nets of each carried shell's ball at every level.
 
-    Shell n uses the closed ball of radius 2^(n+1) around the basepoint and
-    net radius 2^(n+3-k) at level k; the basepoint seeds every net, and the
-    scan order is the point index order, so the hierarchy is reproducible.
-    Once a level's net holds the whole ball, every two ball points lie at
-    least its radius apart, so each deeper level's scan would admit the
-    same points in the same order: those levels reuse its members unscanned.
+    Shell n (a key of ``params.k_max``) uses the closed ball of radius
+    2^(n+1) around the basepoint and net radius 2^(n+3-k) at level k; the
+    basepoint seeds every net, and the scan order is the point index order,
+    so the hierarchy is reproducible.  Once a level's net holds the whole
+    ball, every two ball points lie at least its radius apart, so each
+    deeper level's scan would admit the same points in the same order:
+    those levels reuse its members unscanned.
     """
     space, norms = pspace.space, pspace.norms()
     nets: dict[tuple[int, int], Net] = {}
-    for n in range(params.n_min, params.n_max + 1):
+    for n, cap in params.k_max.items():
         ball_radius = math.ldexp(1.0, n + 1)
         ball_size = int(np.count_nonzero(norms <= ball_radius))
         net = None
-        for k in range(1, params.k_max[n] + 1):
+        for k in range(1, cap + 1):
             net_radius = math.ldexp(1.0, n + 3 - k)
             if net is not None and len(net) == ball_size:
                 net = Net(net.members, net_radius, pspace.basepoint, ball_radius)
@@ -347,10 +353,8 @@ def embed_point_proper(
     for tier, blend in ((n, lam), (n + 1, 1.0 - lam)):
         if blend == 0.0:
             continue
-        if not params.n_min <= tier <= params.n_max:
-            raise AnnulusOutOfRange(
-                f"point {t} needs shell {tier} outside [{params.n_min}, {params.n_max}]"
-            )
+        if tier not in params.k_max:
+            raise AnnulusOutOfRange(f"point {t} needs shell {tier}, which carries no point")
         for k in range(1, params.k_max[tier] + 1):
             j = pair_index(tier, k)
             coords = frechet_coords(t, hierarchy.net(tier, k), pspace)
@@ -554,8 +558,8 @@ def verify_proper(embedding: ProperEmbedding, tolerance: float = 1e-9) -> Bounds
             "upper_factor": upper_factor,
             "lower_envelope": "t / (24 * max(log_growth(t), log_growth(t / 128)))",
             "log_base": 2,
-            "n_min": params.n_min,
-            "n_max": params.n_max,
+            "n_min": min(params.k_max),
+            "n_max": max(params.k_max),
             "k_slack": params.k_slack,
             "theta_mode": params.iso.mode,
             "theta_interval": [params.iso.theta_lo, params.iso.theta_hi],

@@ -14,7 +14,8 @@ reduces each difference row with the library's ``blocks._norms``;
 became one pass each;
 :func:`loop_verify_bounds`, the per-pair loop of ``verify_bounds``;
 :func:`ball_proper_params`, ``make_proper_params`` as it was when it copied
-every shell's ball out of the distance matrix;
+each shell's whole ball out of the distance matrix, and, with
+``every_shell``, when it also walked the shells no point carries;
 :func:`searchsorted_buckets`, the binary search ``moduli_profile`` bucketed
 every pair by before its lookup table;
 :func:`two_sided_separation_envelope`, the lower envelope with both sides
@@ -314,28 +315,32 @@ def brute_net_check(matrix, members, center, ball_radius, radius, seed):
     return seeded, separated, maximal
 
 
-def ball_proper_params(pspace, iso=None, k_slack=4):
+def ball_proper_params(pspace, iso=None, k_slack=4, every_shell=False):
     """``proper.make_proper_params`` reading dmin(B_n) from a copy of each
-    shell's whole ball: the same values, errors and messages on any space."""
+    carrier tier's whole ball: the same values, errors and messages on any
+    space.  With ``every_shell``, the walk it made before it skipped the
+    shells no point carries: every shell from the first carrier tier to the
+    last, whose offsets all count towards ``c_trunc``; ``k_max`` still keeps
+    the carrier tiers only.  On a metric space the two walks agree."""
     space = pspace.space
     if space.n_points < 2:
         raise TooFewPoints("need at least two points to embed")
     norms = pspace.norms()
-    runs = shell_runs(norms)[1]
-    n_min, n_max = runs[0][0], runs[-1][0]
-    if n_max >= 1022:
-        raise AnnulusOutOfRange(f"shell {n_max} lies past the last shell with a net radius")
+    tiers = [run[0] for run in shell_runs(norms)[1]]
+    if tiers[-1] >= 1022:
+        raise AnnulusOutOfRange(f"shell {tiers[-1]} lies past the last shell with a net radius")
     k_max, used = {}, set()
-    for n in range(n_min, n_max + 1):
+    for n in range(tiers[0], tiers[-1] + 1) if every_shell else tiers:
         ball = np.flatnonzero(norms <= math.ldexp(1.0, n + 1))
         sub = space.dist[np.ix_(ball, ball)]
         dmin = float(sub[sub > 0].min())
         cap = max(1, math.ceil(n + 3 - math.log2(dmin))) + k_slack
-        k_max[n] = cap
+        if n in tiers:
+            k_max[n] = cap
         used.update(n - k for k in range(1, cap + 1))
     c_trunc = sum(1.0 / (m * m + 1.0) for m in sorted(used))
     iso = iso if iso is not None else BlockIsoModel.exact()
-    return ProperParams(n_min, n_max, k_max, iso, k_slack, c_trunc)
+    return ProperParams(k_max, iso, k_slack, c_trunc)
 
 
 def brute_greedy_net(matrix, center, ball_radius, radius, seed):
@@ -380,7 +385,7 @@ def shortest_path_metric(weights):
 def dense_lp_distances(points, p):
     """Pairwise l_p distances from one n x n x dim difference array.
 
-    The formula ``LpPointSet.distance_matrix`` used before it moved onto the
+    The formula of a cloud's distance matrix before it moved onto the
     row-chunked kernel; kept as the bit-identity reference for that kernel.
     """
     diff = np.abs(points[:, None, :] - points[None, :, :])

@@ -176,7 +176,7 @@ def test_criterion_3_coarse_suite():
             assert ce.constants.c_a == 9.0 * eps
             rep = verify_coarse(ce, tolerance=0.0)
             assert rep.passed, (p, lam, delta, eps, rep.worst_lower_slack)
-            deviation = max_rounding_deviation(cloud, ce.beta)
+            deviation = max_rounding_deviation(cloud.metric_space, ce.beta)
             assert deviation <= eps + 1e-12
             checked += rep.n_pairs
     elapsed = time.perf_counter() - started
@@ -268,7 +268,7 @@ def test_criterion_4_oracle_equivalence():
             lp_brute = oracles.brute_pair_distances(lp_images(lp_emb), cloud.p, cloud.p)
             denom = params.lower_denominator()
             lo, hi = oracles.brute_worst_slacks(
-                lp_emb.pointset.distance_matrix.tolist(),
+                lp_emb.pointset.metric_space.dist.tolist(),
                 lp_brute,
                 lambda d: d / denom,
                 lambda d: 9 * d,
@@ -276,12 +276,12 @@ def test_criterion_4_oracle_equivalence():
             assert abs(lp_rep.worst_lower_slack - lo) < 1e-12
             assert abs(lp_rep.worst_upper_slack - hi) < 1e-12
 
-            members, beta = net_round(cloud, 1.0)
+            members, beta = net_round(cloud.metric_space, 1.0, cloud.basepoint)
             flags = oracles.brute_net_check(
-                cloud.distance_matrix.tolist(),
+                cloud.metric_space.dist.tolist(),
                 members,
                 cloud.basepoint,
-                float(cloud.distance_matrix.max()),
+                float(cloud.metric_space.dist.max()),
                 0.5,
                 cloud.basepoint,
             )

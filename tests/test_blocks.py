@@ -467,7 +467,7 @@ class TestOneNorm:
                 pts = rng.standard_normal((12, dim)) * scale
                 b = int(rng.integers(12))
                 cloud = LpPointSet(p, pts, basepoint=b)
-                row = cloud.distance_matrix[b]
+                row = cloud.metric_space.dist[b]
                 assert np.array_equal([inner_norm(x - pts[b], p) for x in pts], row)
                 ns, _, factor = normalize_pointed(cloud)
                 if factor == 1.0:

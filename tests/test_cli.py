@@ -45,14 +45,14 @@ class TestParseSpace:
         path.write_text('{"p":2,"points":[[0,0],[3,4]]}')
         cloud = parse_space(path, "json")
         assert isinstance(cloud, LpPointSet)
-        assert cloud.distance_matrix[0, 1] == 5.0
+        assert cloud.metric_space.dist[0, 1] == 5.0
 
     def test_json_cloud_inf_exponent(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text('{"p":"inf","points":[[0,0],[3,4]]}')
         cloud = parse_space(path, "json")
         assert math.isinf(cloud.p)
-        assert cloud.distance_matrix[0, 1] == 4.0
+        assert cloud.metric_space.dist[0, 1] == 4.0
 
     def test_triangle_violation_names_triple(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -873,8 +873,7 @@ class TestCliModes:
     def test_cloud_modes_keep_the_error_contract(self, tmp_path, p, points):
         fixture = tmp_path / "c.json"
         fixture.write_text(json.dumps({"p": "inf" if math.isinf(p) else p, "points": points}))
-        # embed-proper is left out: some of these clouds take it tens of seconds
-        for mode in (m for m in CLOUD_MODES if m != "embed-proper"):
+        for mode in CLOUD_MODES:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = run_cli(mode, "--input", fixture)
@@ -886,6 +885,60 @@ class TestCliModes:
                 assert code in (0, 1)
                 assert err.getvalue() == ""
                 assert json.loads(out.getvalue())["mode"] == mode
+
+    def test_wide_cloud_builds_only_the_shells_it_carries(self, tmp_path, monkeypatch, capsys):
+        # norms from 1e-320 to 1e300: 2,062 shells from the first tier to the
+        # last, of which 8 carry a point
+        built = []
+
+        def recording(*args, **kwargs):
+            built.append(proper.embed_space_proper(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "embed_space_proper", recording)
+        fixture = tmp_path / "c.json"
+        fixture.write_text('{"p":2,"points":[[0,0],[1e-320,0],[1e300,0],[1,1],[-1e150,3.5]]}')
+        assert run_cli("embed-proper", "--input", fixture) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["constants"] == {
+            "weight_series_sum": 3.153348094937162,
+            "c_trunc": 3.1514113122886465,
+            "upper_factor": 28.36270181059782,
+            "lower_envelope": "t / (24 * max(log_growth(t), log_growth(t / 128)))",
+            "log_base": 2,
+            "n_min": -1064,
+            "n_max": 997,
+            "k_slack": 4,
+            "theta_mode": "exact",
+            "theta_interval": [1, 1],
+        }
+        assert payload["checks"] == {
+            "pairs_total": 10,
+            "pairs_passed": 10,
+            "pairs_failed": 0,
+            "worst_lower_slack": 0,
+            "worst_upper_slack": 2.83623e-319,
+            "empirical_distortion": "unbounded",
+            "tolerance": 1e-09,
+        }
+        (emb,) = built
+        tiers = [run[0] for run in proper.shell_runs(emb.pspace.norms())[1]]
+        assert len(emb.hierarchy.nets) <= sum(emb.params.k_max[n] for n in tiers)
+
+    # 5e-324 / 2 rounds to 0, and so does t / 128 up to 2^-1068
+    @pytest.mark.parametrize("d", [5e-324, 1e-323, 2.0**-1068])
+    @pytest.mark.parametrize("mode", ["embed-proper", "moduli"])
+    def test_subnormal_distances_are_valid_input(self, tmp_path, capsys, mode, d):
+        fixture = tmp_path / "s.json"
+        fixture.write_text(json.dumps({"dist": [[0, d], [d, 0]]}))
+        assert run_cli(mode, "--input", fixture) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        payload = json.loads(out)
+        assert payload["pass"] is True
+        thresholds = payload["moduli"]["thresholds"]
+        assert min(thresholds) == max(d / 2, 5e-324)
+        assert thresholds[-1] == 2 * d
 
     def test_overflowing_upper_envelope_stays_silent(self, tmp_path, monkeypatch, capsys):
         # c_d * d overflows to inf, silently as in float arithmetic: the report

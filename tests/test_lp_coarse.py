@@ -85,17 +85,17 @@ def metric_outcome(build):
     return space.labels, space.dist.tobytes(), space.dist.flags.writeable
 
 
-def full_check(p, pts, labels=None):
-    return metric_outcome(lambda: validate_metric(lp_distance_matrix(pts, p), labels))
+def full_check(p, pts):
+    return metric_outcome(lambda: validate_metric(lp_distance_matrix(pts, p)))
 
 
-def cloud_metric(p, pts, labels=None):
-    return metric_outcome(lambda: LpPointSet(p, pts, labels=labels).metric_space)
+def cloud_metric(p, pts):
+    return metric_outcome(lambda: LpPointSet(p, pts).metric_space)
 
 
 @st.composite
 def lp_clouds(draw):
-    """(p, points, labels): 1..10 points in dim 1..64 at a scale from 1e-300
+    """(p, points): 1..10 points in dim 1..64 at a scale from 1e-300
     to 1e300, sometimes with a duplicate point, with every row spread over
     several decades, or moved far away and translated back by one point."""
     p = draw(st.sampled_from([1.0, 2.0, math.inf, 3.0]))
@@ -112,8 +112,7 @@ def lp_clouds(draw):
     if far and math.isfinite(2 * far):  # away from the origin, then back as normalize_pointed does
         pts = pts + far
         pts = pts - pts[draw(st.integers(0, n - 1))]
-    labels = draw(st.sampled_from([None, tuple(f"x{i}" for i in range(n))]))
-    return p, pts, labels
+    return p, pts
 
 
 class TestMetricSpace:
@@ -122,20 +121,20 @@ class TestMetricSpace:
     @given(lp_clouds())
     @settings(max_examples=300, deadline=None)
     def test_same_outcome_as_validate_metric(self, case):
-        p, pts, labels = case
+        p, pts = case
         # only a distance past the largest double (every l_p distance is at
         # most 2 * dim * max|x|) may overflow, to inf with a warning, on both sides
         past_max = np.abs(pts).max() > np.finfo(float).max / (4.0 * pts.shape[1])
         with np.errstate(over="ignore" if past_max else "warn"):
-            expected = full_check(p, pts, labels)
-            assert cloud_metric(p, pts, labels) == expected
+            expected = full_check(p, pts)
+            assert cloud_metric(p, pts) == expected
         if not isinstance(expected[0], type):
             assert expected[2] is False
 
     @given(lp_clouds())
     @settings(max_examples=150, deadline=None)
     def test_triangle_slack_bounds_every_exact_defect(self, case):
-        p, pts, _ = case
+        p, pts = case
         try:
             with np.errstate(over="ignore"):
                 space = LpPointSet(p, pts).metric_space
@@ -200,11 +199,11 @@ class TestMetricSpace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.shares_memory(space.dist, cloud.distance_matrix)
+        assert cloud.metric_space is space
         assert not space.dist.flags.writeable
         assert peak < 1.5 * n * n * 8  # the matrix, not it and a copy
         # validate_metric still copies a caller's array and leaves it writable
-        arr = cloud.distance_matrix.copy()
+        arr = space.dist.copy()
         checked = validate_metric(arr)
         assert not np.shares_memory(checked.dist, arr)
         assert arr.flags.writeable and np.array_equal(checked.dist, arr)
@@ -219,10 +218,9 @@ class TestMetricSpace:
     def test_scanned_cloud_keeps_the_checked_copy_only(self):
         pts = np.random.default_rng(5).uniform(-1, 1, (20, 3))
         cloud = LpPointSet(3.0, pts)  # no rounding bound for p = 3: scanned
-        first = cloud.distance_matrix
         space = cloud.metric_space
-        assert cloud.distance_matrix is space.dist
-        assert np.array_equal(first, space.dist)
+        assert cloud.metric_space is space and not space.dist.flags.writeable
+        assert np.array_equal(lp_distance_matrix(pts, 3.0), space.dist)
 
 
 class TestLpParams:
@@ -351,7 +349,7 @@ class TestVerifyLp:
         emb = embed_set_lp(cloud, params)
         rep = verify_lp(emb)
         imat = oracles.brute_pair_distances(oracles.lp_images(emb), 2.0, 2.0)
-        dmat = emb.pointset.distance_matrix.tolist()
+        dmat = emb.pointset.metric_space.dist.tolist()
         denom = params.lower_denominator()
         lo, hi = oracles.brute_worst_slacks(
             dmat, imat, lambda d: d / denom, lambda d: 9 * d
@@ -363,14 +361,14 @@ class TestVerifyLp:
 class TestNetRound:
     def test_scan_order_example(self):
         cloud = cloud_1d([0.0, 1.0, 2.0, 0.7, 0.25])
-        members, beta = net_round(cloud, 1.0)
+        members, beta = net_round(cloud.metric_space, 1.0)
         assert members == (0, 1, 2)
         assert beta == (0, 1, 2, 1, 0)
 
     def test_net_members_fixed(self):
         rng = np.random.default_rng(3)
         cloud = LpPointSet(2.0, rng.uniform(0, 5, size=(30, 2)))
-        members, beta = net_round(cloud, 0.8)
+        members, beta = net_round(cloud.metric_space, 0.8)
         for m in members:
             assert beta[m] == m
 
@@ -379,21 +377,21 @@ class TestNetRound:
         for p in (1.0, 2.0, math.inf):
             cloud = LpPointSet(p, rng.uniform(0, 5, size=(40, 3)))
             for eps in (0.3, 1.0):
-                members, beta = net_round(cloud, eps)
-                assert max_rounding_deviation(cloud, beta) <= eps + 1e-12
+                members, beta = net_round(cloud.metric_space, eps)
+                assert max_rounding_deviation(cloud.metric_space, beta) <= eps + 1e-12
 
     def test_displacement_below_half_eps(self):
         rng = np.random.default_rng(23)
         cloud = LpPointSet(2.0, rng.uniform(0, 5, size=(25, 2)))
-        members, beta = net_round(cloud, 0.9)
-        d = cloud.distance_matrix
+        d = cloud.metric_space.dist
+        members, beta = net_round(cloud.metric_space, 0.9)
         for i, m in enumerate(beta):
             assert d[i, m] < 0.45
 
     def test_bad_eps(self):
         for eps in (0.0, math.inf):
             with pytest.raises(ValueError):
-                net_round(cloud_1d([0.0, 1.0]), eps)
+                net_round(cloud_1d([0.0, 1.0]).metric_space, eps)
 
 
 class TestCoarseEmbed:
@@ -424,7 +422,7 @@ class TestCoarseEmbed:
         ce = coarse_embed(cloud, 0.5, LpParams(delta=0.01, seed=4))
         rep = verify_coarse(ce, tolerance=0.0)
         assert rep.passed
-        assert max_rounding_deviation(cloud, ce.beta) <= 0.5
+        assert max_rounding_deviation(cloud.metric_space, ce.beta) <= 0.5
         assert ce.image_distances is ce.image_distances
         images = oracles.coarse_images(ce)
         assert np.array_equal(ce.image_distances, pairwise_distance_matrix(images, math.inf))

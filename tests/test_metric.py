@@ -520,7 +520,7 @@ class TestGreedyOracle:
         # integer coordinates keep l_1 and l_inf distances exact integers
         basepoint = data.draw(st.integers(0, len(points) - 1))
         cloud = LpPointSet(p, np.array(points, dtype=float), basepoint)
-        members, beta = net_round(cloud, 2.0 * radius)
+        members, beta = net_round(cloud.metric_space, 2.0 * radius, basepoint)
         matrix = [[oracles.brute_lp_dist(a, b, p) for b in points] for a in points]
         expected = oracles.brute_greedy_net(matrix, basepoint, math.inf, radius, basepoint)
         assert (list(members), list(beta)) == expected

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from blockembed import lp_coarse, proper
 from blockembed.blocks import (
@@ -17,6 +17,7 @@ from blockembed.fixtures import path_metric, random_graph_metric, random_lp_clou
 from blockembed.lp_coarse import LpParams, LpPointSet
 from blockembed.metric import (
     FiniteMetricSpace,
+    MetricError,
     Net,
     PointedSpace,
     greedy_maximal_net,
@@ -29,6 +30,7 @@ from blockembed.proper import (
     NegativeRadius,
     NonpositiveArgument,
     PointOutsideBall,
+    ProperEmbedding,
     annulus_index,
     build_hierarchy,
     embed_point_proper,
@@ -205,6 +207,13 @@ class TestEnvelopeFunctions:
         with pytest.raises(NonpositiveArgument):
             separation_envelope(0.0)
 
+    def test_an_underflowing_t_over_128_gives_zero(self):
+        # t / 128 is 0 for t <= 2^-1068; just above, it is 2^-1074
+        for t in (5e-324, 2.0**-1070, 2.0**-1068):
+            assert separation_envelope(t) == 0.0
+        t = np.array([5e-324, 2.0**-1068, math.nextafter(2.0**-1068, 1.0), 1.0])
+        assert separation_envelope(t).tolist() == [0.0, 0.0, 0.0, separation_envelope(1.0)]
+
     # positive doubles from 1e-300 to 1e300, exact powers of two, and 128 * 2^k,
     # whose t / 128 is an exact power of two
     ARGS = st.one_of(
@@ -244,13 +253,22 @@ class TestEnvelopeFunctions:
     def test_one_sided_envelope_matches_the_two_sided_formula(self, ts, bad):
         ts = ts if bad is None else [*ts, bad]
         for t in (np.array(ts), *ts):
+            # t <= 2^-1068, where t / 128 underflows and the formula raises:
+            # the exact envelope is below 2^-1092 there, so it rounds to 0.0
+            under = (np.asarray(t) > 0) & (np.asarray(t) / 128.0 == 0)
             try:
-                expected = oracles.two_sided_separation_envelope(t)
-            except NonpositiveArgument as err:  # a t <= 0, or a t / 128 that underflows
+                expected = oracles.two_sided_separation_envelope(
+                    np.where(under, 1.0, t) if isinstance(t, np.ndarray) else 1.0 if under else t
+                )
+            except NonpositiveArgument as err:  # a t <= 0
                 with pytest.raises(NonpositiveArgument) as got:
                     separation_envelope(t)
                 assert str(got.value) == str(err)
                 continue
+            if isinstance(t, np.ndarray):
+                expected[under] = 0.0
+            elif under:
+                expected = 0.0
             out = separation_envelope(t)
             assert type(out) is type(expected)
             assert np.asarray(out).tobytes() == np.asarray(expected).tobytes()
@@ -282,7 +300,6 @@ class TestEnvelopeFunctions:
 class TestParams:
     def test_two_point_ranges(self):
         params = make_proper_params(two_point_space())
-        assert (params.n_min, params.n_max) == (2, 2)
         assert params.k_max == {2: 7}
         expected = sum(1.0 / (m * m + 1.0) for m in range(-5, 2))
         assert params.c_trunc == pytest.approx(expected, abs=1e-15)
@@ -291,8 +308,7 @@ class TestParams:
     def test_path_ranges_cover_every_tier_used(self):
         pspace = path_space(4)
         params = make_proper_params(pspace)
-        assert params.n_min == 0
-        assert params.n_max == 2
+        assert list(params.k_max) == [0, 1, 2]
         # embedding every point must never look up a missing shell
         hierarchy = build_hierarchy(pspace, params)
         for t in range(4):
@@ -323,7 +339,7 @@ class TestHierarchy:
         pspace = path_space(6)
         params = make_proper_params(pspace)
         h = build_hierarchy(pspace, params)
-        for n in range(params.n_min, params.n_max + 1):
+        for n in params.k_max:
             for k in range(1, params.k_max[n]):
                 assert h.net(n, k + 1).radius == h.net(n, k).radius / 2
             assert h.net(n, 1).radius == math.ldexp(1.0, n + 2)
@@ -374,7 +390,7 @@ class TestHierarchy:
         params = make_proper_params(pspace, k_slack=k_slack)
         h, scans = self._counting_scans(pspace, params)
         expected_scans = 0
-        for shell in range(params.n_min, params.n_max + 1):
+        for shell in params.k_max:
             ball = (pspace.basepoint, math.ldexp(1.0, shell + 1))
             ball_size = np.count_nonzero(pspace.norms() <= ball[1])
             whole = False
@@ -477,6 +493,17 @@ class TestEmbedPoint:
         with pytest.raises(AnnulusOutOfRange):
             embed_point_proper(1, pspace, params, h, annulus=(5, 0.5))
 
+    def test_shell_between_the_carrier_tiers_is_out_of_range(self):
+        # norms 1 and 2^10: tiers 0 and 10 only, none of the shells between
+        pspace = PointedSpace(validate_metric([[0, 1, 1024], [1, 0, 1023], [1024, 1023, 0]]), 0)
+        params = make_proper_params(pspace)
+        h = build_hierarchy(pspace, params)
+        assert list(params.k_max) == [0, 10]
+        assert {n for n, _ in h.nets} == {0, 10}
+        assert verify_proper(ProperEmbedding(pspace, params, h)).constants["n_max"] == 10
+        with pytest.raises(AnnulusOutOfRange, match="needs shell 5"):
+            embed_point_proper(1, pspace, params, h, annulus=(5, 0.5))
+
     @pytest.mark.parametrize("iso", [BlockIsoModel.exact(), BlockIsoModel.seeded(0.5, 1.0, 11)])
     def test_block_recovery(self, iso):
         pspace = path_space(6)
@@ -556,7 +583,7 @@ class TestVerifyProper:
         emb = embed_space_proper(pspace)
         params, h = emb.params, emb.hierarchy
         d = pspace.space.dist
-        for n in range(params.n_min, params.n_max + 1):
+        for n in params.k_max:
             ball = np.flatnonzero(pspace.norms() <= 2.0 ** (n + 1))
             for a in ball:
                 for b in ball:
@@ -631,22 +658,28 @@ def defect_space(seed):
 
 
 # entries of directly built spaces: zero, negative, infinite, NaN, dyadic and
-# far apart.  The subnormal and top shells, some 2,000 shells apart, are
-# explicit examples, as every shell of the range costs time.
+# far apart, down to the subnormal shells and up to some 2,000 shells above
 DIRECT_ENTRIES = [0.0, -0.0, -1.0, 0.25, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0, 2.0**-40, 2.0**40]
-DIRECT_ENTRIES += [math.inf, -math.inf, math.nan]
+DIRECT_ENTRIES += [5e-324, 1e300, math.inf, -math.inf, math.nan]
 
 
-def assert_params_match_the_oracle(pspace, k_slack):
+def assert_params_match_the_oracle(pspace, k_slack, every_shell=False):
     """make_proper_params gives the whole-ball oracle's params, or its error."""
 
-    def outcome(make):
+    def outcome(make, **kw):
         try:
-            return make(pspace, k_slack=k_slack)
+            return make(pspace, k_slack=k_slack, **kw)
         except Exception as err:
             return type(err), str(err)
 
-    assert outcome(make_proper_params) == outcome(oracles.ball_proper_params)
+    expected = outcome(oracles.ball_proper_params, every_shell=every_shell)
+    assert outcome(make_proper_params) == expected
+
+
+# coordinates 0 and +-m 2^e, e from -1060 to 1000: a few points some hundreds
+# of shells apart, so most shells between the first tier and the last are empty
+WIDE = st.tuples(st.floats(0.5, 2.0), st.integers(-1060, 1000)).map(lambda me: math.ldexp(*me))
+WIDE_COORD = st.one_of(st.just(0.0), WIDE, WIDE.map(lambda x: -x))
 
 
 class TestParamsOracle:
@@ -663,7 +696,42 @@ class TestParamsOracle:
     @settings(max_examples=100, deadline=None)
     def test_fixture_spaces_match(self, kind, n, seed, scale, k_slack, basepoint):
         space = validate_metric(SPACES[kind](n, seed).dist * scale)
-        assert_params_match_the_oracle(PointedSpace(space, basepoint % space.n_points), k_slack)
+        pspace = PointedSpace(space, basepoint % space.n_points)
+        assert_params_match_the_oracle(pspace, k_slack)
+        assert_params_match_the_oracle(pspace, k_slack, every_shell=True)
+
+    @given(
+        points=st.lists(st.tuples(WIDE_COORD, WIDE_COORD), min_size=3, max_size=6, unique=True),
+        p=st.sampled_from([1.0, 2.0, math.inf]),
+        basepoint=st.integers(0, 5),
+        k_slack=st.integers(0, 4),
+    )
+    @example(
+        points=[(0, 0), (1e-320, 0), (1e300, 0), (1, 1), (-1e150, 3.5)],
+        p=2.0,
+        basepoint=0,
+        k_slack=4,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_empty_shells_change_no_constant(self, points, p, basepoint, k_slack):
+        # the caps grow by at least one a shell on a metric space, so the
+        # offsets of the empty shells are the carrier tiers' already
+        try:
+            space = LpPointSet(p, points, basepoint % len(points)).metric_space
+        except MetricError:  # a repeated point
+            assume(False)
+        pspace = PointedSpace(space, basepoint % len(points))
+        params = make_proper_params(pspace, k_slack=k_slack)
+        tiers = list(params.k_max)
+        assume(tiers[-1] - tiers[0] + 1 > len(tiers))  # an empty shell
+        positive = [r for r in pspace.norms().tolist() if r > 0]
+        last, lam = annulus_index(max(positive))
+        assert (tiers[0], tiers[-1]) == (annulus_index(min(positive))[0], last + (lam < 1))
+        every = oracles.ball_proper_params(pspace, k_slack=k_slack, every_shell=True)
+        assert params.c_trunc.hex() == every.c_trunc.hex()
+        assert tiers == sorted(tiers) == list(every.k_max)
+        assert params.k_max == every.k_max
+        assert params == oracles.ball_proper_params(pspace, k_slack=k_slack)
 
     @given(
         rows=st.integers(1, 9).flatmap(
@@ -922,7 +990,7 @@ class TestImageDistances:
         for s, most in ((space, share), (FiniteMetricSpace(space.labels, space.dist), 1.0)):
             emb = embed_space_proper(PointedSpace(s, 0))
             params, full, images = emb.params, 0, proper_images(emb)
-            for shell in range(params.n_min, params.n_max + 1):
+            for shell in params.k_max:
                 m = sum(pair_index(shell, 1) in v.blocks for v in images)
                 pairs = m * (m - 1) // 2
                 for k in range(1, params.k_max[shell] + 1):
