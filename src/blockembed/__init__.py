@@ -77,7 +77,6 @@ from .proper import (
     build_hierarchy,
     embed_point_proper,
     embed_space_proper,
-    frechet_coords,
     log_growth,
     make_proper_params,
     separation_envelope,

@@ -6,10 +6,10 @@ sup-normed blocks (the c0-style model) or an l_p sum of l_p blocks.  The
 distance of two images is then the flat l_p norm of the difference of their
 concatenated coordinates.  Coordinate projections onto a single block have
 norm one, strictly inside the hypotheses the distance envelopes were derived
-under, so every certified bound must hold a fortiori.  The embeddings
-compute their pairwise image distances from their factors with
-:func:`lp_distance_matrix` and the block fold; :func:`pairwise_distance_matrix`
-computes them from explicit :class:`BlockVector` images.
+under, so every certified bound must hold a fortiori.  The embeddings compute
+their image distances from their factors with :func:`lp_distance_matrix` and
+the block fold.  No mode builds :class:`BlockVector` images or calls their
+kernel :func:`pairwise_distance_matrix`: the test oracles and the benchmark do.
 
 Block isomorphism slack is modeled by per-block scale factors theta_j in a
 configurable interval of (0, 1]; the seeded mode derives theta_j from a
@@ -73,7 +73,8 @@ class BlockVector:
 
     Canonical sparsity is enforced at construction: zero blocks are
     dropped, ids are kept in ascending order, and the stored arrays are
-    read-only.  Instances compare by exact coordinate equality.
+    read-only.  Instances compare by exact coordinate equality.  Only the
+    test oracles and the benchmark (which reads ``blocks``) read the class.
     """
 
     __slots__ = ("blocks",)
@@ -96,34 +97,12 @@ class BlockVector:
                 canonical[int(j)] = v
         object.__setattr__(self, "blocks", canonical)
 
-    @classmethod
-    def empty(cls) -> "BlockVector":
-        return cls()
-
-    @property
-    def block_ids(self) -> tuple[int, ...]:
-        return tuple(self.blocks)
-
-    def get(self, j: int) -> np.ndarray | None:
-        return self.blocks.get(j)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.blocks
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BlockVector):
             return NotImplemented
         if self.blocks.keys() != other.blocks.keys():
             return False
         return all(np.array_equal(self.blocks[j], other.blocks[j]) for j in self.blocks)
-
-    def __hash__(self):
-        return hash(tuple((j, v.tobytes()) for j, v in self.blocks.items()))
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{j}: dim {len(v)}" for j, v in self.blocks.items())
-        return f"BlockVector({{{inner}}})"
 
 
 def _norms(diff: np.ndarray, p: float) -> np.ndarray:

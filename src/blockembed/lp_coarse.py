@@ -357,13 +357,14 @@ def verify_lp(embedding: LpEmbedding, tolerance: float = 1e-9) -> BoundsReport:
     """Certify d / (20 lambda^2 (1+delta)^2) <= image distance <= 9 d.
 
     Distances are those of the normalized set the embedding was built on;
-    the image distances are the embedding's own ``image_distances``.
+    the image distances are the embedding's own ``image_distances``.  The
+    lower envelope is floored at 2^-1074, as in ``verify_proper``.
     """
     params = embedding.params
     denom = params.lower_denominator()
     return verify_bounds(
         embedding.pointset.metric_space,
-        lambda d: d / denom,
+        lambda d: np.maximum(d / denom, 2.0**-1074),
         lambda d: 9.0 * d,
         tolerance=tolerance,
         image_distances=embedding.image_distances,

@@ -162,9 +162,6 @@ class Net:
     center: int
     ball_radius: float
 
-    def __contains__(self, i: int) -> bool:
-        return i in self.members
-
     def __len__(self) -> int:
         return len(self.members)
 

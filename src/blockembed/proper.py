@@ -59,7 +59,6 @@ __all__ = [
     "tier_weight",
     "make_proper_params",
     "build_hierarchy",
-    "frechet_coords",
     "embed_point_proper",
     "embed_space_proper",
     "verify_proper",
@@ -186,8 +185,9 @@ class ProperParams:
     its level cap max(1, ceil(n + 3 - log2(dmin(B_n)))) + k_slack, which
     covers every level the lower-envelope argument ever consults; extra tail
     levels only shrink the Lipschitz constant.  A shell no point carries
-    has no entry; the first and last keys are the report's n_min and n_max.  ``c_trunc`` sums the weight series over the offsets n - k
-    realized by the caps.
+    has no entry; the first and last keys are the report's n_min and n_max.
+    ``c_trunc`` sums the weight series over the offsets n - k realized by
+    the caps.
     """
 
     k_max: Mapping[int, int]
@@ -209,9 +209,6 @@ class NetHierarchy:
     """Greedy maximal nets keyed by (shell n, level k)."""
 
     nets: Mapping[tuple[int, int], Net]
-
-    def net(self, n: int, k: int) -> Net:
-        return self.nets[(n, k)]
 
 
 @dataclass(frozen=True)
@@ -314,20 +311,6 @@ def build_hierarchy(pspace: PointedSpace, params: ProperParams) -> NetHierarchy:
     return NetHierarchy(nets)
 
 
-def frechet_coords(t: int, net: Net, pspace: PointedSpace) -> np.ndarray:
-    """Coordinates (d(t,s) - |s|)_s over the net members, in member order.
-
-    The basepoint maps to the zero vector.  1-Lipschitz into the sup norm
-    by the triangle inequality.
-    """
-    space = pspace.space
-    norms = pspace.norms()
-    if norms[t] > net.ball_radius:
-        raise PointOutsideBall(f"point {t} outside ball of radius {net.ball_radius}")
-    members = np.fromiter(net.members, dtype=int, count=len(net.members))
-    return space.dist[t, members] - norms[members]
-
-
 def embed_point_proper(
     t: int,
     pspace: PointedSpace,
@@ -337,18 +320,21 @@ def embed_point_proper(
 ) -> BlockVector:
     """Image of one point: weighted Frechet blocks over two adjacent shells.
 
-    Block pair_index(n, k) holds blend * weight(n,k) * theta_j * coords;
-    the two tiers never collide because the pairing is injective.  The
-    basepoint maps to the empty vector.  ``annulus`` overrides the shell
-    assignment (used to check dyadic-boundary consistency); tiers with zero
-    blend are skipped before any hierarchy lookup.
+    Block pair_index(n, k) holds blend * weight(n,k) * theta_j times the
+    Frechet coordinates (d(t,s) - |s|)_s over the net's members; the two
+    tiers never collide because the pairing is injective.  The basepoint
+    maps to the empty vector.  ``annulus`` overrides the shell assignment
+    (used to check dyadic-boundary consistency; PointOutsideBall if t lies
+    outside a net's ball); tiers with zero blend skip the hierarchy.
     """
-    r = float(pspace.norms()[t])
+    norms = pspace.norms()
+    r = float(norms[t])
     if annulus is None:
         if r == 0:
-            return BlockVector.empty()
+            return BlockVector()
         annulus = annulus_index(r)
     n, lam = annulus
+    row = pspace.space.dist[t] - norms
     out: dict[int, np.ndarray] = {}
     for tier, blend in ((n, lam), (n + 1, 1.0 - lam)):
         if blend == 0.0:
@@ -357,8 +343,10 @@ def embed_point_proper(
             raise AnnulusOutOfRange(f"point {t} needs shell {tier}, which carries no point")
         for k in range(1, params.k_max[tier] + 1):
             j = pair_index(tier, k)
-            coords = frechet_coords(t, hierarchy.net(tier, k), pspace)
-            out[j] = blend * tier_weight(tier, k) * params.iso.factor(j) * coords
+            net = hierarchy.nets[(tier, k)]
+            if r > net.ball_radius:
+                raise PointOutsideBall(f"point {t} outside ball of radius {net.ball_radius}")
+            out[j] = blend * tier_weight(tier, k) * params.iso.factor(j) * row[list(net.members)]
     return BlockVector(out)
 
 
@@ -386,7 +374,7 @@ def _image_distances(embedding: ProperEmbedding) -> np.ndarray:
     fold is exact in any order, so a value at or below the max cannot change
     it.  Shells run cheapest first, and a shell's groups smallest first, so
     that the max is high before the big kernels.  A zero block is absent."""
-    pspace, params, nets = embedding.pspace, embedding.params, embedding.hierarchy
+    pspace, params, nets = embedding.pspace, embedding.params, embedding.hierarchy.nets
     dist, norms = pspace.space.dist, pspace.norms()
     # the guard of _fold_group: no screen when a distance or the slack is
     # past 2^900 (or NaN), or the slack is unknown
@@ -398,7 +386,7 @@ def _image_distances(embedding: ProperEmbedding) -> np.ndarray:
     for shell, lo, hi, blend in runs:
         groups: dict[tuple[int, ...], list[int]] = {}
         for k in range(1, params.k_max[shell] + 1):
-            groups.setdefault(nets.net(shell, k).members, []).append(k)
+            groups.setdefault(nets[(shell, k)].members, []).append(k)
         work.append(((hi - lo) ** 2 * sum(map(len, groups)), shell, lo, hi, blend, groups))
     out = np.zeros_like(dist)  # in norm order until the last gather
     for _, shell, lo, hi, blend, groups in sorted(work, key=lambda w: w[:2]):
@@ -542,13 +530,15 @@ def verify_proper(embedding: ProperEmbedding, tolerance: float = 1e-9) -> Bounds
     The upper envelope uses the truncated weight total of the map actually
     built, which is at most the full series total, so the check is at least
     as strict as the nominal 9 * WEIGHT_SERIES_SUM * d envelope.  The image
-    distances are the embedding's own ``image_distances``.
+    distances are the embedding's own ``image_distances``.  The lower
+    envelope never rounds below 2^-1074, as the exact one is positive, so
+    a zero image distance fails at every scale.
     """
     params = embedding.params
     upper_factor = 9.0 * params.c_trunc
     return verify_bounds(
         embedding.pspace.space,
-        separation_envelope,
+        lambda d: np.maximum(separation_envelope(d), 2.0**-1074),
         lambda d: upper_factor * d,
         tolerance=tolerance,
         image_distances=embedding.image_distances,

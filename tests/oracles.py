@@ -28,7 +28,9 @@ embedding computed its image distances from its factors: the block algebra
 (:func:`unpair_index`, :func:`inner_norm`, :func:`outer_norm`,
 :func:`project_block`, :func:`axpy`, :func:`scale_block`), the per-point
 l_p image :func:`embed_point_lp`, the images of whole embeddings
-(:func:`lp_images`, :func:`coarse_images`, :func:`proper_images`), and the
+(:func:`lp_images`, :func:`coarse_images`, :func:`proper_images`), the
+proper map's Frechet coordinates over one net (:func:`frechet_coords`, and
+:func:`net_coords`, those of ``embed_point_proper``), and the
 grid rescaling x -> Theta(k x)/k (:func:`rescaled_restriction`, with the
 sup-distance rounding :func:`psi_round`).
 """
@@ -43,7 +45,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from blockembed.blocks import BlockIsoModel, BlockVector, DimensionMismatch, _norms
+from blockembed.blocks import BlockIsoModel, BlockVector, DimensionMismatch, _norms, pair_index
 from blockembed.fixtures import DisconnectedGraph
 from blockembed.lp_coarse import LpParams, NormBelowOne, grid_net
 from blockembed.metric import (
@@ -57,6 +59,7 @@ from blockembed.metric import (
 )
 from blockembed.proper import (
     AnnulusOutOfRange,
+    NetHierarchy,
     ProperParams,
     annulus_index,
     embed_point_proper,
@@ -583,7 +586,7 @@ def outer_norm(v: BlockVector, p: float) -> float:
 def project_block(v: BlockVector, j: int) -> BlockVector:
     """Coordinate projection onto block ``j`` (empty when absent); idempotent."""
     x = v.blocks.get(j)
-    return BlockVector({j: x}) if x is not None else BlockVector.empty()
+    return BlockVector({j: x}) if x is not None else BlockVector()
 
 
 def axpy(a: float, v: BlockVector, b: float, w: BlockVector) -> BlockVector:
@@ -605,7 +608,7 @@ def axpy(a: float, v: BlockVector, b: float, w: BlockVector) -> BlockVector:
 
 def scale_block(a: float, v: BlockVector) -> BlockVector:
     """a * v, canonically sparse."""
-    return axpy(a, v, 0.0, BlockVector.empty())
+    return axpy(a, v, 0.0, BlockVector())
 
 
 def embed_point_lp(
@@ -625,7 +628,7 @@ def embed_point_lp(
     t = np.asarray(t, dtype=float)
     r = inner_norm(t, p)
     if r == 0:
-        return BlockVector.empty()
+        return BlockVector()
     if r < 1:
         raise NormBelowOne(f"point norm {r} < 1; normalize the set first")
     n, lam = annulus_index(r) if annulus is None else annulus
@@ -660,6 +663,22 @@ def proper_images(embedding) -> tuple[BlockVector, ...]:
     )
 
 
+def frechet_coords(t: int, net, pspace) -> np.ndarray:
+    """Frechet coordinates (d(t,s) - d(b,s))_s of point t over the net's
+    members, in member order, b the basepoint: one entry at a time."""
+    d, b = pspace.space.dist, pspace.basepoint
+    return np.array([d[t, s] - d[b, s] for s in net.members], dtype=float)
+
+
+def net_coords(t: int, net, pspace) -> np.ndarray:
+    """``embed_point_proper``'s coordinates of t over ``net`` alone: the net
+    as level 1 of shell 1, whose weight, theta and blend are exactly 1, so
+    the block is the coordinates themselves (zeros where it is absent)."""
+    params = ProperParams({1: 1}, BlockIsoModel.exact(), 0, 1.0)
+    image = embed_point_proper(t, pspace, params, NetHierarchy({(1, 1): net}), annulus=(1, 1.0))
+    return image.blocks.get(pair_index(1, 1), np.zeros(len(net)))
+
+
 def psi_round(x: Any, k: int) -> np.ndarray:
     """Round a unit-ball point to the nearest (1/k)-grid point in sup distance.
 
@@ -682,7 +701,7 @@ def _scale_image(image: Any, a: float) -> Any:
 
 def _image_is_zero(image: Any) -> bool:
     if isinstance(image, BlockVector):
-        return image.is_zero
+        return not image.blocks
     return not np.any(np.asarray(image, dtype=float))
 
 

@@ -50,14 +50,21 @@ from blockembed.proper import (
     annulus_index,
     embed_point_proper,
     embed_space_proper,
-    frechet_coords,
     separation_envelope,
     tier_weight,
     verify_proper,
 )
 
 import oracles
-from oracles import lp_images, project_block, proper_images, scale_block, unpair_index
+from oracles import (
+    frechet_coords,
+    lp_images,
+    net_coords,
+    project_block,
+    proper_images,
+    scale_block,
+    unpair_index,
+)
 
 TOL = 1e-9
 
@@ -321,9 +328,9 @@ def test_criterion_5_structural_invariants():
 
             # basepoint coordinates vanish; coordinates are 1-Lipschitz
             for (n, k), net in hierarchy.nets.items():
-                assert np.all(frechet_coords(0, net, pspace) == 0.0)
+                assert np.all(net_coords(0, net, pspace) == 0.0)
                 ball = np.flatnonzero(pspace.norms() <= 2.0 ** (n + 1))
-                coords = {t: frechet_coords(t, net, pspace) for t in ball}
+                coords = {t: net_coords(t, net, pspace) for t in ball}
                 for a in ball:
                     for b in ball:
                         if a < b:
@@ -351,8 +358,8 @@ def test_criterion_5_structural_invariants():
                         recovered = scale_block(
                             1.0 / (params.iso.factor(j) * tier_weight(tier, k)),
                             project_block(image, j),
-                        ).get(j)
-                        expected = blend * frechet_coords(t, hierarchy.net(tier, k), pspace)
+                        ).blocks.get(j)
+                        expected = blend * frechet_coords(t, hierarchy.nets[(tier, k)], pspace)
                         assert recovered is not None
                         assert np.allclose(recovered, expected, atol=1e-12, rtol=1e-12)
 

@@ -898,7 +898,7 @@ class TestCliModes:
         monkeypatch.setattr(cli, "embed_space_proper", recording)
         fixture = tmp_path / "c.json"
         fixture.write_text('{"p":2,"points":[[0,0],[1e-320,0],[1e300,0],[1,1],[-1e150,3.5]]}')
-        assert run_cli("embed-proper", "--input", fixture) == 0
+        assert run_cli("embed-proper", "--input", fixture) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["constants"] == {
             "weight_series_sum": 3.153348094937162,
@@ -914,31 +914,47 @@ class TestCliModes:
         }
         assert payload["checks"] == {
             "pairs_total": 10,
-            "pairs_passed": 10,
-            "pairs_failed": 0,
-            "worst_lower_slack": 0,
+            "pairs_passed": 9,
+            "pairs_failed": 1,
+            "worst_lower_slack": -5e-324,
             "worst_upper_slack": 2.83623e-319,
             "empirical_distortion": "unbounded",
             "tolerance": 1e-09,
         }
         (emb,) = built
+        # the basepoint and the point 1e-320 from it get the same image
+        assert np.argwhere(np.triu(emb.image_distances == 0, 1)).tolist() == [[0, 1]]
         tiers = [run[0] for run in proper.shell_runs(emb.pspace.norms())[1]]
         assert len(emb.hierarchy.nets) <= sum(emb.params.k_max[n] for n in tiers)
 
-    # 5e-324 / 2 rounds to 0, and so does t / 128 up to 2^-1068
+    # 5e-324 / 2 rounds to 0, and so does t / 128 up to 2^-1068; the proper
+    # map sends both points to 0, which its lower envelope, floored at
+    # 2^-1074, fails
     @pytest.mark.parametrize("d", [5e-324, 1e-323, 2.0**-1068])
     @pytest.mark.parametrize("mode", ["embed-proper", "moduli"])
     def test_subnormal_distances_are_valid_input(self, tmp_path, capsys, mode, d):
         fixture = tmp_path / "s.json"
         fixture.write_text(json.dumps({"dist": [[0, d], [d, 0]]}))
-        assert run_cli(mode, "--input", fixture) == 0
+        collapsed = mode == "embed-proper"
+        assert run_cli(mode, "--input", fixture) == (1 if collapsed else 0)
         out, err = capsys.readouterr()
         assert err == ""
         payload = json.loads(out)
-        assert payload["pass"] is True
+        assert payload["pass"] is not collapsed
+        if collapsed:
+            assert payload["checks"]["pairs_failed"] == 1
+            assert payload["checks"]["worst_lower_slack"] == -5e-324
         thresholds = payload["moduli"]["thresholds"]
         assert min(thresholds) == max(d / 2, 5e-324)
         assert thresholds[-1] == 2 * d
+
+    def test_collapsed_cloud_pair_fails_embed_lp(self, tmp_path, capsys):
+        # the pair of test_a_collapsed_pair_fails_at_subnormal_scale, through the CLI
+        fixture = tmp_path / "c.json"
+        fixture.write_text('{"p": "inf", "points": [[0, 0], [1, 1e-323], [1, 1.5e-323]]}')
+        assert run_cli("embed-lp", "--input", fixture, "--lambda-sim", "2") == 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert (checks["pairs_failed"], checks["worst_lower_slack"]) == (1, -5e-324)
 
     def test_overflowing_upper_envelope_stays_silent(self, tmp_path, monkeypatch, capsys):
         # c_d * d overflows to inf, silently as in float arithmetic: the report
@@ -1121,6 +1137,26 @@ def test_every_name_the_benchmark_tracer_wraps_exists():
         layer = importlib.import_module(f"blockembed.{module}")
         for name in names:
             assert callable(getattr(layer, name, None)), f"blockembed.{module}.{name}"
+
+
+def test_the_benchmark_tracer_counts_what_it_reads():
+    # spans.Tracer reads NetHierarchy.nets, Net.members and BlockVector.blocks
+    # from the results and arguments of the functions it wraps, then restores them
+    tracer = _perfbench_module("spans").Tracer()
+    pspace = PointedSpace(random_graph_metric(16), 0)
+
+    def wrapped():
+        return proper.build_hierarchy, proper.embed_point_proper, blocks.pairwise_distance_matrix
+
+    originals = wrapped()
+    with tracer.active():
+        params = proper.make_proper_params(pspace)
+        hierarchy = proper.build_hierarchy(pspace, params)
+        images = [proper.embed_point_proper(t, pspace, params, hierarchy) for t in range(16)]
+        blocks.pairwise_distance_matrix(images, math.inf)
+    assert wrapped() == originals
+    assert tracer.counts["proper.nets"] == len(hierarchy.nets) > 0
+    assert tracer.counts["proper.image_coords"] > 0 and tracer.counts["blocks.blocks"] > 0
 
 
 @pytest.mark.parametrize("fixture", ["l2-cloud", "random-graph"])

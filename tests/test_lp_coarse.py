@@ -245,21 +245,21 @@ class TestLpParams:
 class TestEmbedPoint:
     def test_origin_maps_to_empty(self):
         img = embed_point_lp(np.zeros(3), LpParams(delta=0.0), 2.0)
-        assert img.is_zero
+        assert not img.blocks
 
     def test_single_shell_at_dyadic_norm(self):
         params = LpParams(delta=0.0, lambda_sim=1.0)
         img = embed_point_lp(np.array([4.0]), params, 2.0)
-        assert img.block_ids == (2,)
-        assert list(img.get(2)) == [4.0]
+        assert tuple(img.blocks) == (2,)
+        assert list(img.blocks.get(2)) == [4.0]
         assert outer_norm(img, 2.0) == 4.0
 
     def test_split_shells_l1(self):
         params = LpParams(delta=0.0, lambda_sim=1.0)
         img = embed_point_lp(np.array([6.0]), params, 1.0)
-        assert img.block_ids == (2, 3)
-        assert list(img.get(2)) == [3.0]
-        assert list(img.get(3)) == [3.0]
+        assert tuple(img.blocks) == (2, 3)
+        assert list(img.blocks.get(2)) == [3.0]
+        assert list(img.blocks.get(3)) == [3.0]
         assert outer_norm(img, 1.0) == 6.0
 
     def test_norm_below_one_rejected(self):
@@ -287,10 +287,10 @@ class TestEmbedPoint:
             n, lam = annulus_index(r)
             img = embed_point_lp(t, params, 2.0)
             rt = params.diag_map(5) * t
-            assert np.array_equal(img.get(n), lam * params.iso.factor(n) * rt)
+            assert np.array_equal(img.blocks.get(n), lam * params.iso.factor(n) * rt)
             if lam < 1:
                 assert np.array_equal(
-                    img.get(n + 1), (1 - lam) * params.iso.factor(n + 1) * rt
+                    img.blocks.get(n + 1), (1 - lam) * params.iso.factor(n + 1) * rt
                 )
 
 
@@ -334,13 +334,25 @@ class TestVerifyLp:
 
             @property
             def image_distances(self):
-                empty = [BlockVector.empty()] * self.pointset.n_points
+                empty = [BlockVector()] * self.pointset.n_points
                 return pairwise_distance_matrix(empty, self.pointset.p)
 
         base = embed_set_lp(cloud_1d([0.0, 2.0, 5.0]), LpParams(delta=0.0))
         broken = ZeroMap(base.pointset, base.params, base.translation, base.scale)
         rep = verify_lp(broken)
         assert rep.n_failed == rep.n_pairs == 3
+
+    def test_a_collapsed_pair_fails_at_subnormal_scale(self):
+        # points 1 and 2 lie 2^-1074 apart at norm 1: their second coordinates
+        # 2 and 3 * 2^-1074, times theta_0 * R_1 (about 0.77), both round to
+        # 2 * 2^-1074, and d / denominator rounds to 0 below the floor 2^-1074
+        tiny = 2.0**-1074
+        cloud = LpPointSet(math.inf, [[0, 0], [1, 2 * tiny], [1, 3 * tiny]])
+        emb = embed_set_lp(cloud, LpParams(lambda_sim=2.0))
+        assert np.argwhere(np.triu(emb.image_distances == 0, 1)).tolist() == [[1, 2]]
+        rep = verify_lp(emb)
+        assert (rep.passed, rep.n_failed, rep.worst_lower_slack) == (False, 1, -tiny)
+        assert rep.empirical_distortion == math.inf
 
     def test_worst_slacks_match_brute_force(self):
         rng = np.random.default_rng(41)
@@ -498,7 +510,7 @@ class TestShellSortedDistances:
         params = LpParams(delta=0.01, lambda_sim=2.0, seed=3)
         emb = embed_set_lp(cloud, params)
         # some points sit exactly on a shell boundary: one block, blend 1
-        assert any(len(v.block_ids) == 1 for v in oracles.lp_images(emb)[1:])
+        assert any(len(v.blocks) == 1 for v in oracles.lp_images(emb)[1:])
         assert_factored_equals_images(emb)
         assert_factored_equals_images(coarse_embed(cloud, 0.6, params))
 
@@ -508,8 +520,8 @@ class TestShellSortedDistances:
         cloud = LpPointSet(p, rng.uniform(0, 8, size=(12, 3)), basepoint=7)
         emb = embed_set_lp(cloud, LpParams(seed=2))
         images = oracles.lp_images(emb)
-        assert images[7].is_zero
-        norms = [0.0 if v.is_zero else outer_norm(v, p) for v in images]
+        assert not images[7].blocks
+        norms = [outer_norm(v, p) if v.blocks else 0.0 for v in images]
         # the fold sums block by block, outer_norm over the concatenation
         np.testing.assert_allclose(emb.image_distances[7], norms, rtol=1e-14)
         assert_factored_equals_images(emb)
@@ -523,7 +535,7 @@ class TestShellSortedDistances:
         cloud = LpPointSet(p, np.vstack([np.zeros(4), directions * radii]))
         emb = embed_set_lp(cloud, LpParams(seed=4, lambda_sim=1.5))
         assert emb.scale == 1.0
-        assert {v.block_ids for v in oracles.lp_images(emb)[1:]} == {(0, 1)}
+        assert {tuple(v.blocks) for v in oracles.lp_images(emb)[1:]} == {(0, 1)}
         assert_factored_equals_images(emb)
 
     @pytest.mark.parametrize("unit", [1e-3, 2.0**-600])

@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from blockembed import lp_coarse, proper
 from blockembed.blocks import (
     BlockIsoModel,
+    BlockVector,
     lp_distance_matrix,
     pair_index,
     pairwise_distance_matrix,
@@ -35,7 +36,6 @@ from blockembed.proper import (
     build_hierarchy,
     embed_point_proper,
     embed_space_proper,
-    frechet_coords,
     log_growth,
     make_proper_params,
     separation_envelope,
@@ -44,7 +44,14 @@ from blockembed.proper import (
 )
 
 import oracles
-from oracles import outer_norm, project_block, proper_images, scale_block
+from oracles import (
+    frechet_coords,
+    net_coords,
+    outer_norm,
+    project_block,
+    proper_images,
+    scale_block,
+)
 
 
 def two_point_space(d=4.0):
@@ -331,9 +338,9 @@ class TestHierarchy:
         pspace = two_point_space()
         params = make_proper_params(pspace)
         h = build_hierarchy(pspace, params)
-        assert h.net(2, 1).members == (0,)  # radius 16 swallows the other point
-        assert h.net(2, 2).members == (0,)
-        assert h.net(2, 3).members == (0, 1)  # tie at exact radius 4 admitted
+        assert h.nets[(2, 1)].members == (0,)  # radius 16 swallows the other point
+        assert h.nets[(2, 2)].members == (0,)
+        assert h.nets[(2, 3)].members == (0, 1)  # tie at exact radius 4 admitted
 
     def test_radii_halve(self):
         pspace = path_space(6)
@@ -341,8 +348,8 @@ class TestHierarchy:
         h = build_hierarchy(pspace, params)
         for n in params.k_max:
             for k in range(1, params.k_max[n]):
-                assert h.net(n, k + 1).radius == h.net(n, k).radius / 2
-            assert h.net(n, 1).radius == math.ldexp(1.0, n + 2)
+                assert h.nets[(n, k + 1)].radius == h.nets[(n, k)].radius / 2
+            assert h.nets[(n, 1)].radius == math.ldexp(1.0, n + 2)
 
     def test_every_net_passes_brute_check(self):
         pspace = path_space(7)
@@ -396,7 +403,7 @@ class TestHierarchy:
             whole = False
             for k in range(1, params.k_max[shell] + 1):
                 net = greedy_maximal_net(space, ball, math.ldexp(1.0, shell + 3 - k))
-                assert h.net(shell, k) == net
+                assert h.nets[(shell, k)] == net
                 expected_scans += not whole
                 whole = len(net) == ball_size
         assert len(scans) == expected_scans
@@ -409,29 +416,32 @@ class TestHierarchy:
 
 
 class TestFrechetCoords:
+    # the coordinates embed_point_proper writes into one net's block
     def test_basepoint_is_zero(self):
         pspace = path_space(5)
         params = make_proper_params(pspace)
         h = build_hierarchy(pspace, params)
+        for n in params.k_max:
+            assert embed_point_proper(0, pspace, params, h, annulus=(n, 1.0)) == BlockVector()
         for net in h.nets.values():
-            assert np.all(frechet_coords(0, net, pspace) == 0.0)
+            assert np.all(net_coords(0, net, pspace) == 0.0)
 
     def test_three_point_example(self):
         space = validate_metric([[0, 2, 3], [2, 0, 2], [3, 2, 0]])
         pspace = PointedSpace(space, 0)
         net = Net(members=(0, 1), radius=1.0, center=0, ball_radius=4.0)
-        assert list(frechet_coords(2, net, pspace)) == [3.0, 0.0]
+        assert list(net_coords(2, net, pspace)) == [3.0, 0.0]
 
     def test_two_point_example(self):
         pspace = two_point_space()
         net = Net(members=(0, 1), radius=4.0, center=0, ball_radius=8.0)
-        assert list(frechet_coords(1, net, pspace)) == [4.0, -4.0]
+        assert list(net_coords(1, net, pspace)) == [4.0, -4.0]
 
     def test_point_outside_ball(self):
         pspace = two_point_space()
         net = Net(members=(0,), radius=1.0, center=0, ball_radius=2.0)
         with pytest.raises(PointOutsideBall):
-            frechet_coords(1, net, pspace)
+            net_coords(1, net, pspace)
 
     def test_one_lipschitz_into_sup_norm(self):
         pspace = path_space(8)
@@ -440,8 +450,9 @@ class TestFrechetCoords:
         d = pspace.space.dist
         for (n, k), net in h.nets.items():
             ball = np.flatnonzero(pspace.norms() <= 2.0 ** (n + 1))
-            coords = {t: frechet_coords(t, net, pspace) for t in ball}
+            coords = {t: net_coords(t, net, pspace) for t in ball}
             for a in ball:
+                assert np.array_equal(coords[a], frechet_coords(a, net, pspace))
                 for b in ball:
                     gap = float(np.abs(coords[a] - coords[b]).max())
                     assert gap <= d[a, b] + 1e-12
@@ -453,16 +464,16 @@ class TestEmbedPoint:
         image = proper_images(emb)[1]
         expected_sups = {1: 2.0, 2: 4.0, 3: 2.0, 4: 0.8}
         for k, sup in expected_sups.items():
-            blk = image.get(pair_index(2, k))
+            blk = image.blocks.get(pair_index(2, k))
             assert blk is not None
             assert float(np.abs(blk).max()) == pytest.approx(sup, abs=1e-15)
         assert outer_norm(image, CODOMAIN_P) == 4.0
-        assert image.get(pair_index(2, 3)) is not None
-        assert list(image.get(pair_index(2, 3))) == [2.0, -2.0]
+        assert image.blocks.get(pair_index(2, 3)) is not None
+        assert list(image.blocks.get(pair_index(2, 3))) == [2.0, -2.0]
 
     def test_basepoint_maps_to_empty(self):
         emb = embed_space_proper(path_space(5))
-        assert proper_images(emb)[0].is_zero
+        assert not proper_images(emb)[0].blocks
 
     def test_dyadic_boundary_consistency(self):
         # point 2 of the unit path has norm exactly 2 = 2^1
@@ -483,8 +494,8 @@ class TestEmbedPoint:
         tier_n = {pair_index(n, k) for k in range(1, emb.params.k_max[n] + 1)}
         tier_n1 = {pair_index(n + 1, k) for k in range(1, emb.params.k_max[n + 1] + 1)}
         assert not tier_n & tier_n1
-        assert set(image.block_ids) <= tier_n | tier_n1
-        assert set(image.block_ids) & tier_n and set(image.block_ids) & tier_n1
+        assert set(image.blocks) <= tier_n | tier_n1
+        assert set(image.blocks) & tier_n and set(image.blocks) & tier_n1
 
     def test_annulus_out_of_range(self):
         pspace = two_point_space()
@@ -522,8 +533,8 @@ class TestEmbedPoint:
                         1.0 / (params.iso.factor(j) * tier_weight(tier, k)),
                         project_block(image, j),
                     )
-                    expected = blend * frechet_coords(t, h.net(tier, k), pspace)
-                    got = recovered.get(j)
+                    expected = blend * frechet_coords(t, h.nets[(tier, k)], pspace)
+                    got = recovered.blocks.get(j)
                     assert got is not None
                     assert np.allclose(got, expected, atol=1e-12, rtol=1e-12)
 
@@ -594,8 +605,8 @@ class TestVerifyProper:
                         * params.iso.factor(pair_index(n, k))
                         * float(
                             np.abs(
-                                frechet_coords(a, h.net(n, k), pspace)
-                                - frechet_coords(b, h.net(n, k), pspace)
+                                frechet_coords(a, h.nets[(n, k)], pspace)
+                                - frechet_coords(b, h.nets[(n, k)], pspace)
                             ).max()
                         )
                         for k in range(1, params.k_max[n] + 1)
@@ -812,7 +823,8 @@ class TestImageDistances:
         pts = np.vstack([[0.0, 0.0], np.c_[radius * np.cos(angle), radius * np.sin(angle)]])
         pspace = PointedSpace(LpPointSet(2.0, pts).metric_space, 0)
         emb = embed_space_proper(pspace, TwoLevels(shell=shell, thetas=thetas, scale=scale))
-        assert emb.hierarchy.net(shell, 1).members == emb.hierarchy.net(shell, 2).members == (0,)
+        nets = emb.hierarchy.nets
+        assert nets[(shell, 1)].members == nets[(shell, 2)].members == (0,)
 
         images = proper_images(emb)
 
@@ -830,7 +842,7 @@ class TestImageDistances:
         # 1 and -1) both hold every ball point
         emb = embed_space_proper(PointedSpace(validate_metric(star_metric(9).dist * 40.0), 0))
         nets = emb.hierarchy
-        assert nets.net(5, 4).members == nets.net(5, 6).members == tuple(range(10))
+        assert nets.nets[(5, 4)].members == nets.nets[(5, 6)].members == tuple(range(10))
         assert tier_weight(5, 4) == tier_weight(5, 6)
         assert np.array_equal(emb.image_distances, eager_distances(emb))
 
@@ -839,7 +851,7 @@ class TestImageDistances:
         # all leaves have norm 1: on the net {center} of levels 1 and 2 every
         # leaf gets the same coordinate, so the dominant level reads 0 on every pair
         emb = embed_space_proper(PointedSpace(star_metric(12), 0), iso=theta)
-        assert emb.hierarchy.net(0, 1).members == emb.hierarchy.net(0, 2).members == (0,)
+        assert emb.hierarchy.nets[(0, 1)].members == emb.hierarchy.nets[(0, 2)].members == (0,)
         assert np.array_equal(emb.image_distances, eager_distances(emb))
 
     @given(
@@ -994,7 +1006,7 @@ class TestImageDistances:
                 m = sum(pair_index(shell, 1) in v.blocks for v in images)
                 pairs = m * (m - 1) // 2
                 for k in range(1, params.k_max[shell] + 1):
-                    full += pairs * len(emb.hierarchy.net(shell, k).members)
+                    full += pairs * len(emb.hierarchy.nets[(shell, k)].members)
             work[0] = 0
             emb.image_distances
             assert work[0] <= most * full
