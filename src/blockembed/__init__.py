@@ -11,7 +11,7 @@ envelopes pair by pair:
   embedding (:mod:`blockembed.lp_coarse`).
 
 :mod:`blockembed.metric` supplies the domain types and the verifier side
-(moduli, distortion, envelope reports); :mod:`blockembed.cli` the
+(moduli and envelope reports); :mod:`blockembed.cli` the
 command-line harness.
 """
 
@@ -39,7 +39,6 @@ from .metric import (
     TooFewPoints,
     TriangleViolation,
     ZeroOffDiagonal,
-    distortion,
     greedy_maximal_net,
     min_positive_distance,
     moduli_profile,

@@ -388,15 +388,16 @@ def main(argv: list[str] | None = None) -> int:
     config = RunConfig(**vars(_build_parser().parse_args(argv)))
     try:
         report, passed = run_report(config)
+        text = dumps_report(report) + "\n"
+        if config.out and config.mode != "gen":
+            atomic_write_text(config.out, text)
     except (UsageError, ParseError, UnknownFormat, MetricError, ValueError, OSError) as err:
         print(f"blockembed: error: {err}", file=sys.stderr)
         return 2
-    text = dumps_report(report) + "\n"
-    if config.out and config.mode != "gen":
-        atomic_write_text(config.out, text)
-        print(("PASS " if passed else "FAIL ") + config.out)
-    elif config.mode == "gen":
+    if config.mode == "gen":
         print(f"wrote {report['written']}")
+    elif config.out:
+        print(("PASS " if passed else "FAIL ") + config.out)
     else:
         sys.stdout.write(text)
     return 0 if passed else 1

@@ -2,8 +2,8 @@
 
 A :class:`FiniteMetricSpace` is the universal input of the package: point
 labels plus a validated square distance matrix.  The diagnostic side lives
-here as well: compression and expansion moduli, distortion, and the
-two-sided envelope verifier that certifies a map pair by pair.
+here as well: compression and expansion moduli, and the two-sided
+envelope verifier that certifies a map pair by pair.
 
 Everything in this module is immutable after construction and every
 operation is a pure function, so values can be shared freely across
@@ -37,7 +37,6 @@ __all__ = [
     "greedy_maximal_net",
     "min_positive_distance",
     "moduli_profile",
-    "distortion",
     "verify_bounds",
 ]
 
@@ -94,35 +93,34 @@ class LengthMismatch(MetricError):
 
 @dataclass(frozen=True, eq=False)
 class FiniteMetricSpace:
-    """Validated finite metric space: labels and a square distance matrix.
+    """Checked finite metric space: labels, a distance matrix, its triangle slack.
 
     Construct through :func:`validate_metric`, or from an l_p cloud through
-    ``LpPointSet.metric_space``; direct construction skips every metric check
-    and only asserts the cheap shape invariants.  ``triangle_slack`` is a
-    number at least every defect d(i,j) - d(i,k) - d(k,j) of the stored
-    matrix in exact arithmetic, and at least 0; both constructors record the
-    one their check proves, and a directly built space leaves it ``None``.
-    With ``None``, proper image distances compute every level of every group
-    densely: 3.6-4.7x slower on a 256-point graph than after
-    ``validate_metric``, or with a proved ``triangle_slack`` passed in.
+    ``LpPointSet.metric_space``: their checks are what the rest of the
+    package trusts.  ``dist`` is a symmetric float64 matrix with a zero
+    diagonal and positive finite entries off it; ``triangle_slack`` is a
+    finite number, at least 0 and at least every defect d(i,j) - d(i,k) -
+    d(k,j) of ``dist`` in exact arithmetic, the one the check proved.
+    Construction itself raises only on the shape, the dtype and the slack.
     """
 
     labels: tuple[str, ...]
     dist: np.ndarray
-    triangle_slack: float | None = None
+    triangle_slack: float
 
     def __post_init__(self):
         if self.dist.ndim != 2 or self.dist.shape[0] != self.dist.shape[1]:
             raise MetricError("distance matrix must be square")
         if len(self.labels) != self.dist.shape[0]:
             raise LengthMismatch("labels and matrix size differ")
+        if self.dist.dtype != np.float64:
+            raise MetricError(f"distance matrix must be float64, got {self.dist.dtype}")
+        if not 0 <= self.triangle_slack < math.inf:
+            raise MetricError(f"triangle slack must be finite and >= 0, got {self.triangle_slack}")
 
     @property
     def n_points(self) -> int:
         return self.dist.shape[0]
-
-    def d(self, i: int, j: int) -> float:
-        return float(self.dist[i, j])
 
     def diameter(self) -> float:
         return float(self.dist.max()) if self.n_points else 0.0
@@ -291,9 +289,10 @@ def validate_metric(
     # So every triple's scan value fl(s - a_jk), s = fl(a_ij - a_ik), is at
     # most tol, and its exact defect is within uM of s - a_jk.  When s > a_jk
     # that is at most tol + u(1 + u)M, else at most 0: every defect lies
-    # below the triangle slack max(tol, 0) + 4uM, rounded up.
+    # below the triangle slack max(tol, 0) + 4uM, rounded up.  No defect
+    # exceeds its d(i,j) <= M either, which keeps the slack of a huge tol finite.
     slack = float(np.nextafter(max(tol, 0.0) + 2.0**-51 * scale, math.inf))
-    return _labelled(a, labels, slack)
+    return _labelled(a, labels, min(slack, scale))
 
 
 def _first_flagged_row(b: np.ndarray, bound: float) -> int | None:
@@ -484,9 +483,8 @@ def moduli_profile(
 
     Each pair goes into the buckets #(grid <= d) and #(grid < d) of the
     sorted thresholds plus inf, looked up in :func:`_bucket_table`; a grid
-    too dense for a table, and a row block the table cannot bucket (see
-    :func:`_buckets`), take a binary search instead.  The counts are exact
-    either way.
+    too dense for a table takes a binary search instead.  The counts are
+    exact either way.
     """
     ts = [float(t) for t in thresholds]
     if not all(t >= 0 for t in ts):
@@ -497,7 +495,7 @@ def moduli_profile(
     grid, at = np.unique([*ts, math.inf], return_inverse=True)  # inf: above every d
     low = np.full(len(grid) + 1, math.inf)  # low[k]: min over pairs with k of grid <= d
     high = np.zeros(len(grid) + 1)  # high[k]: max over pairs with k of grid < d
-    table = _bucket_table(grid) if domain.dist.dtype == np.float64 else None
+    table = _bucket_table(grid)
     for d, v in _upper_chunks(domain.dist, m):
         k, below = _buckets(grid, table, d)
         np.minimum.at(low, k, v)
@@ -546,11 +544,11 @@ def _buckets(
     the lower cells, and one compare against the cell's grid value finishes
     each count.  A cell outside the table is clipped to its first or last
     cell, whose grid value lies above or below d, so the compare still
-    counts right.  Without a table, or for a block holding a distance that
-    is not positive and finite (only a directly built space holds one), the
-    binary search of ``np.searchsorted`` does.
+    counts right.  Every d is positive and finite, as in every
+    :class:`FiniteMetricSpace`.  Without a table, the binary search of
+    ``np.searchsorted`` does.
     """
-    if table is not None and d.min() > 0 and d.max() < math.inf:
+    if table is not None:
         shift, first, counts, values = table
         cell = d.view(np.int64) >> shift
         cell -= first
@@ -561,18 +559,6 @@ def _buckets(
         return c + (t <= d), c + (t < d)
     k = np.searchsorted(grid, d, "right")
     return k, k - (grid[k - 1] == d)  # grid[-1] = inf > d at k = 0
-
-
-def distortion(domain: FiniteMetricSpace, *, image_distances: np.ndarray) -> float:
-    """Product of the two Lipschitz constants of the map and its inverse.
-
-    Scale-invariant; ``math.inf`` when two distinct points share an image.
-    This is the empirical distortion of :func:`verify_bounds`.
-    """
-    report = verify_bounds(domain, np.zeros_like, np.zeros_like, image_distances=image_distances)
-    if domain.n_points < 2:
-        raise TooFewPoints("need at least two points")
-    return report.empirical_distortion
 
 
 def _upper_chunks(dist: np.ndarray, m: np.ndarray):

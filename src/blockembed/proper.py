@@ -240,10 +240,11 @@ def make_proper_params(
 
     The shells are the tiers of :func:`shell_runs`, those a point touches
     with a non-zero blend, in ascending order; no image reads any other.
-    The balls B_n are nested, so each is a prefix of that norm order, and
-    dmin(B_n) reads only the rows and columns B_n adds to the last ball
-    read.  On a metric space dmin(B_n) <= 2^(n+1), so a cap exceeds an
-    earlier shell's by at least the number of shells between them: each
+    The balls B_n are nested, so each is a prefix of that norm order, and,
+    as the matrix is symmetric, dmin(B_n) reads only the rows B_n adds to
+    the last ball read, against B_n.  Every ball holds the basepoint and a
+    carrier, so dmin(B_n) is positive and at most 2^(n+1): a cap exceeds an
+    earlier shell's by at least the number of shells between them, so each
     shell's offsets n - k hold every earlier shell's, and a shell no point
     carries would add none to ``c_trunc``.
     """
@@ -257,21 +258,13 @@ def make_proper_params(
 
     k_max: dict[int, int] = {}
     used: set[int] = set()
-    lows: list[float] = []  # the least positive distance of each row block read
-    hi, step, radius = 0, _CHUNK_ELEMS // len(norms) + 1, 0.0
+    hi, step, dmin = 0, _CHUNK_ELEMS // len(norms) + 1, math.inf
     for n, *_ in runs:
-        new = norms > radius  # outside the last ball read
-        radius = math.ldexp(1.0, n + 1)
-        ball = norms <= radius
+        ball = norms <= math.ldexp(1.0, n + 1)
         lo, hi = hi, int(np.count_nonzero(ball))  # B_n is order[:hi]
-        new &= ball
-        # rows new to B_n against B_n, and the rows of the last ball against the new points
-        for rows, cols in ((order[lo:hi], ball), (order[:lo], new)) if lo < hi else ():
-            for r0 in range(0, len(rows), step):
-                blk = space.dist[rows[r0 : r0 + step]]
-                if (ok := (blk > 0) & cols).any():  # initial: an admitted entry, in its dtype
-                    lows.append(blk.min(where=ok, initial=blk.flat[ok.argmax()]))
-        dmin = float(min(lows) if lows else np.min(lows))  # np.min([]): numpy's ValueError
+        for r0 in range(lo, hi, step):  # the rows new to B_n, against B_n
+            blk = space.dist[order[r0 : min(r0 + step, hi)]]
+            dmin = min(dmin, float(blk.min(where=(blk > 0) & ball, initial=math.inf)))
         cap = max(1, math.ceil(n + 3 - math.log2(dmin))) + k_slack
         k_max[n] = cap
         used.update(n - k for k in range(1, cap + 1))
@@ -376,11 +369,9 @@ def _image_distances(embedding: ProperEmbedding) -> np.ndarray:
     that the max is high before the big kernels.  A zero block is absent."""
     pspace, params, nets = embedding.pspace, embedding.params, embedding.hierarchy.nets
     dist, norms = pspace.space.dist, pspace.norms()
-    # the guard of _fold_group: no screen when a distance or the slack is
-    # past 2^900 (or NaN), or the slack is unknown
-    fits = -(2.0**900) <= dist.min(initial=0.0) and dist.max(initial=0.0) <= 2.0**900
+    # the guard of _fold_group: no screen when a distance or the slack is past 2^900
     slack = pspace.space.triangle_slack
-    slack = slack if fits and slack is not None and slack <= 2.0**900 else None
+    slack = slack if max(dist.max(), slack) <= 2.0**900 else None
     order, runs = shell_runs(norms)
     work = []
     for shell, lo, hi, blend in runs:

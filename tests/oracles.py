@@ -320,11 +320,11 @@ def brute_net_check(matrix, members, center, ball_radius, radius, seed):
 
 def ball_proper_params(pspace, iso=None, k_slack=4, every_shell=False):
     """``proper.make_proper_params`` reading dmin(B_n) from a copy of each
-    carrier tier's whole ball: the same values, errors and messages on any
+    carrier tier's whole ball: the same values, errors and messages on every
     space.  With ``every_shell``, the walk it made before it skipped the
     shells no point carries: every shell from the first carrier tier to the
     last, whose offsets all count towards ``c_trunc``; ``k_max`` still keeps
-    the carrier tiers only.  On a metric space the two walks agree."""
+    the carrier tiers only.  The two walks agree."""
     space = pspace.space
     if space.n_points < 2:
         raise TooFewPoints("need at least two points to embed")

@@ -40,9 +40,9 @@ from blockembed.lp_coarse import (
 from blockembed.metric import (
     PointedSpace,
     TriangleViolation,
-    distortion,
     moduli_profile,
     validate_metric,
+    verify_bounds,
 )
 from blockembed.proper import (
     CODOMAIN_P,
@@ -103,7 +103,7 @@ def test_criterion_1_proper_bound_suite():
             # the stated inequality, asserted directly on every pair
             images = pairwise_distance_matrix(proper_images(emb), CODOMAIN_P)
             for i, j in zip(*np.triu_indices(space.n_points, k=1)):
-                d, v = space.d(i, j), float(images[i, j])
+                d, v = float(space.dist[i, j]), float(images[i, j])
                 assert separation_envelope(d) - TOL <= v <= 9.0 * emb.params.c_trunc * d + TOL
             worst_lower = min(worst_lower, rep.worst_lower_slack)
             worst_upper = min(worst_upper, rep.worst_upper_slack)
@@ -147,7 +147,7 @@ def test_criterion_2_lp_bound_suite():
             images = pairwise_distance_matrix(lp_images(emb), p)
             denom = params.lower_denominator()
             for i, j in zip(*np.triu_indices(space.n_points, k=1)):
-                d, v = space.d(i, j), float(images[i, j])
+                d, v = float(space.dist[i, j]), float(images[i, j])
                 assert d / denom * (1.0 - TOL) <= v <= 9.0 * d * (1.0 + TOL)
             clouds += 1
             checked += rep.n_pairs
@@ -249,7 +249,9 @@ def test_criterion_4_oracle_equivalence():
         for a, b in zip(prof.expansion, expa):
             assert abs(a - b) < 1e-12
 
-        dist = distortion(space, image_distances=dmat)
+        dist = verify_bounds(
+            space, np.zeros_like, np.zeros_like, image_distances=dmat
+        ).empirical_distortion
         assert dist == pytest.approx(oracles.brute_distortion(matrix, brute), rel=1e-12)
 
         rep = verify_proper(emb, tolerance=TOL)

@@ -38,7 +38,7 @@ class TestParseSpace:
         space = parse_space(path, "json")
         assert isinstance(space, FiniteMetricSpace)
         assert space.labels == ("a", "b")
-        assert space.d(0, 1) == 1.0
+        assert space.dist[0, 1] == 1.0
 
     def test_json_cloud_three_four_five(self, tmp_path):
         path = tmp_path / "c.json"
@@ -65,7 +65,7 @@ class TestParseSpace:
         path = tmp_path / "m.csv"
         path.write_text("0,1\n1,0\n")
         space = parse_space(path, "csv")
-        assert space.d(0, 1) == 1.0
+        assert space.dist[0, 1] == 1.0
 
     def test_csv_parse_error_names_line(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -215,7 +215,7 @@ class TestCliModes:
         report = tmp_path / "rep.json"
         assert run_cli("gen", "--kind", "path", "--n", 4, "--out", fixture) == 0
         parsed = parse_space(fixture, "json")
-        assert parsed.d(0, 3) == 3.0
+        assert parsed.dist[0, 3] == 3.0
         assert run_cli("embed-proper", "--input", fixture, "--out", report) == 0
         payload = json.loads(report.read_text())
         assert payload["pass"] is True
@@ -599,7 +599,7 @@ class TestCliModes:
         fixture = tmp_path / "s.json"
         assert run_cli("gen", "--kind", "star", "--n", 3, "--out", fixture) == 0
         space = parse_space(fixture, "json")
-        assert space.d(1, 2) == 2.0
+        assert space.dist[1, 2] == 2.0
 
     def test_csv_input_end_to_end(self, tmp_path):
         fixture = tmp_path / "m.csv"
@@ -672,6 +672,18 @@ class TestCliModes:
         err = capsys.readouterr().err
         assert err.startswith("blockembed: error:") and err.count("\n") == 1
         assert not out.exists()  # rejected before any work
+
+    @pytest.mark.parametrize(
+        "mode", ["validate", "net", "embed-proper", "embed-lp", "coarse", "moduli"]
+    )
+    def test_unwritable_out_exits_two(self, tmp_path, capsys, mode):
+        fixture = tmp_path / "c.json"
+        fixture.write_text('{"p":2,"points":[[0,0],[3,4],[6,8]]}')
+        out = fixture / "r.json"  # under a regular file: no directory to write in
+        assert run_cli(mode, "--input", fixture, "--out", out) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("blockembed: error:") and captured.err.count("\n") == 1
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "mode, flag",

@@ -25,8 +25,8 @@ import oracles
 class TestDeterministicShapes:
     def test_path_distances(self):
         space = path_metric(4)
-        assert space.d(0, 3) == 3.0
-        assert space.d(1, 2) == 1.0
+        assert space.dist[0, 3] == 3.0
+        assert space.dist[1, 2] == 1.0
 
     @pytest.mark.parametrize("n", [2, 3, 33, 2048])
     def test_path_is_the_proved_l1_line(self, n):
@@ -41,8 +41,8 @@ class TestDeterministicShapes:
     def test_star_leaf_to_leaf(self):
         space = star_metric(3)
         assert space.n_points == 4
-        assert space.d(0, 1) == 1.0
-        assert space.d(1, 2) == 2.0
+        assert space.dist[0, 1] == 1.0
+        assert space.dist[1, 2] == 2.0
 
     def test_grid_cloud_matches_grid_net(self):
         cloud = grid_net_cloud(1, 2)

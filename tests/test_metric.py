@@ -1,6 +1,8 @@
+import ast
 import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +22,6 @@ from blockembed.metric import (
     TooFewPoints,
     TriangleViolation,
     ZeroOffDiagonal,
-    distortion,
     greedy_maximal_net,
     min_positive_distance,
     moduli_profile,
@@ -55,7 +56,7 @@ class TestValidate:
         sp = validate_metric([[0, 1], [1, 0]])
         assert sp.n_points == 2
         assert sp.labels == ("p0", "p1")
-        assert sp.d(0, 1) == 1.0
+        assert sp.dist[0, 1] == 1.0
 
     def test_asymmetric(self):
         with pytest.raises(AsymmetricMatrix) as err:
@@ -214,7 +215,10 @@ class TestCheckedEntries:
     @given(faulty_matrices())
     @settings(max_examples=100, deadline=None)
     def test_min_positive_distance_is_the_off_diagonal_min(self, a):
-        space = metric.FiniteMetricSpace(tuple(map(str, range(len(a)))), a)
+        try:
+            space = validate_metric(a)
+        except MetricError:
+            return
         if len(a) < 2:
             return
         expected = np.min(a, initial=math.inf, where=~np.eye(len(a), dtype=bool))
@@ -240,7 +244,45 @@ class TestTriangleSlack:
     def test_accepted_defect_is_covered(self):
         a = np.array([[0.0, 3.0, 1.0], [3.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
         assert validate_metric(a, tol=1.0).triangle_slack >= 1.0
-        assert metric.FiniteMetricSpace(("a", "b", "c"), a).triangle_slack is None
+
+    @pytest.mark.parametrize("tol", [3.0, 1e308, math.inf])
+    def test_no_slack_exceeds_the_largest_distance(self, tol):
+        # every defect d(i,j) - d(i,k) - d(k,j) is at most d(i,j)
+        a = np.array([[0.0, 3.0, 1.0], [3.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        assert validate_metric(a, tol=tol).triangle_slack == 3.0
+
+
+class TestConstruction:
+    """A FiniteMetricSpace checks its shape, dtype and slack, and nothing else."""
+
+    def test_slack_is_required(self):
+        with pytest.raises(TypeError):
+            metric.FiniteMetricSpace(("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+    @pytest.mark.parametrize("slack", [math.nan, math.inf, -math.inf, -1.0, -5e-324])
+    def test_slack_must_be_finite_and_non_negative(self, slack):
+        with pytest.raises(MetricError, match="triangle slack"):
+            metric.FiniteMetricSpace(("a", "b"), np.array([[0.0, 1.0], [1.0, 0.0]]), slack)
+
+    @pytest.mark.parametrize("dtype", [int, np.float32, np.longdouble, object])
+    def test_matrix_must_be_float64(self, dtype):
+        with pytest.raises(MetricError, match="float64"):
+            metric.FiniteMetricSpace(("a", "b"), np.array([[0, 1], [1, 0]], dtype=dtype), 0.0)
+
+    def test_only_the_checks_build_a_space(self):
+        # validate_metric and LpPointSet.metric_space both wrap their checked
+        # matrix through metric._labelled, the one place that builds a space
+        callers = []
+        for path in sorted(Path(metric.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            scopes = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+            for call in ast.walk(tree):
+                if isinstance(call, ast.Call) and ast.unparse(call.func).endswith(
+                    "FiniteMetricSpace"
+                ):
+                    inside = [f.name for f in scopes if f.lineno <= call.lineno <= f.end_lineno]
+                    callers.append((path.name, inside[-1] if inside else None))
+        assert callers == [("metric.py", "_labelled")]
 
 
 class TestTriangleFilter:
@@ -672,22 +714,6 @@ class TestModuliExactly:
         comp, expa = oracles.brute_moduli(space.dist.tolist(), imat.tolist(), sorted(ts))
         assert (prof.compression, prof.expansion) == (tuple(comp), tuple(expa))
 
-    @given(st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_directly_built_spaces_with_zero_negative_or_infinite_entries(self, data):
-        # no check runs on direct construction, so the table's blocks fall back
-        n = data.draw(st.integers(2, 7))
-        values = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0, math.inf])
-        upper = np.array(data.draw(st.lists(values, min_size=n * n, max_size=n * n)))
-        dist = np.triu(upper.reshape(n, n), 1)
-        dist += dist.T
-        space = metric.FiniteMetricSpace(tuple(map(str, range(n))), dist)
-        imat = np.arange(n * n, dtype=float).reshape(n, n)
-        ts = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, math.inf]), max_size=6))
-        prof = self._profile_in_small_blocks(space, ts, imat, data.draw(st.integers(1, 4)))
-        comp, expa = oracles.brute_moduli(dist.tolist(), imat.tolist(), sorted(ts))
-        assert (prof.compression, prof.expansion) == (tuple(comp), tuple(expa))
-
     @staticmethod
     def _profile_in_small_blocks(space, ts, imat, block):
         """moduli_profile over row blocks of ``block`` pairs, with the bucket
@@ -771,6 +797,12 @@ class TestModuliBuckets:
             a.tolist() for a in oracles.searchsorted_buckets(grid, d)
         ]
         assert max(got[0]) == size
+
+
+def distortion(space, image_distances):
+    """The empirical distortion of the map with these image distances."""
+    report = verify_bounds(space, np.zeros_like, np.zeros_like, image_distances=image_distances)
+    return report.empirical_distortion
 
 
 class TestDistortion:
