@@ -150,7 +150,11 @@ def lp_distance_matrix(
     |x[rows, k] - x[lo:, k]|^p are added (for p = inf, maxed) in coordinate
     order, rooted, and the entries :func:`_norms` would redo are redone by
     it; numpy sums fewer than 8 terms along a last axis left to right, so
-    this is :func:`_norms` of the difference rows to the bit.  Wider rows
+    this is :func:`_norms` of the difference rows to the bit.  An entry
+    needs the redo only below ``_L2_REDO_BELOW ** (2 / p)``, at inf or at
+    NaN, so a chunk whose off-diagonal minimum is at least that floor and
+    whose maximum is finite (on an ordinary cloud, every chunk) has none and
+    builds no redo mask.  Wider rows
     are differenced ``_CHUNK_ELEMS`` elements (or one row) at a time into
     :func:`_norms`.  Either way temporaries stay at O(chunk).
     """
@@ -170,6 +174,7 @@ def lp_distance_matrix(
                 out[hi:, lo:hi] = rows[:, hi - lo :].T
         return out
     sup, powered = math.isinf(p), not math.isinf(p) and p != 1
+    floor = _L2_REDO_BELOW ** (2.0 / p)  # the least norm _needs_redo leaves
     cols = x.T.copy()  # one contiguous row per coordinate
     # A matrix of at most _CHUNK_ELEMS entries is formed in place.  Otherwise
     # a chunk holds at most half that many entries (or one row), formed
@@ -194,11 +199,15 @@ def lp_distance_matrix(
                     (np.maximum if sup else np.add)(acc, d, out=acc)
             if powered:
                 np.sqrt(acc, out=acc) if p == 2 else np.power(acc, 1.0 / p, out=acc)
-                redo = _needs_redo(acc, p)
-                np.fill_diagonal(redo, False)  # 0, redone or not
-                i, j = np.nonzero(redo)
-                if len(i):
+                # The diagonal (0, or NaN on a non-finite point) is never
+                # redone: set aside, it reads as the floor while the chunk's
+                # minimum and maximum screen it (a NaN fails both tests).
+                diag = np.diagonal(acc).copy()
+                np.fill_diagonal(acc, floor)
+                if not (acc.min() >= floor and acc.max() < math.inf):
+                    i, j = np.nonzero(_needs_redo(acc, p))
                     acc[i, j] = _norms(np.abs(x[lo + i] - x[lo + j]), p)
+                np.fill_diagonal(acc, diag)
             if not whole:
                 out[lo:hi, lo:] = acc
                 out[hi:, lo:hi] = acc[:, hi - lo :].T

@@ -80,8 +80,11 @@ class LpPointSet:
     For p in {1, 2, inf} and dim up to 1024 (for p = 2, with every positive
     distance in [2^-480, 2^480]) the triangle inequality is proved from
     rounding bounds and only the O(n^2) entry checks run; otherwise the
-    matrix goes through :func:`~blockembed.metric.validate_metric`.  Either
-    way the outcome, the exception and the matrix are those of
+    matrix goes through :func:`~blockembed.metric.validate_metric`.  The
+    entry checks, which validate_metric runs first and in the same order,
+    run before the proof, so it reads one maximum and, for p = 2, the
+    off-diagonal minimum of a matrix known to be a checked one.  Either way
+    the outcome, the exception and the matrix are those of
     ``validate_metric``.
     """
 
@@ -108,7 +111,7 @@ class LpPointSet:
 
     @cached_property
     def metric_space(self) -> FiniteMetricSpace:
-        from .metric import _checked_entries, _labelled, validate_metric
+        from .metric import _checked_entries, _labelled, _off_diagonal, validate_metric
 
         d = lp_distance_matrix(self.points, self.p)
         # The triangle scan of validate_metric cannot fire on an l_1, l_2 or
@@ -135,18 +138,20 @@ class LpPointSet:
         # exactly when the O(n^2) entry checks pass.  The excess of the
         # stored matrix is at most 3g/(1 - g) * M^ < 4(dim + 2)u * M^; that,
         # rounded up, is the triangle slack recorded with the space.
-        proved = self.dim <= _PROVED_DIM_CAP and (
-            self.p == 1
-            or math.isinf(self.p)
-            or (
-                self.p == 2
-                and d.max(initial=0.0) <= 2.0**480
-                and d.min(initial=np.inf, where=d > 0) >= _L2_REDO_BELOW
-            )
-        )
-        if proved:  # the fresh matrix itself is checked and wrapped, not a copy
-            slack = np.nextafter(4 * (self.dim + 2) * 2.0**-53 * d.max(initial=0.0), np.inf)
-            return _labelled(_checked_entries(d, copy=False), None, float(slack))
+        #
+        # The entry checks run first, on the fresh matrix itself: they are
+        # the first checks of validate_metric, in its order, so they raise
+        # what it raises.  Past them every off-diagonal entry is positive, so
+        # the off-diagonal minimum is the least positive distance, and one
+        # maximum serves both the l_2 range and the slack.
+        if self.dim <= _PROVED_DIM_CAP and self.p in (1, 2, math.inf):
+            d = _checked_entries(d, copy=False)
+            top = float(d.max(initial=0.0))
+            if self.p != 2 or (
+                top <= 2.0**480 and _off_diagonal(d).min(initial=np.inf) >= _L2_REDO_BELOW
+            ):  # the checked matrix is wrapped, not a copy
+                slack = np.nextafter(4 * (self.dim + 2) * 2.0**-53 * top, np.inf)
+                return _labelled(d, None, float(slack))
         return validate_metric(d)  # on a copy, which the set then keeps
 
 
@@ -390,14 +395,20 @@ def net_round(
     eps/2 of t, so net members are fixed and |d(beta a, beta b) - d(a, b)|
     < eps for every pair.  ``eps`` must be positive and finite.  Returns
     (member indices in admission order, beta as an index per point).
+
+    Members lie at least eps/2 apart, so each rounds to itself and only the
+    rows of non-members are searched.
     """
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
     r = eps / 2.0
     net = greedy_maximal_net(space, (basepoint, math.inf), r)
     members = np.array(net.members)
+    beta = np.arange(space.n_points)
+    rest = np.ones(space.n_points, dtype=bool)
+    rest[members] = False
     # maximality puts a member strictly within r of every point
-    beta = members[np.argmax(space.dist[:, members] < r, axis=1)]
+    beta[rest] = members[np.argmax(space.dist[np.ix_(rest, members)] < r, axis=1)]
     return net.members, tuple(beta.tolist())
 
 
@@ -448,13 +459,19 @@ def verify_coarse(embedding: CoarseEmbedding, tolerance: float = 0.0) -> BoundsR
 
 
 def max_rounding_deviation(space: FiniteMetricSpace, beta: tuple[int, ...]) -> float:
-    """max over pairs of | d(beta a, beta b) - d(a, b) |."""
+    """max over pairs of | d(beta a, beta b) - d(a, b) |.
+
+    A pair of points beta fixes deviates by exactly 0, and the deviation is
+    symmetric in (a, b), so the rows of the moved points a (beta(a) != a)
+    hold the maximum over every pair that can deviate.
+    """
     d = space.dist
-    if not len(d):
-        return 0.0
     b = np.asarray(beta, dtype=int)
-    gap = d[np.ix_(b, b)]  # the one n x n temporary, reused in place
-    gap -= d
+    moved = np.flatnonzero(b != np.arange(len(d)))
+    if not len(moved):
+        return 0.0
+    gap = d[np.ix_(b[moved], b)]
+    gap -= d[moved]
     return float(np.abs(gap, out=gap).max())
 
 

@@ -321,6 +321,16 @@ class TestDistances:
             assert np.all(np.diagonal(mat) == 0.0)
         for p in (1.5, 2.0, 3.0):
             assert np.array_equal(lp_distance_matrix(y, p), oracles.dense_redo_lp_distances(y, p))
+        # rows whose powers under- or overflow between ordinary ones: the
+        # chunks that reach them need the redo, the chunks past them none
+        z = np.concatenate(
+            [x[:10], rng.uniform(-1, 1, (10, dim)) * np.repeat([1e-200, 1e200], 5)[:, None], x[10:]]
+        )
+        for p in (2.0, 3.0):
+            mat = lp_distance_matrix(z, p)
+            assert np.array_equal(mat, oracles.dense_redo_lp_distances(z, p))
+            assert np.array_equal(mat, mat.T)
+            assert np.all(np.diagonal(mat) == 0.0)
 
     @given(
         st.integers(1, 10),

@@ -1099,6 +1099,21 @@ class TestDeterminism:
          "f1d2694133404452b8ff975d194d3980318b1496883952fb09f94d75d7f01f56"),
         ("linf", ("embed-proper",),
          "cd0c6cec14b573a678064111f7bfe9448ddf98dd70fb98e780053e8c99b61fb0"),
+        # the l_p certificates on l_1 and l_inf clouds
+        ("l1", ("embed-lp",),
+         "d29e15f44037b985e9d87bb863828787ac25495e6b83fc38540960b503f11c67"),
+        ("l1", ("coarse",),
+         "fbc71f46bcea6abe6188cdef7e085a68ffa5900413557cc4e17e8bfa39df44a7"),
+        ("linf", ("embed-lp",),
+         "90a2e192503a8e98fa1fdb759b4000a8def304e00771584327c45c3998950c70"),
+        ("linf", ("coarse",),
+         "3a7d176c478a2cb011c836441f9d40f75e438c10f5d94076aa6a659c87be43f5"),
+        # a coarse net many points round onto, so beta and the deviation
+        # read rows of non-members
+        ("cloud-eps6", ("coarse", "--epsilon", "6"),
+         "a274fc334e2698d8ea64431a5e5218eefd254033d529044a587bfb80ee112783"),
+        ("cloud", ("net",),
+         "9f7b0c6910e0979155fba00550f38e2b0f50b65767ef9d5b72e345db8801bcc2"),
     ]
 
     @pytest.mark.parametrize(
@@ -1115,6 +1130,7 @@ class TestDeterminism:
             "graph-exact": lambda: random_graph_metric(96, None, 7),
             "path": lambda: path_metric(64),
             "cloud": lambda: random_lp_cloud(300, 3, 2.0, 7),
+            "cloud-eps6": lambda: random_lp_cloud(300, 3, 2.0, 7),
             "star": lambda: star_metric(40),
             "l1": lambda: random_lp_cloud(150, 3, 1.0, 7),
             "linf": lambda: random_lp_cloud(150, 3, math.inf, 7),
@@ -1127,15 +1143,38 @@ class TestDeterminism:
 
 
 def _perfbench_module(name):
-    """perfbench/<name>.py, loaded by path and left out of sys.modules."""
+    """perfbench/<name>.py, loaded by path and left out of sys.modules once
+    loaded (a dataclass looks its module up there while it is built)."""
     import importlib.util
     from pathlib import Path
 
     path = Path(__file__).parents[1] / "perfbench" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
     return module
+
+
+def test_every_benchmark_request_passes_its_correctness_gate(tmp_path):
+    # one seed of each workload of perfbench/, every request run twice: each
+    # report must hold up against the benchmark's own reference values, and
+    # the repeat must write the same bytes
+    workloads, gate, reference = map(_perfbench_module, ("workloads", "gate", "reference"))
+    for workload in workloads.WORKLOADS:
+        for request in workloads.prepare(workload, 1, tmp_path / workload):
+            out = tmp_path / workload / f"{request.key}.json"
+            codes, reports = [], []
+            for _ in range(2):
+                codes.append(main(request.argv(str(out))))
+                reports.append(out.read_bytes())
+            want = reference.reference_fields(request.mode, request.input, request.flags)
+            reasons = gate.check_report(reports[0].decode(), request.n, want)
+            failures = gate.certificate_failures(max(codes), reports[0] == reports[1], reasons)
+            assert failures == [], f"{workload} {request.key}"
 
 
 def test_every_name_the_benchmark_tracer_wraps_exists():

@@ -97,7 +97,8 @@ def cloud_metric(p, pts):
 def lp_clouds(draw):
     """(p, points): 1..10 points in dim 1..64 at a scale from 1e-300
     to 1e300, sometimes with a duplicate point, with every row spread over
-    several decades, or moved far away and translated back by one point."""
+    several decades, or moved far away and translated back by one point,
+    and about one time in four with a NaN or infinite coordinate."""
     p = draw(st.sampled_from([1.0, 2.0, math.inf, 3.0]))
     n = draw(st.integers(1, 10))
     dim = draw(st.integers(1, 64))
@@ -112,6 +113,9 @@ def lp_clouds(draw):
     if far and math.isfinite(2 * far):  # away from the origin, then back as normalize_pointed does
         pts = pts + far
         pts = pts - pts[draw(st.integers(0, n - 1))]
+    if draw(st.integers(0, 3)) == 0:
+        row, col = draw(st.integers(0, n - 1)), draw(st.integers(0, dim - 1))
+        pts[row, col] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
     return p, pts
 
 
@@ -123,8 +127,9 @@ class TestMetricSpace:
     def test_same_outcome_as_validate_metric(self, case):
         p, pts = case
         # only a distance past the largest double (every l_p distance is at
-        # most 2 * dim * max|x|) may overflow, to inf with a warning, on both sides
-        past_max = np.abs(pts).max() > np.finfo(float).max / (4.0 * pts.shape[1])
+        # most 2 * dim * max|x|) may overflow, to inf with a warning, on both
+        # sides; a NaN coordinate leaves the bound unknown
+        past_max = not np.abs(pts).max() <= np.finfo(float).max / (4.0 * pts.shape[1])
         with np.errstate(over="ignore" if past_max else "warn"):
             expected = full_check(p, pts)
             assert cloud_metric(p, pts) == expected
@@ -399,6 +404,39 @@ class TestNetRound:
         members, beta = net_round(cloud.metric_space, 0.9)
         for i, m in enumerate(beta):
             assert d[i, m] < 0.45
+
+    @given(
+        st.integers(0, 40),
+        st.sampled_from(["identity", "constant", "random", "net"]),
+        st.floats(0.1, 20.0),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_members_fixed_and_deviation_over_every_pair(self, n, kind, eps, seed):
+        # net_round searches only the rows of non-members, and
+        # max_rounding_deviation reads only the rows beta moves
+        rng = np.random.default_rng(seed)
+        space = validate_metric(lp_distance_matrix(rng.uniform(0, 10, size=(n, 2)), 2.0))
+        d = space.dist
+        if kind == "net" and n:
+            basepoint = int(rng.integers(n))
+            members, beta = net_round(space, eps, basepoint)
+            assert members[0] == basepoint
+            for m in members:
+                assert beta[m] == m
+            for t in range(n):
+                assert beta[t] == next(m for m in members if d[t, m] < eps / 2)
+        elif kind == "constant" and n:
+            beta = (int(rng.integers(n)),) * n
+        elif kind == "random":
+            beta = tuple(int(b) for b in rng.integers(max(n, 1), size=n))
+        else:
+            beta = tuple(range(n))
+        brute = max(
+            (abs(d[beta[a], beta[b]] - d[a, b]) for a in range(n) for b in range(n)),
+            default=0.0,
+        )
+        assert max_rounding_deviation(space, beta) == brute
 
     def test_bad_eps(self):
         for eps in (0.0, math.inf):
