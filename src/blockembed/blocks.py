@@ -247,18 +247,28 @@ def _fold_distances(
     exactly zero diagonal.
 
     For finite p > 1, an entry whose p-th powers overflow is computed again
-    from every coordinate divided by an exact power of two, its root
-    multiplied back; entries whose plain fold stays finite keep their bits.
+    from every coordinate divided by an exact power of two, and an
+    off-diagonal one below 2^(-960/p), whose sum of powers may have left
+    the normal range, from every block distance times 2^floor(1960/p),
+    which keeps that sum below 2^1000: for p <= 2 it is then normal for
+    every distance of at least 2^-1074.  Either way the root is scaled
+    back.  One maximum and one off-diagonal minimum decide whether either
+    redo runs; every other entry keeps its bits.
     """
     out = _fold(n, blocks, p, 0)
     if not math.isinf(p) and p != 1:
-        over = np.isinf(out)
-        if over.any():
+        floor = _L2_REDO_BELOW ** (2.0 / p)  # 2^(-960/p)
+        np.fill_diagonal(out, floor)  # never redone
+        if not out.max(initial=0.0) < math.inf:
+            over = np.isinf(out)
             # a block distance is at most 2 * dim * max|x| < 2^shift
             top = max(float(np.abs(x).max()) for _, x in blocks)
             dim = max(x.shape[1] for _, x in blocks)
             shift = math.frexp(top)[1] + dim.bit_length() + 1
             out[over] = _fold(n, blocks, p, shift)[over]
+        if not out.min(initial=floor) >= floor:
+            under = out < floor
+            out[under] = _fold(n, blocks, p, -math.floor(1960 / p))[under]
     np.fill_diagonal(out, 0.0)
     return out
 
@@ -267,7 +277,10 @@ def _fold(
     n: int, blocks: list[tuple[np.ndarray | slice, np.ndarray]], p: float, shift: int
 ) -> np.ndarray:
     """Fold blocks into the n x n l_p sum of their distances, in list order,
-    with every coordinate divided by 2^shift and the root multiplied back.
+    with every block distance divided by 2^shift and the root multiplied
+    back.  A positive shift divides the coordinates, so that no block
+    distance overflows; a negative one (finite p > 1 only) multiplies the
+    block distances, as a large coordinate two points share could overflow.
 
     A block is (carriers, coordinates): an index array or a slice of the n
     points, and their c x dim coordinate rows.  A pair of carriers is
@@ -283,7 +296,7 @@ def _fold(
     out = np.zeros((n, n))
     buf = np.empty(n * max((len(x) for _, x in blocks), default=0))
     for idx, x in blocks:
-        if shift:
+        if shift > 0:
             x = np.ldexp(x, -shift)
         # column b of the carriers: N_b against non-carrier rows, the exact
         # block distance against carrier rows
@@ -299,6 +312,8 @@ def _fold(
             elif p == 1:
                 col += out[:, idx]
             else:
+                if shift < 0:
+                    np.ldexp(col, -shift, out=col)
                 col **= p
                 col += out[:, idx]
         out[:, idx] = col

@@ -150,8 +150,10 @@ def _thresholds(space: FiniteMetricSpace, count: int) -> list[float]:
     if space.n_points < 2 or count < 1:
         return []
     lo = max(min_positive_distance(space) / 2.0, 2.0**-1074)  # half of 2^-1074 rounds to 0
-    hi = 2.0 * space.diameter()
-    return [float(t) for t in np.geomspace(lo, hi, count)]
+    hi = min(2.0 * space.diameter(), sys.float_info.max)  # twice it may overflow
+    # geomspace ends at hi exactly, though 10^log10(hi) may round past the largest double
+    with np.errstate(over="ignore"):
+        return [float(t) for t in np.geomspace(lo, hi, count)]
 
 
 def _moduli_body(space: FiniteMetricSpace, dmat: np.ndarray, count: int) -> dict[str, Any]:

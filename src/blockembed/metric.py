@@ -463,7 +463,8 @@ def _check_shape(n: int, image_distances: np.ndarray) -> np.ndarray:
     m = np.asarray(image_distances, dtype=float)
     if m.shape != (n, n):
         raise LengthMismatch("image distance matrix has wrong shape")
-    if not np.isfinite(m).all():
+    # NaN propagates through both extrema, and an infinity shows in one
+    if not math.isfinite(m.min(initial=0.0)) or not math.isfinite(m.max(initial=0.0)):
         raise ValueError("image distances must be finite")
     return m
 

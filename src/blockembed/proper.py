@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Mapping
 
 import numpy as np
@@ -363,10 +363,10 @@ def _image_distances(embedding: ProperEmbedding) -> np.ndarray:
     w_j) * theta_j as in ``embed_point_proper``; t gets its block norm max_j
     fl(a_tj * |F_t|_inf) against the points outside the run, as rounding is
     monotone, and each level's sup distance against a carrier where a proved
-    upper bound (see ``_fold_group``) can exceed the running max: the sup
-    fold is exact in any order, so a value at or below the max cannot change
-    it.  Shells run cheapest first, and a shell's groups smallest first, so
-    that the max is high before the big kernels.  A zero block is absent."""
+    bound (``_fold_group``), taken only at the pairs still open, can exceed
+    the running max: the sup fold is exact in any order, so a value at or
+    below the max cannot change it.  Shells run cheapest first, and a shell's
+    groups smallest first, so the max is high before the big kernels."""
     pspace, params, nets = embedding.pspace, embedding.params, embedding.hierarchy.nets
     dist, norms = pspace.space.dist, pspace.norms()
     # the guard of _fold_group: no screen when a distance or the slack is past 2^900
@@ -395,7 +395,7 @@ def _image_distances(embedding: ProperEmbedding) -> np.ndarray:
         later = np.maximum.accumulate(tops[::-1])[::-1].tolist()[1:] + [0.0]
         solo, pair = np.zeros(hi - lo), out[lo:hi, lo:hi]
         if max(tops):
-            bound = _lipschitz_bound(dist, idx, blend, norms[idx], slack)
+            bound = partial(_lipschitz_bound, dist, idx, blend, norms[idx], slack)
             open_ = np.triu(np.ones(pair.shape, dtype=bool), 1)  # pairs a group may still raise
         for i, (members, a, c, k_top) in enumerate(plan):
             f = dist[np.ix_(idx, members)] - norms[list(members)]
@@ -422,25 +422,18 @@ def _levels(a: np.ndarray, c: np.ndarray) -> list[int]:
     return [top] + [j for j in range(len(c)) if j != top and not np.array_equal(a[:, j], a[:, top])]
 
 
-def _lipschitz_bound(dist, idx, blend, radius, slack) -> np.ndarray:
-    """The Lipschitz bound h (see ``_fold_group``) of the carriers ``idx``,
-    blends in any order, norms ``radius`` and triangle slack ``slack``: an
-    m x m array, computed in row blocks, whose entries at t < u hold it."""
-    m = len(idx)
-    reach = radius + slack
-    e = 2.0**-49 * (blend * reach)
-    hm = np.empty((m, m))
-    rows = max(1, _CHUNK_ELEMS // (4 * m))
-    for r0 in range(0, m, rows):
-        t, u = slice(r0, r0 + rows), slice(r0, m)
-        h = hm[t, u]
-        np.add(dist[np.ix_(idx[t], idx[u])], slack, out=h)
-        h *= np.minimum(blend[t, None], blend[u])
-        # |b_t - b_u| times the reach of the larger blend: the other product is <= 0
-        g = blend[t, None] - blend[u]
-        h += np.maximum(g * reach[t, None], g * -reach[u], out=g)
-        h += e[t, None] + e[u]
-    return hm
+def _lipschitz_bound(dist, idx, blend, radius, slack, t, u) -> np.ndarray:
+    """The Lipschitz bound h (see ``_fold_group``) at the pairs (t, u) of
+    the carriers ``idx``, blends ``blend`` and norms ``radius``, triangle
+    slack ``slack``: the same bits for (u, t)."""
+    bt, bu, rt, ru = blend[t], blend[u], radius[t] + slack, radius[u] + slack
+    h = dist[idx[t], idx[u]] + slack
+    h *= np.minimum(bt, bu)
+    # |b_t - b_u| times the reach of the larger blend: the other product is <= 0
+    g = bt - bu
+    h += np.maximum(g * rt, g * -ru, out=g)
+    h += 2.0**-49 * (bt * rt) + 2.0**-49 * (bu * ru)
+    return h
 
 
 def _fold_group(pair, open_, bound, f, a, c, k_next) -> None:
@@ -448,7 +441,7 @@ def _fold_group(pair, open_, bound, f, a, c, k_next) -> None:
     level's sup distance max_s |a_tj F_ts - a_uj F_us| wherever that may
     exceed it: in row blocks of ``open_`` (the pairs t < u a group may still
     raise), each level with a distinct block, largest c_j = fl(w_j theta_j)
-    first, on the pairs whose Lipschitz bound ``bound[t, u]`` times fl(K
+    first, on the pairs whose Lipschitz bound ``bound(t, u)`` times fl(K
     c_j) clears the max.  Then, unless k_next is 0 (no later group is
     screened), keeps in ``open_`` only the pairs a level of fl(K c_j) at
     most k_next may still raise."""
@@ -482,7 +475,7 @@ def _fold_group(pair, open_, bound, f, a, c, k_next) -> None:
     for r0 in range(0, len(pair), rows):
         ti, ui = np.nonzero(open_[r0 : r0 + rows])
         ti += r0
-        h = bound[ti, ui]
+        h = bound(ti, ui)
         for j in levels:
             low = pair[ti, ui]
             s = h * k[j] + 2.0**-1040 > low

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import stat
+import subprocess
 import sys
 import tracemalloc
 
@@ -260,6 +261,18 @@ class TestCliModes:
         assert payload["map"] == "proper"
         assert payload["monotone"] is True
         assert len(payload["moduli"]["thresholds"]) == 32
+
+    @pytest.mark.parametrize("mode", ["embed-lp", "coarse", "moduli"])
+    def test_moduli_grid_ends_at_the_largest_double(self, tmp_path, mode):
+        # the diameter is 1.6e308, so twice it is inf: the grid ends at the
+        # largest double, and the numpy warnings count as errors here
+        fixture = tmp_path / "wide.json"
+        fixture.write_text('{"p": 1, "points": [[0], [8e307], [-8e307]]}')
+        report = tmp_path / "rep.json"
+        assert run_cli(mode, "--input", fixture, "--out", report) == 0
+        ts = json.loads(report.read_text())["moduli"]["thresholds"]  # inf reads "unbounded"
+        assert len(ts) == 32 and ts[0] == 4e307 and ts[-1] == sys.float_info.max
+        assert all(isinstance(t, float) and a < t for a, t in zip(ts, ts[1:]))
 
     def test_validate_failure_exits_one(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -824,6 +837,17 @@ class TestCliModes:
         checks = json.loads(report.read_text())["checks"]
         assert checks["pairs_passed"] == checks["pairs_total"] == 3
 
+    @pytest.mark.parametrize("gap", ["1e-170", "1e-300"])
+    def test_cloud_with_underflowing_squares_certifies(self, tmp_path, gap):
+        # the squares of the (1, 2) image distance underflow a double; the
+        # scaled fold's do not
+        fixture = tmp_path / "c.json"
+        fixture.write_text('{"p":2,"points":[[0,0],[1,0],[1,%s]]}' % gap)
+        report = tmp_path / "rep.json"
+        assert run_cli("embed-lp", "--input", fixture, "--out", report) == 0
+        checks = json.loads(report.read_text())["checks"]
+        assert checks["pairs_passed"] == checks["pairs_total"] == 3
+
     @pytest.mark.parametrize("mode", ["embed-lp", "coarse", "moduli"])
     def test_overflowing_coordinate_differences_exit_two(self, tmp_path, capsys, mode):
         clouds = [
@@ -1045,6 +1069,32 @@ class TestParserReuse:
                 assert err.value.code == 2
         assert not seen
         capsys.readouterr()
+
+
+NO_MA_SCRIPT = """
+import sys
+from blockembed.cli import main
+kinds = ["random-graph-metric", "random-lp-cloud", "grid-net", "path", "star"]
+modes = ["validate", "net", "embed-proper", "embed-lp", "coarse", "moduli"]
+for kind in kinds:
+    assert main(["gen", "--kind", kind, "--n", "12", "--dim", "2", "--k", "1", "--out", kind]) == 0
+codes = {kind: [main([mode, "--input", kind, "--out", "rep.json"]) for mode in modes] for kind in kinds}
+print(codes, "numpy.ma" in sys.modules)
+"""
+
+
+def test_no_mode_imports_numpy_ma(tmp_path):
+    # numpy.ma, which some numpy set routines import, adds about 1 MB and
+    # 20-40 ms to a run; a fresh interpreter runs gen for every kind and
+    # every other mode on each output, and never loads it
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(blockembed.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_MA_SCRIPT], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    matrix, cloud = [0, 0, 0, 2, 2, 0], [0] * 6  # embed-lp and coarse need a cloud
+    codes = {"random-graph-metric": matrix, "random-lp-cloud": cloud, "grid-net": cloud}
+    assert proc.stdout.splitlines()[-1] == f"{codes | dict(path=matrix, star=matrix)} False"
 
 
 class TestDeterminism:

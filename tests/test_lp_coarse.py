@@ -603,6 +603,32 @@ class TestShellSortedDistances:
         assert np.isfinite(distances).all()
         assert_factored_equals_images(emb)
 
+    @pytest.mark.parametrize("gap", [1e-160, 1e-170, 1e-300, 5e-324])
+    def test_l2_underflow_is_redone_scaled(self, monkeypatch, gap):
+        # the squares of the gap's image distances leave the normal range, and
+        # those of the far points' overflow; two of those share the coordinate
+        # 1e300, which scaling coordinates by 2^980 would overflow
+        shifts = []
+        fold = blocks._fold
+
+        def recording(n, blocks_, p, shift):
+            shifts.append(shift)
+            return fold(n, blocks_, p, shift)
+
+        monkeypatch.setattr(blocks, "_fold", recording)
+        cloud = LpPointSet(2.0, [[0, 0], [1, 0], [1e300, 0], [1e300, gap], [1, gap]])
+        emb = embed_set_lp(cloud, LpParams(seed=1))
+        distances = emb.image_distances
+        assert shifts[0] == 0 and shifts[1] > 0 and shifts[2:] == [-980]  # over, then under
+        images = oracles.lp_images(emb)
+        for t, u in ((1, 4), (2, 3)):
+            # _norms redoes the one concatenated difference whose squares underflow
+            exact = outer_norm(axpy(1.0, images[t], -1.0, images[u]), 2.0)
+            assert 0 < exact <= 1e-159
+            assert distances[t, u] == distances[u, t] == pytest.approx(exact, rel=4e-16)
+        assert verify_lp(emb).passed
+        assert_factored_equals_images(emb)
+
     def test_fold_peak_memory(self, monkeypatch):
         import tracemalloc
 

@@ -827,6 +827,42 @@ class TestDistortion:
         assert distortion(space, image_distances=euclid(images)) == math.inf
 
 
+class TestImageDistanceChecks:
+    """Both certificates reject a non-finite image distance the same way."""
+
+    CHECKS = {
+        "verify_bounds": lambda space, m: verify_bounds(space, abs, abs, image_distances=m),
+        "moduli_profile": lambda space, m: moduli_profile(space, [1.0], image_distances=m),
+    }
+
+    @pytest.mark.parametrize("check", sorted(CHECKS))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("at", [(0, 0), (1, 2), (2, 1)])
+    def test_non_finite_entry_rejected(self, check, bad, at):
+        space = line_space([0, 1, 3])
+        m = np.abs(np.subtract.outer([0.0, 1, 3], [0.0, 1, 3]))
+        m[at] = bad
+        with pytest.raises(ValueError, match="^image distances must be finite$"):
+            self.CHECKS[check](space, m)
+
+    @pytest.mark.parametrize("check", sorted(CHECKS))
+    def test_finiteness_read_without_a_mask(self, check):
+        # one minimum and one maximum: no n x n bool array of np.isfinite
+        n = 600
+        a = np.arange(n, dtype=float)
+        space = line_space(a)
+        m = np.abs(np.subtract.outer(a, a))
+        m[n - 1, n - 2] = math.inf
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="finite"):
+                self.CHECKS[check](space, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n // 4
+
+
 class TestVerifyBounds:
     def test_two_point_envelope(self):
         from blockembed.proper import WEIGHT_SERIES_SUM, separation_envelope

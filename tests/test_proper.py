@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -841,7 +842,8 @@ class TestImageDistances:
     @pytest.mark.parametrize("seed", range(8))
     def test_lipschitz_bound_is_order_free_and_covers_the_exact_value(self, seed):
         # G = max_s |b_t F_ts - b_u F_us| over every point s, in exact
-        # arithmetic, for carriers given in an order and its reverse
+        # arithmetic, for carriers given in an order and its reverse, and
+        # the same bits for (t, u) and (u, t)
         rng = np.random.default_rng(seed)
         space = SPACES[("graph", "path", "l2", "grid")[seed % 4]](40, seed)
         space = defect_space(seed) if seed >= 6 else space
@@ -855,9 +857,9 @@ class TestImageDistances:
         ti, ui = np.triu_indices(len(idx), 1)
         seen = {}
         for perm in (np.arange(len(idx)), np.arange(len(idx))[::-1]):
-            h = proper._lipschitz_bound(
-                dist, idx[perm], blend[perm], norms[idx[perm]], space.triangle_slack
-            )[ti, ui]
+            args = dist, idx[perm], blend[perm], norms[idx[perm]], space.triangle_slack
+            h = proper._lipschitz_bound(*args, ti, ui)
+            assert np.array_equal(proper._lipschitz_bound(*args, ui, ti), h)
             for a, b, bound in zip(perm[ti].tolist(), perm[ui].tolist(), h.tolist()):
                 bt, bu = Fraction(blend[a]), Fraction(blend[b])
                 g = max(abs(bt * x - bu * y) for x, y in zip(f[a], f[b]))
@@ -897,6 +899,29 @@ class TestImageDistances:
         unslacked = FiniteMetricSpace(space.labels, space.dist, 0.0)
         emb = embed_space_proper(PointedSpace(unslacked, seed), iso=ISO["seeded"](seed))
         assert not np.array_equal(emb.image_distances, eager)
+
+    def test_screen_holds_no_carrier_by_carrier_bound(self):
+        # every norm but the basepoint's lies in (2, 4), so shells 1 and 2
+        # both carry every other point.  The peak is about 3.2 n x n float
+        # arrays (the result, a group's Frechet matrix and its level-scaled
+        # copy, and the open-pair mask); a Lipschitz bound per carrier pair
+        # would add a fourth
+        n = 800
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(n, 3))
+        x *= rng.uniform(2.25, 3.75, (n, 1)) / np.linalg.norm(x, axis=1, keepdims=True)
+        x[0] = 0.0
+        pspace = PointedSpace(LpPointSet(2.0, x).metric_space, 0)
+        emb = embed_space_proper(pspace)
+        assert list(emb.params.k_max) == [1, 2]
+        pspace.space.triangle_slack, pspace.norms()  # read before the trace
+        tracemalloc.start()
+        try:
+            emb.image_distances
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * n * n * 8
 
     @pytest.mark.parametrize(
         "n, seed, basepoint, k_slack", [(89, 0, 56, 2), (46, 180, 26, 2), (92, 240, 60, 1)]
