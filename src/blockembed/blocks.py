@@ -110,9 +110,11 @@ def _norms(diff: np.ndarray, p: float) -> np.ndarray:
 
     For finite p > 1 a row whose p-th powers may have left the normal
     range (a power sum below 2^-960, so a norm below ``_L2_REDO_BELOW`` for
-    p = 2, or an infinite one) is redone divided by an exact power of two
-    near its largest entry, its root multiplied back; every other row keeps
-    the same bits.
+    p = 2, or an infinite one) is redone divided by the power of two that
+    puts its largest entry in [0.5, 1), its root multiplied back; every
+    other row keeps the same bits.  Past p = 1022, where 0.5^p is no longer
+    normal, the row is divided by its largest entry instead, whose power is
+    then exactly 1.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # redone below, or left to the checks
         if math.isinf(p):
@@ -125,9 +127,13 @@ def _norms(diff: np.ndarray, p: float) -> np.ndarray:
         redo = _needs_redo(out, p)
         if redo.any():
             rows = diff[redo]
-            e = np.frexp(rows.max(axis=-1))[1]
-            rows = np.ldexp(rows, -e[:, None])
-            out[redo] = np.ldexp(root(powers(rows).sum(axis=-1)), e)
+            top = rows.max(axis=-1)
+            if p <= 1022:
+                e = np.frexp(top)[1]
+                out[redo] = np.ldexp(root(powers(np.ldexp(rows, -e[:, None])).sum(axis=-1)), e)
+            else:  # an all-zero or non-finite row is divided by 1: left as it is
+                top = np.where((top > 0) & (top < math.inf), top, 1.0)
+                out[redo] = root(powers(rows / top[:, None]).sum(axis=-1)) * top
     return out
 
 

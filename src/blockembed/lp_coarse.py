@@ -254,48 +254,16 @@ class CoarseConstants:
             )
 
 
-def _shell_distances(
-    points: np.ndarray,
-    params: LpParams,
-    p: float,
-    a: float = 1.0,
-    rows: np.ndarray | slice = slice(None),
-) -> np.ndarray:
-    """Image distances, each image scaled by ``a``, between the normalized
-    points ``points[rows]``: bit for bit those of :attr:`LpEmbedding.images`
-    with every coordinate multiplied by ``a``.
-
-    A point of shell n carries lam * theta_n * R(t) on tier n and (1 - lam)
-    * theta_(n+1) * R(t) on tier n + 1: one fold (``blocks._fold_distances``)
-    over the runs of :func:`~blockembed.proper.shell_runs`, then one gather
-    back to input order.
-    """
-    r = _norms(np.abs(points), p)
-    if np.any((r > 0) & (r < 1)):
-        raise NormBelowOne(f"point norm {r[r > 0].min()} < 1; normalize the set first")
-    if r.max(initial=0.0) >= 2.0**1023:  # as in annulus_index, 2^(n+1) is no double
-        raise AnnulusOutOfRange(f"point norm {r.max()} lies past the last dyadic shell")
-    order, runs = shell_runs(r)
-    rt = params.diag_map(points.shape[1]) * points[order]
-    blocks = [
-        (slice(lo, hi), a * ((blend * params.iso.factor(tier))[:, None] * rt[lo:hi]))
-        for tier, lo, hi, blend in runs
-    ]
-    out = _fold_distances(len(points), blocks, p)
-    at = np.argsort(order)[rows]
-    return out[np.ix_(at, at)]
-
-
 @dataclass(frozen=True)
 class LpEmbedding:
     """Lipschitz embedding of a normalized l_p point set.
 
-    The embedding holds its factors, not its images: ``image_distances``,
-    the images' pairwise l_p block-sum distances, is computed on first read
-    by one fold over the points sorted by shell (see ``_shell_distances``).
-    ``images``, the block vectors themselves, are built from the same shell
-    runs only when read; no mode reads them (``perfbench/sweep.py`` reads
-    their block sizes).
+    The embedding holds its factors, not its images.  ``_tiers``, derived
+    on first read, holds each carrier tier's rows blend * theta_n * R(t)
+    over its run of :func:`~blockembed.proper.shell_runs`;
+    ``image_distances`` folds them (``blocks._fold_distances``) and
+    ``images`` scatters them into the block vectors, which no mode reads
+    (``perfbench/sweep.py`` reads their block sizes).
     """
 
     pointset: LpPointSet  # normalized
@@ -304,19 +272,42 @@ class LpEmbedding:
     scale: float
 
     @cached_property
-    def images(self) -> tuple[BlockVector, ...]:
+    def _tiers(self) -> tuple[np.ndarray, list[tuple[int, slice, np.ndarray]]]:
+        """(order, [(tier, run, rows)]): rows (blend * theta_tier)[:, None] *
+        R(t) over the points of the run, in norm order."""
         points, params = self.pointset.points, self.params
-        order, runs = shell_runs(_norms(np.abs(points), self.pointset.p))
-        rt = params.diag_map(points.shape[1]) * points
-        blocks: list[dict[int, np.ndarray]] = [{} for _ in points]
-        for tier, lo, hi, blend in runs:
-            for t, b in zip(order[lo:hi], blend * params.iso.factor(tier)):
-                blocks[t][tier] = b * rt[t]
+        r = _norms(np.abs(points), self.pointset.p)
+        if np.any((r > 0) & (r < 1)):
+            raise NormBelowOne(f"point norm {r[r > 0].min()} < 1; normalize the set first")
+        if r.max(initial=0.0) >= 2.0**1023:  # as in annulus_index, 2^(n+1) is no double
+            raise AnnulusOutOfRange(f"point norm {r.max()} lies past the last dyadic shell")
+        order, runs = shell_runs(r)
+        rt = params.diag_map(points.shape[1]) * points[order]
+        return order, [
+            (tier, slice(lo, hi), (blend * params.iso.factor(tier))[:, None] * rt[lo:hi])
+            for tier, lo, hi, blend in runs
+        ]
+
+    def _distances(self, a: float, rows: np.ndarray | slice) -> np.ndarray:
+        """Image distances between the points ``rows``, every image scaled by
+        ``a``: bit for bit those of :attr:`images` times ``a``."""
+        order, tiers = self._tiers
+        out = _fold_distances(len(order), [(run, a * x) for _, run, x in tiers], self.pointset.p)
+        at = np.argsort(order)[rows]
+        return out[np.ix_(at, at)]
+
+    @cached_property
+    def images(self) -> tuple[BlockVector, ...]:
+        order, tiers = self._tiers
+        blocks: list[dict[int, np.ndarray]] = [{} for _ in order]
+        for tier, run, x in tiers:
+            for t, row in zip(order[run], x):
+                blocks[t][tier] = row
         return tuple(map(BlockVector, blocks))
 
     @cached_property
     def image_distances(self) -> np.ndarray:
-        return _shell_distances(self.pointset.points, self.params, self.pointset.p)
+        return self._distances(1.0, slice(None))
 
 
 @dataclass(frozen=True)
@@ -346,9 +337,7 @@ class CoarseEmbedding:
 
     @cached_property
     def image_distances(self) -> np.ndarray:
-        net = self.net
-        points, p = net.pointset.points, net.pointset.p
-        return _shell_distances(points, self.params, p, 1.0 / net.scale, self._member_rows())
+        return self.net._distances(1.0 / self.net.scale, self._member_rows())
 
 
 def embed_set_lp(s: LpPointSet, params: LpParams | None = None) -> LpEmbedding:

@@ -27,7 +27,7 @@ pairs it leaves are computed, exactly; no image vector is built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Mapping
 
@@ -187,13 +187,15 @@ class ProperParams:
     levels only shrink the Lipschitz constant.  A shell no point carries
     has no entry; the first and last keys are the report's n_min and n_max.
     ``c_trunc`` sums the weight series over the offsets n - k realized by
-    the caps.
+    the caps.  ``layout``, the (order, runs) of :func:`shell_runs` the caps
+    were cut from, is kept for the image distances, out of compare and repr.
     """
 
     k_max: Mapping[int, int]
     iso: BlockIsoModel
     k_slack: int
     c_trunc: float
+    layout: tuple[np.ndarray, list] = field(compare=False, repr=False)
 
     def __post_init__(self):
         if not self.k_max:
@@ -215,8 +217,8 @@ class NetHierarchy:
 class ProperEmbedding:
     """A built embedding: domain, constants, net hierarchy.
 
-    ``image_distances`` is computed on first read, from the shell runs of
-    the points sorted by norm, one Frechet matrix per (shell, net) group
+    ``image_distances`` is computed on first read, from the shell runs the
+    params keep, one Frechet matrix per (shell, net) group
     with a proved screen, and no images: bit for bit
     ``pairwise_distance_matrix`` of the :func:`embed_point_proper` images
     under CODOMAIN_P.
@@ -252,7 +254,7 @@ def make_proper_params(
     if space.n_points < 2:
         raise TooFewPoints("need at least two points to embed")
     norms = pspace.norms()
-    order, runs = shell_runs(norms)
+    order, runs = layout = shell_runs(norms)
     if runs[-1][0] >= 1022:  # its level-1 net radius 2^(n + 2) is no double
         raise AnnulusOutOfRange(f"shell {runs[-1][0]} lies past the last shell with a net radius")
 
@@ -274,6 +276,7 @@ def make_proper_params(
         iso=iso if iso is not None else BlockIsoModel.exact(),
         k_slack=k_slack,
         c_trunc=sum(1.0 / (m * m + 1.0) for m in sorted(used)),
+        layout=layout,
     )
 
 
@@ -356,8 +359,8 @@ def embed_space_proper(
 def _image_distances(embedding: ProperEmbedding) -> np.ndarray:
     """``pairwise_distance_matrix`` of the :func:`embed_point_proper` images
     under CODOMAIN_P bit for bit, from one Frechet matrix F per (shell, net)
-    group and no images, in :func:`shell_runs` order: a shell's carriers are
-    the run lo:hi.
+    group and no images, in the order of the params' ``layout``: a shell's
+    carriers are the run lo:hi.
 
     Level j of a group gives carrier t the block a_tj * F_t, a_tj = (b_t *
     w_j) * theta_j as in ``embed_point_proper``; t gets its block norm max_j
@@ -372,7 +375,7 @@ def _image_distances(embedding: ProperEmbedding) -> np.ndarray:
     # the guard of _fold_group: no screen when a distance or the slack is past 2^900
     slack = pspace.space.triangle_slack
     slack = slack if max(dist.max(), slack) <= 2.0**900 else None
-    order, runs = shell_runs(norms)
+    order, runs = params.layout
     work = []
     for shell, lo, hi, blend in runs:
         groups: dict[tuple[int, ...], list[int]] = {}
@@ -388,7 +391,7 @@ def _image_distances(embedding: ProperEmbedding) -> np.ndarray:
             theta = np.array([params.iso.factor(pair_index(shell, k)) for k in ks])
             a, c = blend[:, None] * w * theta, w * theta
             screened = slack is not None and len(members) > _DENSE_MEMBERS
-            screened = screened and 2.0**-1000 <= a.min() <= a.max() <= 1
+            screened = screened and a.min() >= 2.0**-1000
             plan.append((members, a, c, _SCREEN_K * c.max() if screened else 0.0))
         tops = [k for *_, k in plan]
         # later[i]: the largest fl(K c_j) of a screened group after the i-th
@@ -449,10 +452,13 @@ def _fold_group(pair, open_, bound, f, a, c, k_next) -> None:
     # theta_j exactly; over the group's members, G = |b_t F_t - b_u F_u|_inf
     # and R = b_t |F_t|_inf + b_u |F_u|_inf.  A rounding errs by at most u
     # times its exact result, plus 2^-1075 if a product or quotient
-    # underflows.  The guards keep a_tj in [2^-1000, 1], so a_tj = b_t C_j (1
-    # + gamma_2-bounded), and the distances within 2^900, so |F| <= 2^901 and
-    # no difference overflows; each coordinate fl(a_tj fl(F_ts)) is b_t C_j
-    # F_ts (1 + gamma_4-bounded) plus at most 2^-1075.  So the computed V_j obeys
+    # underflows.  A guard keeps a_tj >= 2^-1000, and a_tj <= 1 always, as
+    # b_t <= 1 (a blend of shell_runs), w_j <= 1, theta_j <= 1 (BlockIsoModel
+    # takes no theta_hi above 1) and rounding is monotone; so a_tj = b_t C_j
+    # (1 + gamma_2-bounded).  Another keeps the distances within 2^900, so
+    # |F| <= 2^901 and no difference overflows; each coordinate fl(a_tj
+    # fl(F_ts)) is b_t C_j F_ts (1 + gamma_4-bounded) plus at most 2^-1075.
+    # So the computed V_j obeys
     #     V_j <= (1 + u) C_j H + 3 * 2^-1075
     # for any H >= G + gamma_4 R, and it cannot raise the max once fl(fl(h
     # fl(c_j K)) + 2^-1040) is at most the max, K = 1 + 2^-45 (_SCREEN_K), for

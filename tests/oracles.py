@@ -8,6 +8,8 @@ the references for exact-equality checks of its replacements:
 kernels the library used before its row-chunked one;
 :func:`dense_redo_lp_distances`, the row-chunked kernel in one shot, which
 reduces each difference row with the library's ``blocks._norms``;
+:func:`pow2_redo_norms`, ``blocks._norms`` when it redid every row by a
+power of two, at every p;
 :func:`scan_triangle_violation`, the per-row triangle scan that
 ``validate_metric`` used before its min-plus filter;
 :func:`checked_entries`, the entry checks of ``validate_metric`` before they
@@ -329,7 +331,8 @@ def ball_proper_params(pspace, iso=None, k_slack=4, every_shell=False):
     if space.n_points < 2:
         raise TooFewPoints("need at least two points to embed")
     norms = pspace.norms()
-    tiers = [run[0] for run in shell_runs(norms)[1]]
+    layout = shell_runs(norms)
+    tiers = [run[0] for run in layout[1]]
     if tiers[-1] >= 1022:
         raise AnnulusOutOfRange(f"shell {tiers[-1]} lies past the last shell with a net radius")
     k_max, used = {}, set()
@@ -343,7 +346,7 @@ def ball_proper_params(pspace, iso=None, k_slack=4, every_shell=False):
         used.update(n - k for k in range(1, cap + 1))
     c_trunc = sum(1.0 / (m * m + 1.0) for m in sorted(used))
     iso = iso if iso is not None else BlockIsoModel.exact()
-    return ProperParams(k_max, iso, k_slack, c_trunc)
+    return ProperParams(k_max, iso, k_slack, c_trunc, layout)
 
 
 def brute_greedy_net(matrix, center, ball_radius, radius, seed):
@@ -413,6 +416,29 @@ def dense_redo_lp_distances(points, p):
     """
     with np.errstate(over="ignore"):
         return _norms(np.abs(points[:, None, :] - points[None, :, :]), p)
+
+
+def pow2_redo_norms(diff, p):
+    """``blocks._norms`` as it was before it took the largest entry itself
+    past p = 1022: a row whose powers may have left the normal range is
+    redone divided by the power of two that puts its largest entry in
+    [0.5, 1), at every p.  Kept as the bit-identity reference for p <= 1022.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if math.isinf(p):
+            return diff.max(axis=-1)
+        if p == 1:
+            return diff.sum(axis=-1)
+        powers = np.square if p == 2 else (lambda x: np.power(x, p))
+        root = np.sqrt if p == 2 else (lambda x: x ** (1.0 / p))
+        out = root(powers(diff).sum(axis=-1))
+        redo = ~(out >= (2.0**-480) ** (2.0 / p)) | np.isinf(out)
+        if redo.any():
+            rows = diff[redo]
+            e = np.frexp(rows.max(axis=-1))[1]
+            rows = np.ldexp(rows, -e[:, None])
+            out[redo] = np.ldexp(root(powers(rows).sum(axis=-1)), e)
+    return out
 
 
 def brute_moduli(dmat, imat, thresholds):
@@ -674,7 +700,8 @@ def net_coords(t: int, net, pspace) -> np.ndarray:
     """``embed_point_proper``'s coordinates of t over ``net`` alone: the net
     as level 1 of shell 1, whose weight, theta and blend are exactly 1, so
     the block is the coordinates themselves (zeros where it is absent)."""
-    params = ProperParams({1: 1}, BlockIsoModel.exact(), 0, 1.0)
+    no_runs = (np.arange(pspace.space.n_points), [])  # only the image distances read it
+    params = ProperParams({1: 1}, BlockIsoModel.exact(), 0, 1.0, no_runs)
     image = embed_point_proper(t, pspace, params, NetHierarchy({(1, 1): net}), annulus=(1, 1.0))
     return image.blocks.get(pair_index(1, 1), np.zeros(len(net)))
 

@@ -22,6 +22,13 @@ import oracles
 from oracles import axpy, inner_norm, outer_norm, project_block, scale_block, unpair_index
 
 
+# zero, or a double from 2^-1074 up to 2^1023
+NORM_ENTRY = st.one_of(
+    st.just(0.0),
+    st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True), st.integers(-1074, 1022)),
+)
+
+
 class TestPairing:
     def test_convention(self):
         assert pair_index(0, 1) == 0
@@ -349,6 +356,30 @@ class TestDistances:
         mat = lp_distance_matrix(x, p)
         assert np.array_equal(mat, oracles.dense_redo_lp_distances(x, p))
         assert np.array_equal(mat, mat.T)
+
+    @given(
+        st.sampled_from([1.5, 2.0, 3.0, 1022.0]),
+        st.integers(1, 9).flatmap(
+            lambda dim: st.lists(st.lists(NORM_ENTRY, min_size=dim, max_size=dim), min_size=1)
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_norms_keep_the_power_of_two_redo_up_to_p_1022(self, p, rows):
+        # entries from 2^-1074 to 2^1023: most rows' powers leave the normal range
+        diff = np.array(rows)
+        assert np.array_equal(blocks._norms(diff, p), oracles.pow2_redo_norms(diff, p))
+
+    @pytest.mark.parametrize("p", [1030.0, 1070.0, 1100.0, 1e308])
+    def test_distance_at_large_p_matches_the_log1p_form(self, p):
+        # the p-th power of 2.01 overflows; the power-of-two redo put 2.01 at
+        # 0.5025, whose p-th power is subnormal or 0
+        d = lp_distance_matrix(np.array([[0.0, 0.0], [2.01, 2.0]]), p)[0, 1]
+        m, s = 2.01, 2.0
+        expected = m * math.exp(math.log1p((s / m) ** p) / p)
+        assert abs(d - expected) <= 1e-15 * expected
+        # an all-zero row stays 0, an infinite one inf
+        rows = np.array([[0.0, 0.0], [math.inf, 1.0], [1e-300, 3e-300]])
+        assert blocks._norms(rows, p).tolist() == [0.0, math.inf, 3e-300]
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
     @pytest.mark.parametrize("dim", range(1, 10))

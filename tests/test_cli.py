@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import stat
 import subprocess
 import sys
@@ -326,6 +327,33 @@ class TestCliModes:
                 for attr, value in list(vars(module).items()):
                     if value is original:
                         monkeypatch.setattr(module, attr, counting)
+        assert run_cli(mode, "--input", fixture, "--out", tmp_path / "rep.json") == 0
+        assert calls == [mode]
+
+    @pytest.mark.parametrize(
+        "mode, kind",
+        [
+            ("embed-proper", "random-graph-metric"),
+            ("embed-proper", "random-lp-cloud"),
+            ("moduli", "random-graph-metric"),
+            ("moduli", "random-lp-cloud"),
+            ("embed-lp", "random-lp-cloud"),
+            ("coarse", "random-lp-cloud"),
+        ],
+    )
+    def test_shell_layout_derived_once_per_certificate(self, tmp_path, monkeypatch, mode, kind):
+        # the proper params keep the runs they were cut from, and an l_p
+        # embedding derives its factor rows once, for every reader
+        fixture = tmp_path / "f.json"
+        assert run_cli("gen", "--kind", kind, "--n", 24, "--seed", 4, "--out", fixture) == 0
+        original, calls = proper.shell_runs, []
+
+        def counting(norms):
+            calls.append(mode)
+            return original(norms)
+
+        for module in (proper, lp_coarse):
+            monkeypatch.setattr(module, "shell_runs", counting)
         assert run_cli(mode, "--input", fixture, "--out", tmp_path / "rep.json") == 0
         assert calls == [mode]
 
@@ -810,6 +838,19 @@ class TestCliModes:
         expected = float("5e" + exponent)
         assert payload["min_positive_distance"] == pytest.approx(expected, rel=1e-15)
 
+    def test_validate_cloud_at_an_exponent_past_1022(self, tmp_path):
+        # 2^1100 overflows, and 0.5^1100, the power-of-two redo's, is 0
+        fixture = tmp_path / "c.json"
+        fixture.write_text('{"p": 1100, "points": [[0], [2], [5]]}')
+        report = tmp_path / "rep.json"
+        assert run_cli("validate", "--input", fixture, "--out", report) == 0
+        payload = json.loads(report.read_text())
+        assert payload["valid"] is True
+        assert (payload["diameter"], payload["min_positive_distance"]) == (5, 2)
+        cloud = tmp_path / "g.json"
+        assert run_cli("gen", "--kind", "random-lp-cloud", "--n", 64, "--p", 1100, "--out", cloud) == 0
+        assert run_cli("validate", "--input", cloud, "--out", report) == 0
+
     @pytest.mark.parametrize("scale, shift", [(1e200, -1000), (1e-200, 1000)])
     def test_validate_l3_cloud_past_the_range_of_its_cubes(self, tmp_path, capsys, scale, shift):
         # the cubes of these coordinates over- or underflow a double
@@ -1022,6 +1063,17 @@ class TestCliModes:
         payload = json.loads(report.read_text())
         assert payload["constants"]["theta_mode"] == "seeded-random"
         assert payload["constants"]["theta_interval"] == [0.5, 1]
+
+
+def test_readme_cli_examples_exit_zero(tmp_path, monkeypatch):
+    # every blockembed line of the README's CLI example block, in its order
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = next(b for b in text.split("```sh")[1:] if "# make a fixture" in b).split("```")[0]
+    lines = [line.split()[1:] for line in block.splitlines() if line.startswith("blockembed ")]
+    assert len(lines) == 6
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        assert main(argv) == 0, argv
 
 
 class TestParserReuse:

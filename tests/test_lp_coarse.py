@@ -674,7 +674,7 @@ class TestShellSortedDistances:
             emb.image_distances
         with pytest.raises(NormBelowOne):
             oracles.lp_images(emb)
-        with pytest.raises(ValueError, match="non-negative"):  # a point below shell 0
+        with pytest.raises(NormBelowOne):
             emb.images
 
 

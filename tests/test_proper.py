@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from blockembed import lp_coarse, proper
+from blockembed import proper
 from blockembed.blocks import (
     BlockIsoModel,
     BlockVector,
@@ -16,7 +16,7 @@ from blockembed.blocks import (
     pairwise_distance_matrix,
 )
 from blockembed.fixtures import path_metric, random_graph_metric, random_lp_cloud, star_metric
-from blockembed.lp_coarse import LpParams, LpPointSet
+from blockembed.lp_coarse import LpEmbedding, LpParams, LpPointSet
 from blockembed.metric import (
     FiniteMetricSpace,
     MetricError,
@@ -188,9 +188,9 @@ class TestShellRuns:
         assert str(err.value) == expected
         # the l_p fold, which takes norms of 1 or more, names the largest norm
         if not any(0 < r < 1 for r in norms):
-            points = np.array(norms)[:, None]
+            cloud = LpPointSet(math.inf, np.array(norms)[:, None])
             with pytest.raises(AnnulusOutOfRange) as err:
-                lp_coarse._shell_distances(points, LpParams(), math.inf)
+                LpEmbedding(cloud, LpParams(), np.zeros(1), 1.0).image_distances
             assert str(err.value) == f"point norm {max(norms)} lies past the last dyadic shell"
 
     def test_top_norm_reaches_a_shell_without_a_net_radius(self):
