@@ -252,41 +252,43 @@ def _fold_distances(
     """The n x n image distances of blocks folded by :func:`_fold`, with an
     exactly zero diagonal.
 
-    For finite p > 1, an entry whose p-th powers overflow is computed again
-    from every coordinate divided by an exact power of two, and an
-    off-diagonal one below 2^(-960/p), whose sum of powers may have left
-    the normal range, from every block distance times 2^floor(1960/p),
-    which keeps that sum below 2^1000: for p <= 2 it is then normal for
-    every distance of at least 2^-1074.  Either way the root is scaled
-    back.  One maximum and one off-diagonal minimum decide whether either
-    redo runs; every other entry keeps its bits.
+    For finite p > 1, each off-diagonal entry :func:`_needs_redo` flags is
+    redone as :func:`_norms` of its own row of block distances (the two
+    carriers' distance, one carrier's norm, or 0), at that row's own scale,
+    a few rows of pairs at a time.  One maximum and one off-diagonal minimum
+    decide whether the redo runs; every other entry keeps its bits.
     """
-    out = _fold(n, blocks, p, 0)
+    out = _fold(n, blocks, p)
     if not math.isinf(p) and p != 1:
         floor = _L2_REDO_BELOW ** (2.0 / p)  # 2^(-960/p)
         np.fill_diagonal(out, floor)  # never redone
-        if not out.max(initial=0.0) < math.inf:
-            over = np.isinf(out)
-            # a block distance is at most 2 * dim * max|x| < 2^shift
-            top = max(float(np.abs(x).max()) for _, x in blocks)
-            dim = max(x.shape[1] for _, x in blocks)
-            shift = math.frexp(top)[1] + dim.bit_length() + 1
-            out[over] = _fold(n, blocks, p, shift)[over]
-        if not out.min(initial=floor) >= floor:
-            under = out < floor
-            out[under] = _fold(n, blocks, p, -math.floor(1960 / p))[under]
+        if blocks and not (out.min(initial=floor) >= floor and out.max() < math.inf):
+            width = len(blocks) + max(x.shape[1] for _, x in blocks)
+            step = max(1, _CHUNK_ELEMS // (n * width))
+            where = np.empty(n, dtype=np.intp)  # a point's row in one block's carriers
+            for lo in range(0, n, step):  # the pairs t < u of rows lo to lo + step
+                t, u = np.nonzero(np.triu(_needs_redo(out[lo : lo + step], p), lo + 1))
+                if not len(t):
+                    continue
+                t += lo
+                row = np.zeros((len(t), len(blocks)))
+                for b, (idx, x) in enumerate(blocks):
+                    where.fill(-1)
+                    where[idx] = np.arange(len(x))
+                    i, j = where[t], where[u]
+                    both, one = (i >= 0) & (j >= 0), (i >= 0) != (j >= 0)
+                    # fl(x_t - x_u) overflows only if the exact difference, and so
+                    # the distance, is past the overflow threshold: inf rounds it
+                    with np.errstate(over="ignore"):
+                        row[both, b] = _norms(np.abs(x[i[both]] - x[j[both]]), p)
+                    row[one, b] = _norms(np.abs(x[np.maximum(i, j)[one]]), p)
+                out[t, u] = out[u, t] = _norms(row, p)
     np.fill_diagonal(out, 0.0)
     return out
 
 
-def _fold(
-    n: int, blocks: list[tuple[np.ndarray | slice, np.ndarray]], p: float, shift: int
-) -> np.ndarray:
-    """Fold blocks into the n x n l_p sum of their distances, in list order,
-    with every block distance divided by 2^shift and the root multiplied
-    back.  A positive shift divides the coordinates, so that no block
-    distance overflows; a negative one (finite p > 1 only) multiplies the
-    block distances, as a large coordinate two points share could overflow.
+def _fold(n: int, blocks: list[tuple[np.ndarray | slice, np.ndarray]], p: float) -> np.ndarray:
+    """Fold blocks into the n x n l_p sum of their distances, in list order.
 
     A block is (carriers, coordinates): an index array or a slice of the n
     points, and their c x dim coordinate rows.  A pair of carriers is
@@ -302,8 +304,6 @@ def _fold(
     out = np.zeros((n, n))
     buf = np.empty(n * max((len(x) for _, x in blocks), default=0))
     for idx, x in blocks:
-        if shift > 0:
-            x = np.ldexp(x, -shift)
         # column b of the carriers: N_b against non-carrier rows, the exact
         # block distance against carrier rows
         col = buf[: n * len(x)].reshape(n, len(x))
@@ -318,8 +318,6 @@ def _fold(
             elif p == 1:
                 col += out[:, idx]
             else:
-                if shift < 0:
-                    np.ldexp(col, -shift, out=col)
                 col **= p
                 col += out[:, idx]
         out[:, idx] = col
@@ -328,9 +326,6 @@ def _fold(
         out[idx] = col.T
     if not sup and p != 1:
         out **= 1.0 / p
-        if shift:
-            with np.errstate(over="ignore"):  # a distance past the largest double
-                np.ldexp(out, shift, out=out)
     return out
 
 

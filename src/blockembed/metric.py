@@ -619,8 +619,9 @@ def verify_bounds(
         worst_lo = float(np.fmin.reduce(slack_lo, initial=worst_lo))
         worst_hi = float(np.fmin.reduce(slack_hi, initial=worst_hi))
         if not any_zero:  # else the distortion is inf
-            max_exp = float(np.max(v / d, initial=max_exp))
-            max_inv = float(np.max(d / v, initial=max_inv))
+            with np.errstate(over="ignore"):  # a ratio past the largest double reads inf
+                max_exp = float(np.max(v / d, initial=max_exp))
+                max_inv = float(np.max(d / v, initial=max_inv))
         del slack_lo, slack_hi
 
     n_pairs = n * (n - 1) // 2

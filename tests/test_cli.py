@@ -11,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import blockembed
@@ -889,6 +889,30 @@ class TestCliModes:
         checks = json.loads(report.read_text())["checks"]
         assert checks["pairs_passed"] == checks["pairs_total"] == 3
 
+    @pytest.mark.parametrize("p", [380, 400, 1000, 1100])
+    def test_large_p_clouds_certify(self, tmp_path, monkeypatch, p):
+        # the p-th powers of these image distances over- and underflow a
+        # double, each pair's redo scales them by its own power of two
+        built = []
+
+        def recording(build):
+            def wrapper(*args, **kwargs):
+                built.append(build(*args, **kwargs))
+                return built[-1]
+
+            return wrapper
+
+        monkeypatch.setattr(cli, "embed_set_lp", recording(cli.embed_set_lp))
+        monkeypatch.setattr(cli, "coarse_embed", recording(cli.coarse_embed))
+        cloud = tmp_path / "c.json"
+        assert run_cli("gen", "--kind", "random-lp-cloud", "--n", 32, "--p", p, "--out", cloud) == 0
+        for mode in ("embed-lp", "coarse"):
+            assert run_cli(mode, "--input", cloud, "--out", tmp_path / "rep.json") == 0
+        assert len(built) == 2
+        for emb in built:
+            distances = emb.image_distances
+            assert np.isfinite(distances).all() and np.array_equal(distances, distances.T)
+
     @pytest.mark.parametrize("mode", ["embed-lp", "coarse", "moduli"])
     def test_overflowing_coordinate_differences_exit_two(self, tmp_path, capsys, mode):
         clouds = [
@@ -944,6 +968,8 @@ class TestCliModes:
             )
         ),
     )
+    # pair (1, 2) has d = 1 and an image distance of 9.97e-321: d / v overflows
+    @example(p=1.0, points=[[1e150, 0.0], [0.0, 0.0], [1.0, 1e-320]])
     @settings(
         max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
     )

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blockembed import blocks, metric
+from blockembed import blocks, lp_coarse, metric
 from blockembed.blocks import (
     BlockIsoModel,
     BlockVector,
@@ -576,56 +576,72 @@ class TestShellSortedDistances:
         assert {tuple(v.blocks) for v in oracles.lp_images(emb)[1:]} == {(0, 1)}
         assert_factored_equals_images(emb)
 
+    # at p = 400 and 1000 the p-th powers of the scaled-up image distances
+    # over- and underflow a double
     @pytest.mark.parametrize("unit", [1e-3, 2.0**-600])
-    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 400.0, 1000.0, math.inf])
     def test_tiny_cloud_scaled_up(self, p, unit):
         rng = np.random.default_rng(11)
         cloud = LpPointSet(p, rng.uniform(0, 1, size=(14, 3)) * unit)
         emb = embed_set_lp(cloud, LpParams(seed=6))
         assert emb.scale > 1.0
-        assert_factored_equals_images(emb)
-        assert_factored_equals_images(coarse_embed(cloud, 0.2 * unit, LpParams(seed=6)))
+        ce = coarse_embed(cloud, 0.2 * unit, LpParams(seed=6))
+        for e, images in ((emb, oracles.lp_images(emb)), (ce, oracles.coarse_images(ce))):
+            assert_factored_equals_images(e)
+            # the fold sums block by block, outer_norm over the concatenation
+            flat = [[outer_norm(axpy(1.0, x, -1.0, y), p) for y in images] for x in images]
+            np.testing.assert_allclose(e.image_distances, flat, rtol=1e-13, atol=0.0)
 
     def test_l2_overflow_is_redone_scaled(self, monkeypatch):
-        shifts = []
+        folds = []
         fold = blocks._fold
 
-        def recording(n, blocks_, p, shift):
-            shifts.append(shift)
-            return fold(n, blocks_, p, shift)
+        def recording(n, blocks_, p):
+            folds.append(fold(n, blocks_, p))
+            return folds[-1].copy()
 
         monkeypatch.setattr(blocks, "_fold", recording)
         rng = np.random.default_rng(13)
         cloud = LpPointSet(2.0, rng.uniform(-1, 1, size=(12, 3)) * 1e306)
         emb = embed_set_lp(cloud, LpParams(seed=1))
         distances = emb.image_distances
-        assert shifts[0] == 0 and shifts[1] > 0  # the plain fold overflowed
+        assert len(folds) == 1 and np.isinf(folds[0]).any()  # the plain fold overflowed
         assert np.isfinite(distances).all()
         assert_factored_equals_images(emb)
 
-    @pytest.mark.parametrize("gap", [1e-160, 1e-170, 1e-300, 5e-324])
-    def test_l2_underflow_is_redone_scaled(self, monkeypatch, gap):
-        # the squares of the gap's image distances leave the normal range, and
+    @pytest.mark.parametrize(
+        "p, gap",
+        [pytest.param(2.0, g, id=str(g)) for g in (1e-160, 1e-170, 1e-300, 5e-324)]
+        + [pytest.param(3.0, g, id=f"p3-{g}") for g in (1e-160, 1e-170, 1e-300, 5e-324)],
+    )
+    def test_l2_underflow_is_redone_scaled(self, monkeypatch, p, gap):
+        # the powers of the gap's image distances leave the normal range, and
         # those of the far points' overflow; two of those share the coordinate
-        # 1e300, which scaling coordinates by 2^980 would overflow
-        shifts = []
+        # 1e300, which scaling every coordinate by one power of two would overflow
+        folds = []
         fold = blocks._fold
 
-        def recording(n, blocks_, p, shift):
-            shifts.append(shift)
-            return fold(n, blocks_, p, shift)
+        def recording(n, blocks_, p):
+            folds.append(fold(n, blocks_, p))
+            return folds[-1].copy()
 
         monkeypatch.setattr(blocks, "_fold", recording)
-        cloud = LpPointSet(2.0, [[0, 0], [1, 0], [1e300, 0], [1e300, gap], [1, gap]])
+        cloud = LpPointSet(p, [[0, 0], [1, 0], [1e300, 0], [1e300, gap], [1, gap]])
         emb = embed_set_lp(cloud, LpParams(seed=1))
         distances = emb.image_distances
-        assert shifts[0] == 0 and shifts[1] > 0 and shifts[2:] == [-980]  # over, then under
+        assert len(folds) == 1 and np.isinf(folds[0]).any()  # one plain fold, then redone
         images = oracles.lp_images(emb)
         for t, u in ((1, 4), (2, 3)):
-            # _norms redoes the one concatenated difference whose squares underflow
-            exact = outer_norm(axpy(1.0, images[t], -1.0, images[u]), 2.0)
+            # _norms redoes the one concatenated difference whose powers underflow
+            exact = outer_norm(axpy(1.0, images[t], -1.0, images[u]), p)
             assert 0 < exact <= 1e-159
             assert distances[t, u] == distances[u, t] == pytest.approx(exact, rel=4e-16)
+        if gap >= 1e-300:  # a normal gap: the pair scales with it to an ulp or two
+            wide = embed_set_lp(
+                LpPointSet(p, [[0, 0], [1, 0], [1e300, 0], [1e300, 1e-170], [1, 1e-170]]),
+                LpParams(seed=1),
+            ).image_distances[2, 3] / 1e-170
+            assert abs(distances[2, 3] / gap - wide) <= 2 * math.ulp(wide)
         assert verify_lp(emb).passed
         assert_factored_equals_images(emb)
 
@@ -634,26 +650,40 @@ class TestShellSortedDistances:
 
         from blockembed.fixtures import random_lp_cloud
 
-        peaks = []
-        fold = blocks._fold
+        n = 512
+        peaks = {}
 
-        def measured(n, blocks_, p, shift):
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            out = fold(n, blocks_, p, shift)
-            peaks.append(tracemalloc.get_traced_memory()[1] - before)
-            return out
+        def measured(name, f):
+            def wrapper(*args):
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                out = f(*args)
+                peaks.setdefault(name, []).append(tracemalloc.get_traced_memory()[1] - before)
+                return out
 
-        monkeypatch.setattr(blocks, "_fold", measured)
-        cloud = normalize_pointed(random_lp_cloud(512, 3, 2.0, seed=1))[0]
-        tracemalloc.start()
-        try:
-            embed_set_lp(cloud, LpParams(lambda_sim=2.0)).image_distances
-        finally:
-            tracemalloc.stop()
-        # the n x n result and one column buffer as wide as the largest shell
-        # (429 points here); each shell's carrier rows are formed in place
-        assert len(peaks) == 1 and peaks[0] < 2.5 * 512 * 512 * 8
+            return wrapper
+
+        # _fold resets the peak again on entry, before _fold_distances has
+        # allocated anything, so "all" still holds the fold and the redo
+        monkeypatch.setattr(blocks, "_fold", measured("fold", blocks._fold))
+        monkeypatch.setattr(lp_coarse, "_fold_distances", measured("all", lp_coarse._fold_distances))
+        for p in (2.0, 400.0, 1000.0):
+            peaks.clear()
+            cloud = normalize_pointed(random_lp_cloud(n, 3, p, seed=1))[0]
+            tracemalloc.start()
+            try:
+                distances = embed_set_lp(cloud, LpParams(lambda_sim=2.0)).image_distances
+            finally:
+                tracemalloc.stop()
+            assert len(peaks["fold"]) == len(peaks["all"]) == 1
+            if p == 2:
+                # the n x n result and one column buffer as wide as the largest
+                # shell (429 points here); each shell's carrier rows are formed in place
+                assert peaks["fold"][0] < 2.5 * n * n * 8
+            else:
+                # p-th powers over- and underflow, and the redo works a few rows at a time
+                assert np.isfinite(distances).all() and np.array_equal(distances, distances.T)
+                assert peaks["all"][0] - peaks["fold"][0] < 0.25 * n * n * 8
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
     def test_many_points_round_to_one_member(self, p):
